@@ -1,108 +1,21 @@
-"""Projection and recovery toolkit for budgeted separated-sparsity models."""
+"""Projection and recovery toolkit for budgeted separated-sparsity models.
 
-from .bench import (
-    AlgoSpec,
-    BenchRow,
-    PRESETS,
-    QualitySweep,
-    RuntimeSweep,
-    bench_quality,
-    bench_runtime,
-    run_preset,
-)
-from .dp import dp_solve, dp_solve_2spike, dp_solve_unrestricted
-from .generators import GenSpec, gen_poisson, gen_uniform
-from .head import (
-    BlockDecomposition,
-    Window,
-    WindowFamily,
-    block_decompose,
-    coverage_best_window,
-    head_project,
-    make_window,
-    slice_solve,
-)
-from .model import (
-    InfeasibleParameters,
-    Instance,
-    brute_force_solve,
-    is_feasible,
-    max_support_size,
-    objective,
-    restrict,
-    squared_weights,
-)
-from .recovery import (
-    Measurement,
-    RecoveryTrace,
-    SensingModel,
-    am_iht,
-    default_measurement_count,
-    empirical_rip,
-    gen_sensing,
-    measure,
-    random_feasible_support,
-)
-from .serialize import read_support, read_vector, write_support, write_vector
-from .tail import (
-    TailProfile,
-    strong_and_reduced,
-    tail_bound_coefficient,
-    tail_project,
-    tail_vector,
-    topk_tail_project,
-)
+The top level re-exports the quick-start names; everything else is imported
+from its module (``sepsparse.dp``, ``sepsparse.head``, ``sepsparse.tail``,
+``sepsparse.recovery``, ...).
+"""
+
+from .dp import dp_solve
+from .head import head_project
+from .model import is_feasible, objective
+from .tail import tail_project
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgoSpec",
-    "BenchRow",
-    "BlockDecomposition",
-    "GenSpec",
-    "InfeasibleParameters",
-    "Instance",
-    "Measurement",
-    "PRESETS",
-    "QualitySweep",
-    "RecoveryTrace",
-    "RuntimeSweep",
-    "SensingModel",
-    "TailProfile",
-    "Window",
-    "WindowFamily",
-    "am_iht",
-    "bench_quality",
-    "bench_runtime",
-    "block_decompose",
-    "brute_force_solve",
-    "coverage_best_window",
-    "default_measurement_count",
     "dp_solve",
-    "dp_solve_2spike",
-    "dp_solve_unrestricted",
-    "empirical_rip",
-    "gen_poisson",
-    "gen_sensing",
-    "gen_uniform",
     "head_project",
     "is_feasible",
-    "make_window",
-    "max_support_size",
-    "measure",
     "objective",
-    "random_feasible_support",
-    "read_support",
-    "read_vector",
-    "restrict",
-    "run_preset",
-    "slice_solve",
-    "squared_weights",
-    "strong_and_reduced",
-    "tail_bound_coefficient",
     "tail_project",
-    "tail_vector",
-    "topk_tail_project",
-    "write_support",
-    "write_vector",
 ]

@@ -28,6 +28,10 @@ __all__ = ["main", "run"]
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+# Largest DP cell count (k n, or k delta n for two spikes) that `project`
+# spends on the exact optimum behind its ratio report.
+MAX_OPT_CELLS = 5e7
+
 
 class ConfigError(Exception):
     pass
@@ -36,7 +40,7 @@ class ConfigError(Exception):
 def _project_opt(x, k, delta, spikes):
     """Exact optimum for ratio reporting, skipped when a DP would be too big."""
     cost = k * delta * x.size if spikes == 2 else k * x.size
-    if spikes > 2 or cost > 5e7:
+    if spikes > 2 or cost > MAX_OPT_CELLS:
         return None
     if spikes == 2:
         values, _ = dp_solve_2spike(x, k, delta)
@@ -125,7 +129,7 @@ def _cmd_recover(args) -> int:
     x_true = np.zeros(args.n)
     x_true[np.asarray(support, dtype=np.intp) - 1] = coeffs
     obs = measure(model, x_true, args.sigma, derive_seed(args.seed, 3))
-    x_hat, trace = am_iht(
+    _, trace = am_iht(
         obs.y,
         model,
         args.k,
@@ -162,7 +166,6 @@ def _cmd_recover(args) -> int:
         sys.stdout.write(csv_text)
         json.dump(summary, sys.stderr)
         sys.stderr.write("\n")
-    _ = x_hat
     return 0
 
 
@@ -185,15 +188,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    fmt = "dat" if args.tikz_dat else args.format
+    if args.format == "dat" and not args.out:
+        raise ConfigError("--format dat needs --out as a filename prefix")
+    if args.repeats is not None and args.repeats < 1:
+        raise ConfigError("--repeats must be >= 1")
     rows = bench_mod.run_preset(args.preset, seed=args.seed, repeats=args.repeats)
-    if fmt == "dat":
-        if not args.out:
-            raise ConfigError("--format dat needs --out as a filename prefix")
+    if args.format == "dat":
         written = bench_mod.rows_to_dat(rows, args.out)
         print("\n".join(written))
         return 0
-    writer = bench_mod.rows_to_csv if fmt == "csv" else bench_mod.rows_to_json
+    writer = bench_mod.rows_to_csv if args.format == "csv" else bench_mod.rows_to_json
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer(rows, fh)
@@ -257,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--preset", required=True, choices=sorted(bench_mod.PRESETS))
     ben.add_argument("--out", default=None)
     ben.add_argument("--format", choices=["csv", "dat", "json"], default="csv")
-    ben.add_argument("--tikz-dat", action="store_true", help="shorthand for --format dat")
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--repeats", type=int, default=None)
     ben.set_defaults(func=_cmd_bench)

@@ -2,38 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .seeding import make_rng
 
-__all__ = ["GenSpec", "gen_poisson", "gen_uniform"]
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Declarative description of a random instance."""
-
-    kind: str
-    n: int
-    seed: int
-    expected_gap: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "poisson"):
-            raise ValueError(f"unknown instance kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "poisson":
-            if self.expected_gap is None or self.expected_gap < 1:
-                raise ValueError("poisson instances need expected_gap >= 1")
-
-    def generate(self) -> np.ndarray:
-        if self.kind == "uniform":
-            return gen_uniform(self.n, self.seed)
-        x, _ = gen_poisson(self.n, float(self.expected_gap), self.seed)
-        return x
+__all__ = ["gen_poisson", "gen_uniform"]
 
 
 def gen_uniform(n: int, seed: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Head approximation: periodic window family, blocks, and the slice solver.
+"""Head approximation: periodic keep-sets, blocks, and the slice solver.
 
 The projector removes a periodic run of ``delta`` positions from the ground
 set (one of ``lam + 1`` phase-shifted choices), which caps every remaining
@@ -13,7 +13,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -22,121 +22,23 @@ from .model import as_weights, objective
 
 __all__ = [
     "BlockDecomposition",
-    "BlockSolver",
-    "Window",
-    "WindowFamily",
+    "best_over_windows",
     "block_decompose",
-    "coverage_best_window",
+    "drop_phase",
     "head_project",
-    "make_window",
     "slice_solve",
 ]
 
 
-class BlockTable(Protocol):
-    """What the per-block exact solver must hand back."""
+def drop_phase(idx, delta: int, lam: int) -> np.ndarray:
+    """For each 1-based index, the keep-set ``nu`` in ``[0, lam]`` that drops it.
 
-    values: np.ndarray
-
-    def support(self, ell: int) -> tuple[int, ...]: ...
-
-
-# An exact block solver maps (weights, budget, delta) to a level table.
-BlockSolver = Callable[[np.ndarray, int, int], "BlockTable"]
-
-
-@dataclass(frozen=True)
-class WindowFamily:
-    """The ``lam + 1`` phase-shifted keep-sets over ``[n]``.
-
-    Membership of index ``i`` in window ``nu`` is a closed-form test on
-    ``(i - 1) mod b`` with period ``b = (lam + 1) * delta``; the sets are
-    never materialized.  Every index is dropped by exactly one window, so
-    each index belongs to exactly ``lam`` of the ``lam + 1`` sets.
+    Keep-set ``nu`` leaves out every index whose position modulo the period
+    ``(lam + 1) * delta`` falls in ``[nu * delta, (nu + 1) * delta)``, so each
+    index is dropped by exactly one of the ``lam + 1`` sets and kept by the
+    other ``lam``.
     """
-
-    n: int
-    delta: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.delta < 1 or self.lam < 1:
-            raise ValueError("n, delta and lam must all be >= 1")
-
-    @property
-    def period(self) -> int:
-        return (self.lam + 1) * self.delta
-
-    def drop_phase(self, indices: np.ndarray) -> np.ndarray:
-        """For each 1-based index, the unique nu whose window drops it."""
-        return ((indices - 1) % self.period) // self.delta
-
-    def window(self, nu: int) -> "Window":
-        if not 0 <= nu <= self.lam:
-            raise ValueError(f"nu={nu} outside [0, {self.lam}]")
-        return Window(self, nu)
-
-
-@dataclass(frozen=True)
-class Window:
-    """One member set of a :class:`WindowFamily`, exposed as a predicate."""
-
-    family: WindowFamily
-    nu: int
-
-    def contains(self, i: int) -> bool:
-        if not 1 <= i <= self.family.n:
-            return False
-        return ((i - 1) % self.family.period) // self.family.delta != self.nu
-
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an array of 1-based indices."""
-        return self.family.drop_phase(np.asarray(indices)) != self.nu
-
-    def iter_members(self):
-        """Lazy iteration over the member indices (test helper)."""
-        for i in range(1, self.family.n + 1):
-            if self.contains(i):
-                yield i
-
-
-def make_window(n: int, delta: int, lam: int, nu: int) -> Window:
-    """Constant-time-membership view of keep-set ``nu``."""
-    return WindowFamily(n, delta, lam).window(nu)
-
-
-def coverage_best_window(z, windows: WindowFamily) -> tuple[int, float]:
-    """The window retaining the most mass of ``z``.
-
-    The kept mass is always at least ``lam / (lam + 1)`` of the total: each
-    index is dropped by exactly one window, so the cheapest drop costs at
-    most the average ``total / (lam + 1)``.
-    """
-    z = as_weights(z)
-    if z.size != windows.n:
-        raise ValueError(f"vector length {z.size} != family n {windows.n}")
-    phases = windows.drop_phase(np.arange(1, windows.n + 1))
-    dropped = np.bincount(phases, weights=z, minlength=windows.lam + 1)
-    nu = int(np.argmin(dropped))
-    total = float(z.sum())
-    return nu, total - float(dropped[nu])
-
-
-def _membership(selectable) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalize a selectable-set spec to a vectorized membership predicate.
-
-    Accepts a :class:`Window`, any callable mask, an explicit index
-    collection, or ``None`` for the full ground set.
-    """
-    if selectable is None:
-        return lambda idx: np.ones(len(idx), dtype=bool)
-    mask = getattr(selectable, "mask", None)
-    if mask is not None:
-        return mask
-    if callable(selectable):
-        return selectable
-    members = np.unique(np.asarray(list(selectable), dtype=np.int64))
-    return lambda idx: np.isin(idx, members)
+    return ((np.asarray(idx) - 1) % ((lam + 1) * delta)) // delta
 
 
 @dataclass
@@ -154,20 +56,22 @@ class BlockDecomposition:
     members: list[np.ndarray]
 
 
-def block_decompose(selectable, x, delta: int, p: int = 1) -> BlockDecomposition:
-    """Split the selectable nonzero indices of ``x`` into blocks.
+def block_decompose(
+    keep: Callable[[np.ndarray], np.ndarray] | None, x, delta: int, p: int = 1
+) -> BlockDecomposition:
+    """Split the nonzero indices of ``x`` that ``keep`` selects into blocks.
 
-    Selectable indices with zero weight form no block; distinct blocks are
-    at least ``delta`` apart, so they can be solved independently.
+    ``keep`` is a vectorized predicate over 1-based indices, or ``None`` for
+    the whole ground set.  Selectable indices with zero weight form no
+    block; distinct blocks are at least ``delta`` apart, so they can be
+    solved independently.
     """
     x = as_weights(x)
     if delta < 1 or p < 1:
         raise ValueError("delta and p must be >= 1")
-    nonzero = np.flatnonzero(x) + 1
-    if nonzero.size == 0:
-        return BlockDecomposition([], [], [])
-    keep = np.asarray(_membership(selectable)(nonzero), dtype=bool)
-    chain_pool = nonzero[keep]
+    chain_pool = np.flatnonzero(x) + 1
+    if keep is not None:
+        chain_pool = chain_pool[np.asarray(keep(chain_pool), dtype=bool)]
     if chain_pool.size == 0:
         return BlockDecomposition([], [], [])
     cuts = np.flatnonzero(np.diff(chain_pool) >= delta)
@@ -181,27 +85,13 @@ def block_decompose(selectable, x, delta: int, p: int = 1) -> BlockDecomposition
     return BlockDecomposition(blocks, budgets, chains)
 
 
-def _default_solver(p: int, solver: BlockSolver | None) -> BlockSolver:
-    if solver is not None:
-        return solver
-    if p == 1:
-        return dp.build_table_1spike
-    if p == 2:
-        return dp.build_table_2spike
-    raise ValueError(f"no built-in exact solver for p={p}; pass one explicitly")
-
-
 def slice_solve(
-    selectable,
-    x,
-    k: int,
-    delta: int,
-    p: int = 1,
-    solver: BlockSolver | None = None,
+    keep: Callable[[np.ndarray], np.ndarray] | None, x, k: int, delta: int, p: int = 1
 ) -> tuple[int, ...]:
-    """Solve the projection restricted to ``selectable`` exactly.
+    """Solve the projection restricted to the indices ``keep`` selects, exactly.
 
-    Per block the exact solver produces optima for every budget level; the
+    Per block the exact solver (the 1-spike or 2-spike DP; other ``p``
+    raise ``ValueError``) produces optima for every budget level; the
     level-to-level gains are non-increasing, so picking the ``k`` largest
     gains globally (ties broken by ascending block id, then level) yields
     per-block budgets whose union is an optimal solution.  Zero gains are
@@ -210,12 +100,17 @@ def slice_solve(
     x = as_weights(x)
     if k <= 0:
         return ()
-    solve = _default_solver(p, solver)
-    dec = block_decompose(selectable, x, delta, p)
+    if p == 1:
+        solve = dp.build_table_1spike
+    elif p == 2:
+        solve = dp.build_table_2spike
+    else:
+        raise ValueError(f"no exact block solver for p={p}; only p = 1 and p = 2 are supported")
+    dec = block_decompose(keep, x, delta, p)
     if not dec.blocks:
         return ()
 
-    tables: list[tuple[int, BlockTable]] = []
+    tables: list[tuple[int, dp.DpTable1 | dp.DpTable2]] = []
     gains: list[tuple[float, int, int]] = []
     for t, ((lo, hi), members) in enumerate(zip(dec.blocks, dec.members)):
         w = np.zeros(hi - lo + 1)
@@ -244,38 +139,42 @@ def slice_solve(
     return tuple(sorted(solution))
 
 
-def head_project(
-    x,
-    k: int,
-    delta: int,
-    p: int,
-    epsilon: float,
-    solver: BlockSolver | None = None,
+def best_over_windows(
+    x: np.ndarray, k: int, delta: int, p: int, lam: int, forced: np.ndarray | None = None
 ) -> tuple[int, ...]:
+    """Best exact slice solution over the ``lam + 1`` periodic keep-sets.
+
+    ``x`` is a non-empty weight vector and ``forced`` an optional boolean
+    mask over ``[n]`` of indices kept by every slice.  Keep-sets whose
+    dropped run starts beyond ``n`` all equal the full ground set, so only
+    the first of them is solved.  Ties keep the earliest keep-set.
+    """
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    best: tuple[int, ...] = ()
+    best_val = 0.0
+    for nu in range(min(lam, math.ceil(x.size / delta)) + 1):
+
+        def keep(idx: np.ndarray, nu=nu) -> np.ndarray:
+            kept = drop_phase(idx, delta, lam) != nu
+            return kept if forced is None else kept | forced[idx - 1]
+
+        sol = slice_solve(keep, x, k, delta, p)
+        val = objective(x, sol)
+        if val > best_val:
+            best, best_val = sol, val
+    return best
+
+
+def head_project(x, k: int, delta: int, p: int, epsilon: float) -> tuple[int, ...]:
     """Projection capturing at least ``1 - 1/(lam+1)`` of the optimal mass.
 
     Runs the exact slice solver on each of the ``lam + 1`` keep-sets with
-    ``lam = ceil(1/epsilon)`` and returns the best solution found.  Windows
-    whose dropped run falls entirely beyond ``n`` all equal the full ground
-    set, so that slice is solved only once.
+    ``lam = ceil(1/epsilon)`` and returns the best solution found.
     """
     x = as_weights(x)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if x.size == 0 or k <= 0:
         return ()
-    lam = math.ceil(1.0 / epsilon)
-    family = WindowFamily(x.size, delta, lam)
-    best: tuple[int, ...] = ()
-    best_val = 0.0
-    full_solved = False
-    for nu in range(lam + 1):
-        if nu * delta + 1 > x.size:
-            if full_solved:
-                continue
-            full_solved = True
-        sol = slice_solve(family.window(nu), x, k, delta, p, solver)
-        val = objective(x, sol)
-        if val > best_val:
-            best, best_val = sol, val
-    return best
+    return best_over_windows(x, k, delta, p, math.ceil(1.0 / epsilon))

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,18 @@ class InfeasibleParameters(ValueError):
 
 
 def as_weights(x) -> np.ndarray:
-    """Coerce ``x`` to a contiguous float64 vector of non-negative weights."""
+    """Coerce ``x`` to a contiguous float64 vector of finite non-negative weights."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if arr.size and float(arr.min()) < 0.0:
-        raise ValueError("weight vectors must be entrywise non-negative")
+    if arr.size:
+        # min and max propagate NaN, so these two reductions also catch it;
+        # the sign test alone would not, as NaN < 0 is False.
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("weight vectors must be finite (no NaN or inf)")
+        if lo < 0.0:
+            raise ValueError("weight vectors must be entrywise non-negative")
     return arr
 
 

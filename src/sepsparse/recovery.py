@@ -31,6 +31,8 @@ __all__ = [
     "random_feasible_support",
 ]
 
+HEAD_SPIKES = 2
+
 
 @dataclass(frozen=True)
 class SensingModel:
@@ -103,16 +105,14 @@ def am_iht(
     eps_tail: float,
     *,
     x_true=None,
-    head_budget: int | None = None,
-    head_spikes: int = 2,
     stop_tol: float | None = None,
 ) -> tuple[np.ndarray, RecoveryTrace]:
     """Iterative hard thresholding with approximate projections.
 
     Starting from zero, each iteration head-projects the squared gradient
-    (budget ``head_budget``, default 2k, ``head_spikes`` spikes), adds the
-    surviving gradient entries, tail-projects the squared result back to a
-    (k, delta)-feasible support, and restricts.  Residual norms are recorded
+    (budget 2k, ``HEAD_SPIKES`` spikes), adds the surviving gradient
+    entries, tail-projects the squared result back to a (k, delta)-feasible
+    support, and restricts.  Residual norms are recorded
     when ``x_true`` is supplied; ``stop_tol`` optionally ends the loop when
     the measurement-space proxy stalls.
     """
@@ -122,7 +122,7 @@ def am_iht(
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     n = model.n
-    budget = 2 * k if head_budget is None else head_budget
+    budget = 2 * k
     truth = None if x_true is None else as_signal(x_true)
 
     def residual_norm(xj: np.ndarray) -> float:
@@ -139,11 +139,13 @@ def am_iht(
     )
     for _ in range(iterations):
         g = model.A.T @ res
-        h_support = head_project(squared_weights(g), budget, delta, head_spikes, eps_head)
-        assert is_feasible(h_support, n, budget, delta, head_spikes)
+        h_support = head_project(squared_weights(g), budget, delta, HEAD_SPIKES, eps_head)
+        if not is_feasible(h_support, n, budget, delta, HEAD_SPIKES):
+            raise RuntimeError(f"head projection returned an infeasible support {h_support}")
         merged = xj + restrict(g, h_support)
         t_support = tail_project(squared_weights(merged), k, delta, eps_tail)
-        assert is_feasible(t_support, n, k, delta, 1)
+        if not is_feasible(t_support, n, k, delta, 1):
+            raise RuntimeError(f"tail projection returned an infeasible support {t_support}")
         xj = restrict(merged, t_support)
         res = y - model.A @ xj
         trace.supports.append(t_support)

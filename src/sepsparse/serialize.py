@@ -25,7 +25,10 @@ def write_vector(path, v) -> None:
 
 def read_vector(path) -> np.ndarray:
     lines = [line.strip() for line in Path(path).read_text().splitlines()]
-    return np.asarray([float(line) for line in lines if line], dtype=np.float64)
+    arr = np.asarray([float(line) for line in lines if line], dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path} contains a NaN or infinite value")
+    return arr
 
 
 def format_support(support) -> str:

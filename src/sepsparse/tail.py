@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .head import WindowFamily, slice_solve
-from .model import as_weights, objective
+from .head import best_over_windows
+from .model import as_weights
+
+# perfbench/tracing.py patches these two names here; keep them importable.
+from .head import slice_solve  # noqa: F401
+from .model import objective  # noqa: F401
 
 __all__ = [
     "TailProfile",
     "strong_and_reduced",
-    "tail_bound_coefficient",
     "tail_project",
     "tail_vector",
     "topk_tail_project",
@@ -51,14 +54,13 @@ def tail_vector(x, delta: int) -> np.ndarray:
 class TailProfile:
     """Neighbourhood analysis of a weight vector at one separation.
 
-    ``t`` is the tail vector, ``strong`` the indices with x_i > t_i,
-    ``weak`` the rest, and ``r`` the reduced vector: x with every weak
-    index within distance < delta of a strong index zeroed out.
+    ``t`` is the tail vector, ``strong`` the indices with x_i > t_i, and
+    ``r`` the reduced vector: x with every other index within distance
+    < delta of a strong index zeroed out.
     """
 
     t: np.ndarray
     strong: np.ndarray
-    weak: np.ndarray
     r: np.ndarray
 
 
@@ -73,7 +75,6 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
     t = tail_vector(x, delta)
     strong_mask = x > t
     strong = np.flatnonzero(strong_mask) + 1
-    weak = np.flatnonzero(~strong_mask) + 1
     r = x.copy()
     n = x.size
     for s in strong:
@@ -81,7 +82,7 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
         hi = min(int(s) + delta - 1, n)
         r[lo:hi] = 0.0
         r[s - 1] = x[s - 1]
-    return TailProfile(t=t, strong=strong, weak=weak, r=r)
+    return TailProfile(t=t, strong=strong, r=r)
 
 
 def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
@@ -127,38 +128,6 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     if n == 0 or k <= 0:
         return ()
     profile = strong_and_reduced(x, delta)
-    lam = math.ceil(2.0 / epsilon)
-    family = WindowFamily(n, delta, lam)
-    strong = profile.strong
-    best: tuple[int, ...] = ()
-    best_val = 0.0
-    full_solved = False
-    for nu in range(lam + 1):
-        if nu * delta + 1 > n:
-            if full_solved:
-                continue
-            full_solved = True
-        window = family.window(nu)
-
-        def selectable(idx: np.ndarray, _w=window) -> np.ndarray:
-            return _w.mask(idx) | np.isin(idx, strong)
-
-        sol = slice_solve(selectable, profile.r, k, delta, p=1)
-        val = objective(profile.r, sol)
-        if val > best_val:
-            best, best_val = sol, val
-    return best
-
-
-def tail_bound_coefficient(alpha: float, mu: float) -> float:
-    """Leftover-mass ratio bound alpha / (1 - (1-alpha)/(1-mu*alpha)).
-
-    Used only by the test suite to validate the tail analysis numerically;
-    at ``alpha = 1 - eps/2`` and ``mu = 2/3`` it equals ``1 + eps`` exactly.
-    """
-    if not 0.0 < alpha < 1.0 or not 0.0 < mu < 1.0:
-        raise ValueError("alpha and mu must lie strictly inside (0, 1)")
-    denom_inner = 1.0 - mu * alpha
-    if denom_inner <= 0.0:
-        raise ZeroDivisionError("1 - mu*alpha must stay positive")
-    return alpha / (1.0 - (1.0 - alpha) / denom_inner)
+    forced = np.zeros(n, dtype=bool)
+    forced[profile.strong - 1] = True
+    return best_over_windows(profile.r, k, delta, 1, math.ceil(2.0 / epsilon), forced)

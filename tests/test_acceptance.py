@@ -10,13 +10,19 @@ import numpy as np
 
 from sepsparse.dp import dp_solve, dp_solve_2spike
 from sepsparse.generators import gen_poisson, gen_uniform
-from sepsparse.head import WindowFamily, block_decompose, coverage_best_window, head_project, slice_solve
+from sepsparse.head import block_decompose, head_project, slice_solve
 from sepsparse.model import Instance, brute_force_solve, objective
 from sepsparse.recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from sepsparse.seeding import make_rng
-from sepsparse.tail import tail_bound_coefficient, tail_project, tail_vector, topk_tail_project
+from sepsparse.tail import tail_project, tail_vector, topk_tail_project
 
-from util import direct_tail_vector, restricted_optimum
+from util import (
+    coverage_best_window,
+    direct_tail_vector,
+    keep_only,
+    restricted_optimum,
+    tail_bound_coefficient,
+)
 
 TOL = 1e-9
 
@@ -151,14 +157,14 @@ def test_ac6_slice_optimality_and_margins():
         members = sorted(
             int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1
         )
-        sol = slice_solve(members, x, k, delta, p)
+        sol = slice_solve(keep_only(members), x, k, delta, p)
         best = restricted_optimum(members, x, k, delta, p)
         if abs(objective(x, sol) - best) > TOL:
             value_ok = False
         from sepsparse.dp import build_table_1spike, build_table_2spike
 
         build = build_table_1spike if p == 1 else build_table_2spike
-        dec = block_decompose(members, x, delta, p)
+        dec = block_decompose(keep_only(members), x, delta, p)
         for (lo, hi), budget, chain in zip(dec.blocks, dec.budgets, dec.members):
             w = np.zeros(hi - lo + 1)
             w[chain - lo] = x[chain - 1]
@@ -177,7 +183,7 @@ def test_ac7_coverage_guarantee():
         delta = int(rng.integers(1, 6))
         lam = int(rng.integers(1, 5))
         z = rng.random(n) * float(rng.integers(1, 8))
-        _, mass = coverage_best_window(z, WindowFamily(n, delta, lam))
+        _, mass = coverage_best_window(z, delta, lam)
         if mass < lam / (lam + 1) * float(z.sum()) - TOL:
             ok = False
     report("AC7 window coverage", ok, "1000 random vectors")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sepsparse import bench as bench_mod
 from sepsparse.cli import main
 from sepsparse.serialize import read_vector, write_vector
 
@@ -76,6 +77,18 @@ class TestProject:
             capsys, "project", "--in", str(path), "--k", "1", "--delta", "1", "--algo", "dp"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_vector_rejected(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1.0\n{bad}\n2.0\n")
+        code, out, err = run_cli(
+            capsys, "project", "--in", str(path), "--k", "1", "--delta", "1", "--algo", "head",
+            "--epsilon", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "NaN or infinite" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
@@ -152,6 +165,16 @@ class TestRecover:
         assert json.loads(err)["k"] == 2
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Make any benchmark sweep fail, so argument checks must come first."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the sweep ran before the arguments were checked")
+
+    monkeypatch.setattr(bench_mod, "run_preset", fail)
+
+
 class TestBench:
     def test_preset_csv(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -163,9 +186,17 @@ class TestBench:
         assert len(rows) == 10 * 5  # ten budgets, five algorithms
         assert all(row["bound_ok"] == "True" for row in rows)
 
-    def test_dat_requires_out(self, capsys):
+    def test_dat_requires_out(self, capsys, no_sweep):
         code, _, err = run_cli(capsys, "bench", "--preset", "fig3", "--format", "dat")
         assert code == 2
+        assert "--out" in err
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_must_be_positive(self, capsys, no_sweep, repeats):
+        # Zero repeats would report bound_ok=True from no samples at all.
+        code, _, err = run_cli(capsys, "bench", "--preset", "fig3", "--repeats", repeats)
+        assert code == 2
+        assert "--repeats" in err
 
     def test_bad_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepsparse.generators import GenSpec, gen_poisson, gen_uniform
+from sepsparse.generators import gen_poisson, gen_uniform
 from sepsparse.tail import strong_and_reduced
 
 
@@ -62,15 +62,3 @@ class TestPoisson:
         with pytest.raises(ValueError):
             gen_poisson(0, 2.0, 0)
 
-
-class TestGenSpec:
-    def test_dispatch(self):
-        assert np.array_equal(GenSpec("uniform", 6, 4).generate(), gen_uniform(6, 4))
-        spec = GenSpec("poisson", 30, 4, expected_gap=3.0)
-        assert np.array_equal(spec.generate(), gen_poisson(30, 3.0, 4)[0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GenSpec("gauss", 5, 0)
-        with pytest.raises(ValueError):
-            GenSpec("poisson", 5, 0)

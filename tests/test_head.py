@@ -2,31 +2,19 @@ import numpy as np
 import pytest
 
 from sepsparse.dp import dp_solve
-from sepsparse.head import (
-    WindowFamily,
-    block_decompose,
-    coverage_best_window,
-    head_project,
-    make_window,
-    slice_solve,
-)
+from sepsparse.head import block_decompose, drop_phase, head_project, slice_solve
 from sepsparse.model import Instance, brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 
-from util import restricted_optimum
+from util import coverage_best_window, keep_only, restricted_optimum, window_members
 
 
 class TestWindows:
     def test_spec_examples(self):
-        assert list(make_window(8, 2, 1, 0).iter_members()) == [3, 4, 7, 8]
-        assert list(make_window(8, 2, 1, 1).iter_members()) == [1, 2, 5, 6]
-        assert list(make_window(6, 1, 2, 2).iter_members()) == [1, 2, 4, 5]
-
-    def test_nu_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_window(8, 2, 1, 2)
-        with pytest.raises(ValueError):
-            make_window(8, 2, 1, -1)
+        assert window_members(8, 2, 1, 0) == [3, 4, 7, 8]
+        assert window_members(8, 2, 1, 1) == [1, 2, 5, 6]
+        assert window_members(6, 1, 2, 2) == [1, 2, 4, 5]
+        assert list(drop_phase(np.arange(1, 9), 2, 1)) == [0, 0, 1, 1, 0, 0, 1, 1]
 
     def test_each_index_in_exactly_lam_windows(self):
         rng = make_rng(51)
@@ -34,19 +22,15 @@ class TestWindows:
             n = int(rng.integers(1, 40))
             delta = int(rng.integers(1, 6))
             lam = int(rng.integers(1, 5))
-            fam = WindowFamily(n, delta, lam)
             counts = np.zeros(n, dtype=int)
             for nu in range(lam + 1):
-                for i in fam.window(nu).iter_members():
+                for i in window_members(n, delta, lam, nu):
                     counts[i - 1] += 1
             assert np.all(counts == lam)
 
     def test_partition_mass(self):
         for n, delta, lam in [(17, 3, 2), (40, 5, 1), (9, 1, 3)]:
-            fam = WindowFamily(n, delta, lam)
-            total = sum(
-                sum(1 for _ in fam.window(nu).iter_members()) for nu in range(lam + 1)
-            )
+            total = sum(len(window_members(n, delta, lam, nu)) for nu in range(lam + 1))
             assert total == lam * n
 
     def test_block_size_capped_by_lam_delta(self):
@@ -55,21 +39,20 @@ class TestWindows:
             n = int(rng.integers(1, 60))
             delta = int(rng.integers(1, 6))
             lam = int(rng.integers(1, 4))
-            fam = WindowFamily(n, delta, lam)
             x = rng.random(n)
             for nu in range(lam + 1):
-                dec = block_decompose(fam.window(nu), x, delta)
+                dec = block_decompose(keep_only(window_members(n, delta, lam, nu)), x, delta)
                 for lo, hi in dec.blocks:
                     assert hi - lo + 1 <= lam * delta
 
 
 class TestCoverage:
     def test_spec_examples(self):
-        nu, mass = coverage_best_window([1.0, 1, 1, 1], WindowFamily(4, 1, 1))
+        nu, mass = coverage_best_window([1.0, 1, 1, 1], 1, 1)
         assert mass == 2.0 and mass >= 0.5 * 4 / 2
-        nu, mass = coverage_best_window([0.0, 0, 0, 0], WindowFamily(4, 2, 1))
+        nu, mass = coverage_best_window([0.0, 0, 0, 0], 2, 1)
         assert mass == 0.0
-        nu, mass = coverage_best_window([1.0, 0, 0, 0], WindowFamily(4, 2, 1))
+        nu, mass = coverage_best_window([1.0, 0, 0, 0], 2, 1)
         assert nu == 1 and mass == 1.0
 
     def test_guarantee_on_random_vectors(self):
@@ -79,20 +62,20 @@ class TestCoverage:
             delta = int(rng.integers(1, 6))
             lam = int(rng.integers(1, 5))
             z = rng.random(n) * float(rng.integers(1, 10))
-            nu, mass = coverage_best_window(z, WindowFamily(n, delta, lam))
+            nu, mass = coverage_best_window(z, delta, lam)
             assert mass >= lam / (lam + 1) * float(z.sum()) - 1e-9
-            direct = sum(z[i - 1] for i in make_window(n, delta, lam, nu).iter_members())
+            direct = sum(z[i - 1] for i in window_members(n, delta, lam, nu))
             assert mass == pytest.approx(direct, abs=1e-9)
 
 
 class TestBlocks:
     def test_spec_examples(self):
         x = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
-        dec = block_decompose([3, 4, 7, 8], x, 2)
+        dec = block_decompose(keep_only([3, 4, 7, 8]), x, 2)
         assert dec.blocks == [(3, 4), (7, 8)]
         dec = block_decompose(None, np.zeros(6), 2)
         assert dec.blocks == []
-        dec = block_decompose([1, 5], np.array([1.0, 0, 0, 0, 1]), 3)
+        dec = block_decompose(keep_only([1, 5]), np.array([1.0, 0, 0, 0, 1]), 3)
         assert dec.blocks == [(1, 1), (5, 5)]
 
     def test_blocks_are_delta_apart_and_budgeted(self):
@@ -103,7 +86,7 @@ class TestBlocks:
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.35, 0.0, rng.random(n))
             members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1)
-            dec = block_decompose(members, x, delta, p)
+            dec = block_decompose(keep_only(members), x, delta, p)
             for (l1, h1), (l2, h2) in zip(dec.blocks, dec.blocks[1:]):
                 assert l2 - h1 >= delta
             for (lo, hi), budget, chain in zip(dec.blocks, dec.budgets, dec.members):
@@ -116,9 +99,9 @@ class TestSliceSolve:
     def test_spec_examples(self):
         x = np.zeros(8)
         x[2], x[3], x[6], x[7] = 5.0, 1.0, 4.0, 2.0
-        assert slice_solve([3, 4, 7, 8], x, 2, 2, 1) == (3, 7)
-        assert slice_solve([], np.ones(3), 2, 2, 1) == ()
-        assert slice_solve([1, 2, 3], np.ones(3), 2, 2, 1) == (1, 3)
+        assert slice_solve(keep_only([3, 4, 7, 8]), x, 2, 2, 1) == (3, 7)
+        assert slice_solve(keep_only([]), np.ones(3), 2, 2, 1) == ()
+        assert slice_solve(None, np.ones(3), 2, 2, 1) == (1, 3)
 
     def test_optimal_on_random_slices(self):
         rng = make_rng(67)
@@ -129,7 +112,7 @@ class TestSliceSolve:
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
             members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1)
-            sol = slice_solve(members, x, k, delta, p)
+            sol = slice_solve(keep_only(members), x, k, delta, p)
             assert set(sol) <= set(members)
             assert is_feasible(sol, n, k, delta, p)
             best = restricted_optimum(members, x, k, delta, p)
@@ -137,20 +120,9 @@ class TestSliceSolve:
 
     def test_rejects_p3_without_solver(self):
         with pytest.raises(ValueError):
-            slice_solve([1, 2], np.ones(2), 1, 2, 3)
-
-    def test_custom_solver_hook(self):
-        from sepsparse.dp import build_table_1spike
-
-        calls = []
-
-        def spy(w, budget, delta):
-            calls.append(w.size)
-            return build_table_1spike(w, budget, delta)
-
-        sol = slice_solve([1, 2, 3], np.ones(3), 2, 2, 1, solver=spy)
-        assert sol == (1, 3)
-        assert calls == [3]
+            slice_solve(None, np.ones(2), 1, 2, 3)
+        with pytest.raises(ValueError):
+            head_project(np.ones(2), 1, 2, 3, 0.5)
 
 
 class TestHeadProject:
@@ -170,6 +142,11 @@ class TestHeadProject:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             head_project(np.ones(3), 1, 1, 1, 0.0)
+
+    def test_delta_validation(self):
+        for delta in (0, -2):
+            with pytest.raises(ValueError):
+                head_project(np.ones(3), 1, delta, 1, 0.5)
 
     def test_guarantee_vs_oracle(self):
         rng = make_rng(71)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sepsparse.dp import dp_solve, dp_solve_2spike
+from sepsparse.head import head_project
 from sepsparse.model import (
     Instance,
     brute_force_solve,
@@ -11,6 +13,7 @@ from sepsparse.model import (
     squared_weights,
 )
 from sepsparse.seeding import make_rng
+from sepsparse.tail import tail_project, topk_tail_project
 
 from util import pairwise_feasible, window_scan_feasible
 
@@ -109,6 +112,24 @@ class TestInstance:
             Instance(np.array([1.0]), 1, 0)
         with pytest.raises(ValueError):
             Instance(np.zeros(0), 1, 1)
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_projector_rejects(self, bad):
+        x = [1.0, bad, 2.0, 0.5]
+        calls = [
+            lambda: dp_solve(x, 2, 2),
+            lambda: dp_solve_2spike(x, 2, 2),
+            lambda: head_project(x, 2, 2, 1, 0.5),
+            lambda: tail_project(x, 2, 2, 0.5),
+            lambda: topk_tail_project(x, 2, 2),
+            lambda: objective(x, [1]),
+            lambda: Instance(np.asarray(x), 1, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestMaxSupportSize:

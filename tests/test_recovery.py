@@ -146,6 +146,18 @@ class TestAmIht:
         assert np.linalg.norm(x - x_hat) <= 1e-6 * np.linalg.norm(x)
         assert trace.supports[-1] == support
 
+    def test_infeasible_projection_raises(self, monkeypatch):
+        import sepsparse.recovery as recovery
+
+        n, k, delta = 40, 2, 5
+        model = gen_sensing(default_measurement_count(n, k), n, 7)
+        x, _ = planted_signal(n, k, delta, 7)
+        obs = measure(model, x, 0.0, 7)
+        # Three picks inside one window of delta = 5 break the two-spike rule.
+        monkeypatch.setattr(recovery, "head_project", lambda *args: (1, 2, 3))
+        with pytest.raises(RuntimeError, match="infeasible"):
+            am_iht(obs.y, model, k, delta, 3, 0.5, 0.5)
+
     def test_early_stop(self):
         model = gen_sensing(4, 8, 0)
         _, trace = am_iht(np.zeros(4), model, 2, 3, 50, 0.5, 0.5, stop_tol=1e-12)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sepsparse.seeding import make_rng
 from sepsparse.serialize import (
@@ -37,3 +38,11 @@ def test_empty_support(tmp_path):
     assert read_support(path) == ()
     assert format_support(()) == ""
     assert parse_support("  ") == ()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_vector_rejected(tmp_path, bad):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"1.0\n{bad}\n2.0\n")
+    with pytest.raises(ValueError):
+        read_vector(path)

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from sepsparse.dp import dp_solve
-from sepsparse.head import block_decompose, make_window
+from sepsparse.head import block_decompose
 from sepsparse.model import Instance, brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
-from sepsparse.tail import (
-    strong_and_reduced,
-    tail_bound_coefficient,
-    tail_project,
-    tail_vector,
-    topk_tail_project,
-)
+from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
-from util import direct_tail_vector
+from util import direct_tail_vector, keep_only, tail_bound_coefficient, window_members
 
 
 def leftover(x, support):
@@ -118,6 +112,11 @@ class TestTailProject:
         with pytest.raises(ValueError):
             tail_project(np.ones(3), 1, 2, 0.0)
 
+    def test_delta_validation(self):
+        for delta in (0, -2):
+            with pytest.raises(ValueError):
+                tail_project(np.ones(3), 1, delta, 0.5)
+
     def test_guarantee_vs_oracle(self):
         rng = make_rng(103)
         for _ in range(250):
@@ -170,12 +169,8 @@ class TestTailProject:
             for eps in (1.0, 0.5):
                 lam = math.ceil(2.0 / eps)
                 for nu in range(min(lam, (n - 1) // delta) + 1):
-                    window = make_window(n, delta, lam, nu)
-
-                    def member(idx, _w=window):
-                        return _w.mask(idx) | np.isin(idx, prof.strong)
-
-                    dec = block_decompose(member, prof.r, delta)
+                    members = np.union1d(window_members(n, delta, lam, nu), prof.strong)
+                    dec = block_decompose(keep_only(members), prof.r, delta)
                     for lo, hi in dec.blocks:
                         assert hi - lo + 1 <= lam * delta
 
