@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import dp_solve, dp_solve_2spike
+from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
 from .model import objective
@@ -76,10 +76,10 @@ class AlgoSpec:
 
     def run(self, x: np.ndarray, k: int, delta: int) -> tuple[int, ...]:
         if self.algo == "dp":
-            _, sols = dp_solve(x, k, delta)
+            _, sols = dp.dp_solve(x, k, delta)
             return sols[-1]
         if self.algo == "dp2":
-            _, sols = dp_solve_2spike(x, k, delta)
+            _, sols = dp.dp_solve_2spike(x, k, delta)
             return sols[-1]
         if self.algo == "head":
             return head_project(x, k, delta, self.p, 1.0 / self.lam)
@@ -187,11 +187,8 @@ def bench_runtime(sweep: RuntimeSweep) -> list[BenchRow]:
 
 
 def _exact_value(x: np.ndarray, k: int, delta: int, spikes: int) -> float:
-    if spikes == 1:
-        values, _ = dp_solve(x, k, delta)
-    else:
-        values, _ = dp_solve_2spike(x, k, delta)
-    return float(values[-1])
+    build = dp.build_table_1spike if spikes == 1 else dp.build_table_2spike
+    return float(build(x, k, delta).values[-1])
 
 
 def bench_quality(sweep: QualitySweep) -> list[BenchRow]:

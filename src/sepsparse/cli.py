@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import bench as bench_mod
-from .dp import dp_solve, dp_solve_2spike
+from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
 from .model import Instance, InfeasibleParameters, brute_force_solve, objective
@@ -42,11 +42,8 @@ def _project_opt(x, k, delta, spikes):
     cost = k * delta * x.size if spikes == 2 else k * x.size
     if spikes > 2 or cost > MAX_OPT_CELLS:
         return None
-    if spikes == 2:
-        values, _ = dp_solve_2spike(x, k, delta)
-    else:
-        values, _ = dp_solve(x, k, delta)
-    return float(values[-1])
+    build = dp.build_table_2spike if spikes == 2 else dp.build_table_1spike
+    return float(build(x, k, delta).values[-1])
 
 
 def _resolve_spikes(args) -> int:
@@ -74,10 +71,10 @@ def _cmd_project(args) -> int:
 
     start = time.perf_counter()
     if args.algo == "dp":
-        values, sols = dp_solve(x, args.k, args.delta)
+        _, sols = dp.dp_solve(x, args.k, args.delta)
         support = sols[-1]
     elif args.algo == "dp2":
-        values, sols = dp_solve_2spike(x, args.k, args.delta)
+        _, sols = dp.dp_solve_2spike(x, args.k, args.delta)
         support = sols[-1]
     elif args.algo == "head":
         support = head_project(x, args.k, args.delta, spikes, args.epsilon)

@@ -6,13 +6,23 @@ Three solvers live here:
 * :func:`dp_solve_unrestricted` -- budget-free 1-spike solver, O(n).
 * :func:`dp_solve_2spike` -- the budgeted 2-spike solver, O(k delta n).
 
-Each records boolean take-flags during the forward pass and reconstructs a
-support per budget level by walking them back.  Ties in every max are broken
-toward *not* taking the current index, so reconstructed supports are
-deterministic and stable across runs.
+Each records take-flags during the forward pass, bit-packed with
+``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and reconstructs a
+support by walking them back.  The budgeted tables build a level's support
+only when it is asked for.  Ties in every max are broken toward *not*
+taking the current index, so reconstructed supports are deterministic and
+stable across runs.
+
+The forward passes keep each level's row in a buffer with up to ``delta``
+leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
+out of range, is a slice of that buffer and no per-level array is
+allocated.
 """
 
 from __future__ import annotations
+
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,37 +39,79 @@ __all__ = [
 ]
 
 
-def _nearest_take(flags_row: np.ndarray, i: int) -> int:
-    """Largest index i' <= i with flags_row[i'] set, or 0 if none.
+def _nearest_take(row: np.ndarray, i: int) -> int:
+    """Largest index i' <= i whose bit is set in the packed row, or 0 if none.
 
-    flags_row[0] is a dummy False, so 0 doubles as the "no take" sentinel.
-    np.argmax short-circuits on booleans, so this costs only the distance
-    scanned, not the row length.
+    Bit 0 is a dummy 0, so 0 doubles as the "no take" sentinel.  The byte
+    holding bit i is tested first; earlier bytes are searched backwards in
+    chunks that double in size, so the cost follows the distance scanned,
+    not the row length.
     """
-    seg = flags_row[i::-1]
-    off = int(np.argmax(seg))
-    return 0 if not seg[off] else i - off
+    b = i >> 3
+    # packbits is big-endian within a byte: bit j of the row is value bit 7 - j % 8.
+    byte = int(row[b]) & (0xFF00 >> ((i & 7) + 1))
+    chunk = 64
+    while not byte:
+        if b == 0:
+            return 0
+        lo = max(0, b - chunk)
+        nz = np.flatnonzero(row[lo:b])
+        if nz.size:
+            b = lo + int(nz[-1])
+            byte = int(row[b])
+        else:
+            b = lo
+            chunk *= 2
+    return (b << 3) + 8 - (byte & -byte).bit_length()
 
 
-class DpTable1:
-    """Per-level optima plus take-flags of the 1-spike recurrence.
+class _DpTable(Sequence):
+    """Per-level optima and packed take-flags of a budgeted recurrence.
 
-    ``values[ell-1]`` is the optimum with budget ``ell``; ``flags[ell][i]``
-    records whether the level-``ell`` maximum at prefix ``i`` was attained
-    by taking index ``i``.
+    ``values[ell-1]`` is the optimum with budget ``ell``.  As a read-only
+    sequence of length ``budget``, item ``j`` is the support for budget
+    ``j + 1``: built by the subclass's ``support(j + 1)`` on first access,
+    then cached.
     """
 
-    def __init__(self, values: np.ndarray, flags: np.ndarray, delta: int):
+    def __init__(self, values: np.ndarray, flags: np.ndarray, delta: int, n: int):
         self.values = values
         self.flags = flags
         self.delta = delta
+        self.n = n
+        self._built: list[tuple[int, ...] | None] = [None] * values.size
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, j) -> tuple[int, ...]:
+        j = operator.index(j)
+        size = self.values.size
+        if not -size <= j < size:
+            raise IndexError(f"level index {j} outside a table of {size} levels")
+        j %= size
+        sol = self._built[j]
+        if sol is None:
+            sol = self._built[j] = self.support(j + 1)
+        return sol
+
+    def _check_level(self, ell: int) -> None:
+        if not 0 <= ell <= self.values.size:
+            raise ValueError(f"level {ell} outside [0, {self.values.size}]")
+
+
+class DpTable1(_DpTable):
+    """Tables of the 1-spike recurrence.
+
+    ``flags[ell]`` is the packed row of prefixes ``i`` at which the level-
+    ``ell`` maximum was attained by taking index ``i``.
+    """
 
     def support(self, ell: int) -> tuple[int, ...]:
         """Reconstruct an optimal support for budget ``ell``."""
-        if not 0 <= ell <= self.values.size:
-            raise ValueError(f"level {ell} outside [0, {self.values.size}]")
+        self._check_level(ell)
         sol: list[int] = []
-        i = self.flags.shape[1] - 1
+        i = self.n
         lev = ell
         while lev >= 1 and i >= 1:
             i = _nearest_take(self.flags[lev], i)
@@ -77,56 +129,53 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     if delta < 1:
         raise ValueError("delta must be >= 1")
     n = x.size
-    flags = np.zeros((budget + 1, n + 1), dtype=bool)
+    s = min(delta, n)
+    flags = np.zeros((budget + 1, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(budget)
-    prev = np.zeros(n + 1)
-    row = np.zeros(n + 1)
+    # Level rows live at [s:]; [1 : n + 1] is prev[i - delta] for i = 1..n.
+    prev = np.zeros(s + n + 1)
+    row = np.zeros(s + n + 1)
+    cand = np.empty(n)
+    take = np.zeros(n + 1, dtype=bool)
     for ell in range(1, budget + 1):
-        if delta >= n:
-            shifted = np.zeros(n)
-        else:
-            # prev[i - delta] for i = 1..n; out-of-range terms are 0.
-            shifted = np.concatenate((np.zeros(delta), prev[1 : n - delta + 1]))
-        cand = x + shifted
-        np.maximum.accumulate(cand, out=row[1:])
-        flags[ell, 1:] = cand > row[:-1]
-        values[ell - 1] = row[n]
+        np.add(x, prev[1 : n + 1], out=cand)
+        np.maximum.accumulate(cand, out=row[s + 1 :])
+        np.greater(cand, row[s : s + n], out=take[1:])
+        flags[ell] = np.packbits(take)
+        values[ell - 1] = row[s + n]
         prev, row = row, prev
-    return DpTable1(values, flags, delta)
+    return DpTable1(values, flags, delta, n)
 
 
-class DpTable2:
-    """Per-level optima plus take-flags of the 2-spike recurrence.
+class DpTable2(_DpTable):
+    """Tables of the 2-spike recurrence.
 
     The forward state is (prefix r, recent-window width i, budget ell);
-    ``flags[ell][r][i]`` marks a take at that state.
+    ``flags[ell, i]`` is the packed row of prefixes ``r`` with a take at
+    that state.
     """
 
-    def __init__(self, values: np.ndarray, flags: np.ndarray, delta: int):
-        self.values = values
-        self.flags = flags
-        self.delta = delta
-
     def support(self, ell: int) -> tuple[int, ...]:
-        if not 0 <= ell <= self.values.size:
-            raise ValueError(f"level {ell} outside [0, {self.values.size}]")
+        """Reconstruct an optimal support for budget ``ell``."""
+        self._check_level(ell)
         delta = self.delta
+        flags = self.flags
         sol: list[int] = []
-        r = self.flags.shape[1] - 1
+        r = self.n
         i = 1
         lev = ell
         while lev >= 1 and r >= 1:
             if i <= 1:
                 # Width 0 aliases width 1; skips at width 1 walk straight
                 # down the column, so jump to the nearest take.
-                r = _nearest_take(self.flags[lev, :, 1], r)
+                r = _nearest_take(flags[lev, 1], r)
                 if r == 0:
                     break
                 sol.append(r)
                 lev -= 1
                 r -= 1
                 i = delta - 1
-            elif self.flags[lev, r, i]:
+            elif int(flags[lev, i, r >> 3]) >> (7 - (r & 7)) & 1:
                 sol.append(r)
                 lev -= 1
                 r -= i
@@ -149,39 +198,49 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     if delta == 1:
         return build_table_1spike(x, budget, 1)
     n = x.size
-    flags = np.zeros((budget + 1, n + 1, delta), dtype=bool)
+    s = min(delta - 1, n)
+    flags = np.zeros((budget + 1, delta, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(budget)
-    P = np.zeros((delta, n + 1))
-    V = np.zeros((delta, n + 1))
+    # Row i of a level lives at [i, s:]; width i reads the previous level's
+    # row delta - i shifted by i, which starts at column max(s - i + 1, 0).
+    P = np.zeros((delta, s + n + 1))
+    V = np.zeros((delta, s + n + 1))
+    cand = np.empty(n)
+    take = np.zeros((delta, n + 1), dtype=bool)
     for ell in range(1, budget + 1):
         # Width 1: the skip branch references the same column one step back,
         # which makes the column a running maximum.
-        cand = x + P[delta - 1, :n]
-        np.maximum.accumulate(cand, out=V[1, 1:])
-        flags[ell, 1:, 1] = cand > V[1, :n]
+        np.add(x, P[delta - 1, s : s + n], out=cand)
+        np.maximum.accumulate(cand, out=V[1, s + 1 :])
+        np.greater(cand, V[1, s : s + n], out=take[1, 1:])
         for i in range(2, delta):
-            if i >= n:
-                shifted = np.zeros(n)
-            else:
-                shifted = np.concatenate((np.zeros(i), P[delta - i, 1 : n - i + 1]))
-            cand = x + shifted
-            np.maximum(cand, V[i - 1, :n], out=V[i, 1:])
-            flags[ell, 1:, i] = cand > V[i - 1, :n]
-        values[ell - 1] = V[1, n]
+            lo = max(s - i + 1, 0)
+            np.add(x, P[delta - i, lo : lo + n], out=cand)
+            np.maximum(cand, V[i - 1, s : s + n], out=V[i, s + 1 :])
+            np.greater(cand, V[i - 1, s : s + n], out=take[i, 1:])
+        flags[ell] = np.packbits(take, axis=1)
+        values[ell - 1] = V[1, s + n]
         P, V = V, P
-    return DpTable2(values, flags, delta)
+    return DpTable2(values, flags, delta, n)
 
 
-def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:
+    """``(values, supports)`` with the top level's support already built."""
+    if len(table):
+        table[-1]
+    return table.values, table
+
+
+def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:
     """Budgeted 1-spike solver.
 
-    Returns the optimal values for budgets 1..k together with one optimal
-    support per budget.  Each support evaluates to its value exactly (the
-    reconstruction replays the same floating-point additions).
+    Returns the optimal values for budgets 1..k together with a read-only
+    sequence of one optimal support per budget.  The budget-k support is
+    built here; lower ones on first access.  Each support evaluates to its
+    value exactly (the reconstruction replays the same floating-point
+    additions).
     """
-    table = build_table_1spike(x, k, delta)
-    supports = [table.support(ell) for ell in range(1, k + 1)]
-    return table.values, supports
+    return _solved(build_table_1spike(x, k, delta))
 
 
 def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
@@ -199,10 +258,11 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
             flags[i] = True
         else:
             best[i] = best[i - 1]
+    packed = np.packbits(flags)
     sol: list[int] = []
     i = n
     while i >= 1:
-        i = _nearest_take(flags, i)
+        i = _nearest_take(packed, i)
         if i == 0:
             break
         sol.append(i)
@@ -210,8 +270,6 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
     return float(best[n]), tuple(reversed(sol))
 
 
-def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:
     """Budgeted 2-spike solver; see :func:`dp_solve` for the return shape."""
-    table = build_table_2spike(x, k, delta)
-    supports = [table.support(ell) for ell in range(1, k + 1)]
-    return table.values, supports
+    return _solved(build_table_2spike(x, k, delta))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,13 @@ def write_vector(path, v) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    lines = [line.strip() for line in Path(path).read_text().splitlines()]
-    arr = np.asarray([float(line) for line in lines if line], dtype=np.float64)
+    """Read one number per line; blank lines are skipped, an empty file gives ``[]``."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
+    if table.shape[1] != 1:
+        raise ValueError(f"{path} holds {table.shape[1]} numbers per line, expected one")
+    arr = table.ravel()
     if not np.isfinite(arr).all():
         raise ValueError(f"{path} contains a NaN or infinite value")
     return arr

@@ -90,6 +90,17 @@ class TestProject:
         assert out == ""
         assert "NaN or infinite" in err
 
+    @pytest.mark.parametrize("text, message", [("\n", "contains no values"), ("1 2\n3 4\n", "per line")])
+    def test_empty_or_multi_column_vector_rejected(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "project", "--in", str(path), "--k", "1", "--delta", "1", "--algo", "dp"
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, "project", "--in", "/no/such/file", "--k", "1", "--delta", "1", "--algo", "dp"

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from sepsparse.dp import dp_solve, dp_solve_2spike, dp_solve_unrestricted
+from sepsparse.dp import (
+    DpTable1,
+    DpTable2,
+    build_table_1spike,
+    build_table_2spike,
+    dp_solve,
+    dp_solve_2spike,
+    dp_solve_unrestricted,
+)
 from sepsparse.model import Instance, brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 
@@ -119,3 +127,35 @@ class TestDp2Spike:
             assert np.all(np.diff(values) >= 0)
             gains = np.diff(values, prepend=0.0)
             assert np.all(np.diff(gains) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "solve, build, table_cls",
+    [(dp_solve, build_table_1spike, DpTable1), (dp_solve_2spike, build_table_2spike, DpTable2)],
+)
+def test_supports_built_on_demand(monkeypatch, solve, build, table_cls):
+    x = np.round(make_rng(47).random(40) * 3)
+    k, delta = 6, 3
+    table = build(x, k, delta)
+    expected = [table.support(ell) for ell in range(1, k + 1)]
+    calls = []
+    original = table_cls.support
+
+    def counting(self, ell):
+        calls.append(ell)
+        return original(self, ell)
+
+    monkeypatch.setattr(table_cls, "support", counting)
+    values, sols = solve(x, k, delta)
+    assert calls == [k]  # only the top level, built inside the call
+    assert len(sols) == k
+    assert sols[-1] == expected[-1] and sols[k - 1] == expected[-1]
+    assert calls == [k]
+    assert sols[1] == expected[1] and sols[-(k - 1)] == expected[1]
+    assert calls == [k, 2]  # each newly indexed level once, then cached
+    assert list(sols) == expected
+    assert sorted(calls) == list(range(1, k + 1))
+    for bad in (k, -k - 1):
+        with pytest.raises(IndexError):
+            sols[bad]
+    assert np.array_equal(values, table.values)

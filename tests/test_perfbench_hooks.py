@@ -10,8 +10,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from sepsparse import head, tail
+from sepsparse import dp, head, tail
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +51,20 @@ def test_traced_projections_pass_through_the_hooks():
     for name in ("head.project", "tail.project", "tail.reduce", "head.slice",
                  "head.decompose", "dp.table1", "dp.support", "model.objective"):
         assert name in names, name
+
+
+@pytest.mark.parametrize("solve, table_span", [("dp_solve", "dp.table1"), ("dp_solve_2spike", "dp.table2")])
+def test_traced_exact_solve_builds_one_support(solve, table_span):
+    tracer = load_tracer()
+    x = np.array([0.0, 5.0, 1.0, 0.0, 3.0, 0.5, 2.0, 0.0])
+    tracer.install()
+    try:
+        _, sols = getattr(dp, solve)(x, 3, 2)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("dp.solve") == 1
+    assert table_span in names
+    assert names.count("dp.support") == 1
+    assert tracer.layer_metrics([(0, len(names))])["dp.support.used_ratio"] == 1.0
+    assert len(sols) == 3
