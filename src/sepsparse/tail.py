@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dp
 from .head import best_over_windows
 from .model import as_weights
 
@@ -93,8 +94,6 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     budget-free solver already respects the sparsity budget, keeping the
     whole routine linear.
     """
-    from .dp import dp_solve_unrestricted
-
     x = as_weights(x)
     n = x.size
     if k <= 0 or n == 0:
@@ -108,7 +107,7 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
         if need > 0:
             keep[np.flatnonzero(x == threshold)[:need]] = True
     restricted = np.where(keep, x, 0.0)
-    _, sol = dp_solve_unrestricted(restricted, delta)
+    _, sol = dp.dp_solve_unrestricted(restricted, delta)
     return sol
 
 
@@ -122,12 +121,13 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     with maximal reduced-vector mass.  Single-spike model only.
     """
     x = as_weights(x)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and positive")
     n = x.size
     if n == 0 or k <= 0:
         return ()
     profile = strong_and_reduced(x, delta)
     forced = np.zeros(n, dtype=bool)
     forced[profile.strong - 1] = True
-    return best_over_windows(profile.r, k, delta, 1, math.ceil(2.0 / epsilon), forced)
+    # 2/epsilon overflows to inf below ~1.1e-308; any lam >= n is capped alike.
+    return best_over_windows(profile.r, k, delta, 1, math.ceil(min(2.0 / epsilon, n)), forced)

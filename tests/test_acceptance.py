@@ -157,18 +157,17 @@ def test_ac6_slice_optimality_and_margins():
         members = sorted(
             int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1
         )
-        sol = slice_solve(keep_only(members), x, k, delta, p)
+        sol = slice_solve(keep_only(n, members), x, k, delta, p)
         best = restricted_optimum(members, x, k, delta, p)
         if abs(objective(x, sol) - best) > TOL:
             value_ok = False
         from sepsparse.dp import build_table_1spike, build_table_2spike
 
         build = build_table_1spike if p == 1 else build_table_2spike
-        dec = block_decompose(keep_only(members), x, delta, p)
-        for (lo, hi), budget, chain in zip(dec.blocks, dec.budgets, dec.members):
-            w = np.zeros(hi - lo + 1)
-            w[chain - lo] = x[chain - 1]
-            gains = np.diff(build(w, budget, delta).values, prepend=0.0)
+        kept = np.where(keep_only(n, members), x, 0.0)
+        dec = block_decompose(kept, delta, p)
+        for (lo, hi), budget in zip(dec.blocks, dec.budgets):
+            gains = np.diff(build(kept[lo - 1 : hi], budget, delta).values, prepend=0.0)
             if np.any(np.diff(gains) > 1e-12):
                 margins_ok = False
     report("AC6 slice optimality + concave margins", value_ok and margins_ok,

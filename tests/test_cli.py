@@ -70,6 +70,26 @@ class TestProject:
         assert code == 2
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("algo", ["head", "tail"])
+    def test_tiny_epsilon_runs(self, capsys, vector_file, algo):
+        code, out, _ = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",
+            "--algo", algo, "--epsilon", "1e-20",
+        )
+        assert code == 0
+        assert json.loads(out)["support"] == [2, 5]
+
+    @pytest.mark.parametrize("algo", ["head", "tail"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_epsilon_rejected(self, capsys, vector_file, algo, bad):
+        code, out, err = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",
+            "--algo", algo, "--epsilon", bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert "epsilon" in err
+
     def test_negative_vector_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"
         write_vector(path, [1.0, -2.0])

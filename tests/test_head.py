@@ -41,7 +41,8 @@ class TestWindows:
             lam = int(rng.integers(1, 4))
             x = rng.random(n)
             for nu in range(lam + 1):
-                dec = block_decompose(keep_only(window_members(n, delta, lam, nu)), x, delta)
+                kept = np.where(keep_only(n, window_members(n, delta, lam, nu)), x, 0.0)
+                dec = block_decompose(kept, delta)
                 for lo, hi in dec.blocks:
                     assert hi - lo + 1 <= lam * delta
 
@@ -71,11 +72,11 @@ class TestCoverage:
 class TestBlocks:
     def test_spec_examples(self):
         x = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
-        dec = block_decompose(keep_only([3, 4, 7, 8]), x, 2)
+        dec = block_decompose(x, 2)
         assert dec.blocks == [(3, 4), (7, 8)]
-        dec = block_decompose(None, np.zeros(6), 2)
+        dec = block_decompose(np.zeros(6), 2)
         assert dec.blocks == []
-        dec = block_decompose(keep_only([1, 5]), np.array([1.0, 0, 0, 0, 1]), 3)
+        dec = block_decompose(np.array([1.0, 0, 0, 0, 1]), 3)
         assert dec.blocks == [(1, 1), (5, 5)]
 
     def test_blocks_are_delta_apart_and_budgeted(self):
@@ -86,21 +87,26 @@ class TestBlocks:
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.35, 0.0, rng.random(n))
             members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1)
-            dec = block_decompose(keep_only(members), x, delta, p)
+            kept = np.where(keep_only(n, members), x, 0.0)
+            dec = block_decompose(kept, delta, p)
             for (l1, h1), (l2, h2) in zip(dec.blocks, dec.blocks[1:]):
                 assert l2 - h1 >= delta
-            for (lo, hi), budget, chain in zip(dec.blocks, dec.budgets, dec.members):
+            covered = []
+            for (lo, hi), budget in zip(dec.blocks, dec.budgets):
                 assert budget == p * -(-(hi - lo + 1) // delta)
-                assert lo == chain[0] and hi == chain[-1]
-                assert all(x[i - 1] != 0 for i in chain)
+                chain = [i for i in range(lo, hi + 1) if kept[i - 1] != 0]
+                assert chain[0] == lo and chain[-1] == hi
+                assert all(b - a < delta for a, b in zip(chain, chain[1:]))
+                covered += chain
+            assert covered == [i for i in range(1, n + 1) if kept[i - 1] != 0]
 
 
 class TestSliceSolve:
     def test_spec_examples(self):
         x = np.zeros(8)
         x[2], x[3], x[6], x[7] = 5.0, 1.0, 4.0, 2.0
-        assert slice_solve(keep_only([3, 4, 7, 8]), x, 2, 2, 1) == (3, 7)
-        assert slice_solve(keep_only([]), np.ones(3), 2, 2, 1) == ()
+        assert slice_solve(keep_only(8, [3, 4, 7, 8]), x, 2, 2, 1) == (3, 7)
+        assert slice_solve(keep_only(3, []), np.ones(3), 2, 2, 1) == ()
         assert slice_solve(None, np.ones(3), 2, 2, 1) == (1, 3)
 
     def test_optimal_on_random_slices(self):
@@ -112,7 +118,7 @@ class TestSliceSolve:
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
             members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1)
-            sol = slice_solve(keep_only(members), x, k, delta, p)
+            sol = slice_solve(keep_only(n, members), x, k, delta, p)
             assert set(sol) <= set(members)
             assert is_feasible(sol, n, k, delta, p)
             best = restricted_optimum(members, x, k, delta, p)
@@ -142,6 +148,23 @@ class TestHeadProject:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             head_project(np.ones(3), 1, 1, 1, 0.0)
+
+    def test_non_finite_epsilon_rejected(self):
+        for eps in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                head_project(np.ones(3), 1, 1, 1, eps)
+
+    def test_tiny_epsilon_solves_the_largest_useful_lam(self):
+        rng = make_rng(83)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            delta = int(rng.integers(1, 8))
+            k = int(rng.integers(1, n + 1))
+            p = int(rng.integers(1, 3))
+            x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            want = head_project(x, k, delta, p, 1.0 / -(-n // delta))
+            for eps in (1e-20, 1e-300, 5e-324):
+                assert head_project(x, k, delta, p, eps) == want
 
     def test_delta_validation(self):
         for delta in (0, -2):
@@ -184,11 +207,9 @@ class TestHeadProject:
             delta = int(rng.integers(1, 5))
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
-            dec = block_decompose(None, x, delta, p)
+            dec = block_decompose(x, delta, p)
             build = build_table_1spike if p == 1 else build_table_2spike
-            for (lo, hi), budget, chain in zip(dec.blocks, dec.budgets, dec.members):
-                w = np.zeros(hi - lo + 1)
-                w[chain - lo] = x[chain - 1]
-                gains = np.diff(build(w, budget, delta).values, prepend=0.0)
+            for (lo, hi), budget in zip(dec.blocks, dec.budgets):
+                gains = np.diff(build(x[lo - 1 : hi], budget, delta).values, prepend=0.0)
                 assert np.all(np.diff(gains) <= 1e-12)
                 assert np.all(gains >= -1e-15)

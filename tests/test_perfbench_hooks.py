@@ -45,11 +45,13 @@ def test_traced_projections_pass_through_the_hooks():
     try:
         head.head_project(x, 2, 2, 1, 0.5)
         tail.tail_project(x, 2, 2, 0.5)
+        tail.topk_tail_project(x, 2, 2)
     finally:
         tracer.restore()
     names = {span[0] for span in tracer.spans}
     for name in ("head.project", "tail.project", "tail.reduce", "head.slice",
-                 "head.decompose", "dp.table1", "dp.support", "model.objective"):
+                 "head.decompose", "dp.table1", "dp.support", "model.objective",
+                 "tail.topk", "dp.unrestricted"):
         assert name in names, name
 
 

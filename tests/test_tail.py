@@ -112,6 +112,22 @@ class TestTailProject:
         with pytest.raises(ValueError):
             tail_project(np.ones(3), 1, 2, 0.0)
 
+    def test_non_finite_epsilon_rejected(self):
+        for eps in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                tail_project(np.ones(3), 1, 2, eps)
+
+    def test_tiny_epsilon_solves_the_largest_useful_lam(self):
+        rng = make_rng(107)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            delta = int(rng.integers(1, 8))
+            k = int(rng.integers(1, n + 1))
+            x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            want = tail_project(x, k, delta, 2.0 / -(-n // delta))
+            for eps in (1e-20, 1e-300, 5e-324):
+                assert tail_project(x, k, delta, eps) == want
+
     def test_delta_validation(self):
         for delta in (0, -2):
             with pytest.raises(ValueError):
@@ -170,7 +186,7 @@ class TestTailProject:
                 lam = math.ceil(2.0 / eps)
                 for nu in range(min(lam, (n - 1) // delta) + 1):
                     members = np.union1d(window_members(n, delta, lam, nu), prof.strong)
-                    dec = block_decompose(keep_only(members), prof.r, delta)
+                    dec = block_decompose(np.where(keep_only(n, members), prof.r, 0.0), delta)
                     for lo, hi in dec.blocks:
                         assert hi - lo + 1 <= lam * delta
 

@@ -65,10 +65,11 @@ def oracle_value(x, k: int, delta: int, p: int = 1) -> float:
     return float(value)
 
 
-def keep_only(members):
-    """Keep predicate selecting exactly the 1-based indices in ``members``."""
-    members = np.asarray(list(members), dtype=np.int64)
-    return lambda idx: np.isin(idx, members)
+def keep_only(n: int, members) -> np.ndarray:
+    """Keep mask over ``[n]`` selecting exactly the 1-based indices in ``members``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(list(members), dtype=np.int64) - 1] = True
+    return mask
 
 
 def window_members(n: int, delta: int, lam: int, nu: int) -> list[int]:
