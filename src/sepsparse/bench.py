@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,20 +40,6 @@ __all__ = [
 ]
 
 GUARANTEE_SLACK = 1e-9
-CSV_FIELDS = [
-    "algo",
-    "kind",
-    "n",
-    "k",
-    "delta",
-    "lam",
-    "p",
-    "repeats",
-    "mean_ms",
-    "head_pct",
-    "tail_pct",
-    "bound_ok",
-]
 
 
 @dataclass(frozen=True)
@@ -133,20 +119,15 @@ class BenchRow:
     bound_ok: bool | None = None
 
     def as_record(self) -> dict:
-        return {
-            "algo": self.algo,
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "delta": self.delta,
-            "lam": self.lam,
-            "p": self.p,
-            "repeats": self.repeats,
-            "mean_ms": round(self.mean_ms, 3),
-            "head_pct": None if self.head_pct is None else round(self.head_pct, 4),
-            "tail_pct": None if self.tail_pct is None else round(self.tail_pct, 4),
-            "bound_ok": self.bound_ok,
-        }
+        record = asdict(self)
+        record["mean_ms"] = round(self.mean_ms, 3)
+        for key in ("head_pct", "tail_pct"):
+            if record[key] is not None:
+                record[key] = round(record[key], 4)
+        return record
+
+
+CSV_FIELDS = [f.name for f in fields(BenchRow)]
 
 
 def _instance(sweep, n: int, cell: int, rep: int) -> np.ndarray:
@@ -186,11 +167,6 @@ def bench_runtime(sweep: RuntimeSweep) -> list[BenchRow]:
     return rows
 
 
-def _exact_value(x: np.ndarray, k: int, delta: int, spikes: int) -> float:
-    build = dp.build_table_1spike if spikes == 1 else dp.build_table_2spike
-    return float(build(x, k, delta).values[-1])
-
-
 def bench_quality(sweep: QualitySweep) -> list[BenchRow]:
     """Mean head/tail ratios against the exact optimum, per (k, algorithm).
 
@@ -198,12 +174,13 @@ def bench_quality(sweep: QualitySweep) -> list[BenchRow]:
     if every repeat degenerates the column is left empty.  Two-spike sweeps
     report head ratios only.
     """
+    build = dp.table_builder(sweep.spikes)
     rows: list[BenchRow] = []
     for cell, k in enumerate(sweep.ks):
         instances = [
             _instance(sweep, sweep.n, cell, rep) for rep in range(sweep.repeats)
         ]
-        optima = [_exact_value(x, k, sweep.delta, sweep.spikes) for x in instances]
+        optima = [float(build(x, k, sweep.delta).values[-1]) for x in instances]
         totals = [float(x.sum()) for x in instances]
         for spec in sweep.algos:
             elapsed = 0.0

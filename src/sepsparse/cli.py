@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
-from .model import Instance, InfeasibleParameters, brute_force_solve, objective
+from .model import InfeasibleParameters, brute_force_solve, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
 from .serialize import read_vector, write_support, write_vector
@@ -39,10 +39,11 @@ class ConfigError(Exception):
 
 def _project_opt(x, k, delta, spikes):
     """Exact optimum for ratio reporting, skipped when a DP would be too big."""
+    build = dp.table_builder(spikes)
+    delta = min(delta, x.size)  # any delta >= n is the problem at delta = n
     cost = k * delta * x.size if spikes == 2 else k * x.size
-    if spikes > 2 or cost > MAX_OPT_CELLS:
+    if cost > MAX_OPT_CELLS:
         return None
-    build = dp.build_table_2spike if spikes == 2 else dp.build_table_1spike
     return float(build(x, k, delta).values[-1])
 
 
@@ -50,7 +51,7 @@ def _resolve_spikes(args) -> int:
     spikes = args.spikes if args.spikes is not None else (2 if args.algo == "dp2" else 1)
     if spikes < 1:
         raise ConfigError("--spikes must be >= 1")
-    allowed = {"dp": (1,), "dp2": (2,), "tail": (1,), "topk": (1,), "head": (1, 2)}
+    allowed = {"dp": (1,), "dp2": (2,), "tail": (1,), "topk": (1,)}
     if args.algo in allowed and spikes not in allowed[args.algo]:
         raise ConfigError(f"--algo {args.algo} supports --spikes {allowed[args.algo]}, got {spikes}")
     return spikes
@@ -70,12 +71,8 @@ def _cmd_project(args) -> int:
         raise ConfigError(f"--epsilon is required for --algo {args.algo}")
 
     start = time.perf_counter()
-    if args.algo == "dp":
-        _, sols = dp.dp_solve(x, args.k, args.delta)
-        support = sols[-1]
-    elif args.algo == "dp2":
-        _, sols = dp.dp_solve_2spike(x, args.k, args.delta)
-        support = sols[-1]
+    if args.algo in ("dp", "dp2"):
+        support = dp.table_builder(spikes)(x, args.k, args.delta)[-1]
     elif args.algo == "head":
         support = head_project(x, args.k, args.delta, spikes, args.epsilon)
     elif args.algo == "tail":
@@ -83,7 +80,7 @@ def _cmd_project(args) -> int:
     elif args.algo == "topk":
         support = topk_tail_project(x, args.k, args.delta)
     else:  # oracle
-        support, _ = brute_force_solve(Instance(x, args.k, args.delta, spikes))
+        support, _ = brute_force_solve(x, args.k, args.delta, spikes)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
 
     value = objective(x, support)

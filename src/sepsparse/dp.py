@@ -6,6 +6,11 @@ Three solvers live here:
 * :func:`dp_solve_unrestricted` -- budget-free 1-spike solver, O(n).
 * :func:`dp_solve_2spike` -- the budgeted 2-spike solver, O(k delta n).
 
+:func:`table_builder` is the one place that maps a spike count ``p`` to
+its budgeted recurrence; every caller that picks an exact solver by ``p``
+goes through it.  A ``delta`` of ``n`` or more is the same problem as
+``delta = n``.
+
 Each records take-flags during the forward pass, bit-packed with
 ``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and reconstructs a
 support by walking them back.  The budgeted tables build a level's support
@@ -22,7 +27,7 @@ allocated.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +41,7 @@ __all__ = [
     "dp_solve",
     "dp_solve_2spike",
     "dp_solve_unrestricted",
+    "table_builder",
 ]
 
 
@@ -189,20 +195,23 @@ class DpTable2(_DpTable):
 def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     """Run the budgeted 2-spike recurrence on ``x`` for all levels <= budget.
 
-    With ``delta == 1`` the window constraint is vacuous and the 1-spike
-    recurrence at separation 1 solves the same problem, so we reuse it.
+    The width axis is sized by ``delta``, so a ``delta`` past ``n`` is
+    clamped to ``n``, which admits the same supports.  With ``delta == 1``
+    the window constraint is vacuous and the 1-spike recurrence at
+    separation 1 solves the same problem, so we reuse it.
     """
     x = as_weights(x)
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    n = x.size
+    delta = min(delta, max(n, 1))
     if delta == 1:
         return build_table_1spike(x, budget, 1)
-    n = x.size
-    s = min(delta - 1, n)
+    s = delta - 1
     flags = np.zeros((budget + 1, delta, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(budget)
     # Row i of a level lives at [i, s:]; width i reads the previous level's
-    # row delta - i shifted by i, which starts at column max(s - i + 1, 0).
+    # row delta - i shifted by i, which starts at column delta - i.
     P = np.zeros((delta, s + n + 1))
     V = np.zeros((delta, s + n + 1))
     cand = np.empty(n)
@@ -214,7 +223,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
         np.maximum.accumulate(cand, out=V[1, s + 1 :])
         np.greater(cand, V[1, s : s + n], out=take[1, 1:])
         for i in range(2, delta):
-            lo = max(s - i + 1, 0)
+            lo = delta - i
             np.add(x, P[delta - i, lo : lo + n], out=cand)
             np.maximum(cand, V[i - 1, s : s + n], out=V[i, s + 1 :])
             np.greater(cand, V[i - 1, s : s + n], out=take[i, 1:])
@@ -222,6 +231,20 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
         values[ell - 1] = V[1, s + n]
         P, V = V, P
     return DpTable2(values, flags, delta, n)
+
+
+def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
+    """The budgeted recurrence for spike count ``p``.
+
+    ``build_table_1spike`` for ``p = 1`` and ``build_table_2spike`` for
+    ``p = 2``; any other ``p`` raises ``ValueError``.  The builder is looked
+    up when called, so a replaced module attribute is the one returned.
+    """
+    if p == 1:
+        return build_table_1spike
+    if p == 2:
+        return build_table_2spike
+    raise ValueError(f"no exact solver for p={p}; only p = 1 and p = 2 are supported")
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:

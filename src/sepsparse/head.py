@@ -76,23 +76,18 @@ def slice_solve(keep: np.ndarray | None, x, k: int, delta: int, p: int = 1) -> t
     """Solve the projection restricted to the indices ``keep`` selects, exactly.
 
     ``keep`` is a boolean mask over ``[n]``, or ``None`` for the whole
-    ground set.  Per block of the masked vector the exact solver (the
-    1-spike or 2-spike DP; other ``p`` raise ``ValueError``) produces
-    optima for every budget level; the level-to-level gains are
-    non-increasing, so picking the ``k`` largest gains globally (ties
-    broken by ascending block id, then level) yields per-block budgets
-    whose union is an optimal solution.  Zero gains are dropped after
-    selection.
+    ground set.  Per block of the masked vector the exact solver that
+    :func:`dp.table_builder` picks for ``p`` produces optima for every
+    budget level; the level-to-level gains are non-increasing, so picking
+    the ``k`` largest gains globally (ties broken by ascending block id,
+    then level) yields per-block budgets whose union is an optimal
+    solution.  Zero gains are dropped after selection.  A ``p`` with no
+    exact solver raises ``ValueError`` even when there is no block.
     """
     x = as_weights(x)
     if k <= 0:
         return ()
-    if p == 1:
-        solve = dp.build_table_1spike
-    elif p == 2:
-        solve = dp.build_table_2spike
-    else:
-        raise ValueError(f"no exact block solver for p={p}; only p = 1 and p = 2 are supported")
+    solve = dp.table_builder(p)
     if keep is not None:
         x = np.where(keep, x, 0.0)
     dec = block_decompose(x, delta, p)
@@ -134,10 +129,13 @@ def best_over_windows(
     mask over ``[n]`` of indices kept by every slice.  Keep-sets whose
     dropped run starts beyond ``n`` all equal the full ground set, and the
     phases do not change once the period exceeds ``n``, so ``lam`` is capped
-    at ``ceil(n / delta)``.  Ties keep the earliest keep-set.
+    at ``ceil(n / delta)``.  Any ``delta >= n`` admits the same supports as
+    ``delta = n``, so it is clamped to ``n``.  Ties keep the earliest
+    keep-set.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    delta = min(delta, x.size)
     lam = min(lam, math.ceil(x.size / delta))
     phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
     if forced is not None:

@@ -15,14 +15,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MAX_BRUTE_FORCE_N",
     "InfeasibleParameters",
-    "Instance",
     "as_signal",
     "as_support",
     "as_weights",
@@ -84,31 +82,6 @@ def as_support(indices, n: int | None = None) -> tuple[int, ...]:
     return tuple(idx)
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A projection problem: weights plus the feasibility parameters.
-
-    ``x`` is the non-negative weight vector, ``k`` the sparsity budget,
-    ``delta`` the separation, and ``spikes`` the per-window allowance.
-    """
-
-    x: np.ndarray
-    k: int
-    delta: int
-    spikes: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_weights(self.x))
-        if self.x.size < 1:
-            raise ValueError("instance requires n >= 1")
-        if self.k < 1 or self.delta < 1 or self.spikes < 1:
-            raise ValueError("k, delta and spikes must all be >= 1")
-
-    @property
-    def n(self) -> int:
-        return int(self.x.size)
-
-
 def is_feasible(indices, n: int, k: int, delta: int, p: int = 1) -> bool:
     """Check that ``indices`` is a valid support of size <= k.
 
@@ -164,17 +137,24 @@ def max_support_size(n: int, delta: int, p: int = 1) -> int:
     return eff * (n // delta) + min(eff, n % delta)
 
 
-def brute_force_solve(inst: Instance) -> tuple[tuple[int, ...], float]:
+def brute_force_solve(x, k: int, delta: int, p: int = 1) -> tuple[tuple[int, ...], float]:
     """Exhaustive-search oracle; the reference for every solver test.
 
-    Enumerates all feasible subsets of the nonzero positions of size <= k
-    and returns the best one.  Ties on the objective are broken toward the
-    lexicographically smallest index sequence, so the output is a stable
-    golden value.  Refuses ``n > 25``.
+    Takes the solvers' arguments: a non-empty weight vector ``x``, the
+    budget ``k``, the separation ``delta`` and the spike count ``p``, each
+    at least 1.  Enumerates all feasible subsets of the nonzero positions
+    of size <= k and returns the best one.  Ties on the objective are
+    broken toward the lexicographically smallest index sequence, so the
+    output is a stable golden value.  Refuses ``n > 25``.
     """
-    if inst.n > MAX_BRUTE_FORCE_N:
-        raise ValueError(f"brute force limited to n <= {MAX_BRUTE_FORCE_N}, got {inst.n}")
-    x, k, delta, p = inst.x, inst.k, inst.delta, inst.spikes
+    x = as_weights(x)
+    n = x.size
+    if n < 1:
+        raise ValueError("brute force requires n >= 1")
+    if k < 1 or delta < 1 or p < 1:
+        raise ValueError("k, delta and p must all be >= 1")
+    if n > MAX_BRUTE_FORCE_N:
+        raise ValueError(f"brute force limited to n <= {MAX_BRUTE_FORCE_N}, got {n}")
     nonzero = [int(i) + 1 for i in np.flatnonzero(x)]
 
     best: tuple[int, ...] = ()
@@ -198,5 +178,6 @@ def brute_force_solve(inst: Instance) -> tuple[tuple[int, ...], float]:
             chosen.pop()
 
     extend(0, 0.0)
-    assert is_feasible(best, inst.n, k, delta, p)
+    if not is_feasible(best, n, k, delta, p):
+        raise RuntimeError(f"oracle support {best} is infeasible")
     return best, best_val

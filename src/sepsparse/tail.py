@@ -39,11 +39,14 @@ def tail_vector(x, delta: int) -> np.ndarray:
     Entry i sums x over positions within distance < delta of i (both
     directions), minus x_i.  Computed in O(n) from prefix sums, which is
     algebraically the rolling one-step update with out-of-range terms 0.
+    A ``delta`` past ``n`` covers all of ``[n]`` either way and is clamped
+    to ``n``.
     """
     x = as_weights(x)
     if delta < 1:
         raise ValueError("delta must be >= 1")
     n = x.size
+    delta = min(delta, n)
     prefix = np.concatenate(([0.0], np.cumsum(x)))
     positions = np.arange(1, n + 1)
     hi = np.minimum(positions + delta - 1, n)

@@ -11,7 +11,7 @@ import numpy as np
 from sepsparse.dp import dp_solve, dp_solve_2spike
 from sepsparse.generators import gen_poisson, gen_uniform
 from sepsparse.head import block_decompose, head_project, slice_solve
-from sepsparse.model import Instance, brute_force_solve, objective
+from sepsparse.model import brute_force_solve, objective
 from sepsparse.recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from sepsparse.seeding import make_rng
 from sepsparse.tail import tail_project, tail_vector, topk_tail_project
@@ -70,10 +70,10 @@ def test_ac1_oracle_equivalence_exact_solvers():
     for _ in range(2000):
         x, n, k, delta = random_small_instance(rng)
         values1, _ = dp_solve(x, k, delta)
-        _, best1 = brute_force_solve(Instance(x, k, delta, 1))
+        _, best1 = brute_force_solve(x, k, delta, 1)
         assert abs(float(values1[-1]) - best1) <= TOL
         values2, _ = dp_solve_2spike(x, k, delta)
-        _, best2 = brute_force_solve(Instance(x, k, delta, 2))
+        _, best2 = brute_force_solve(x, k, delta, 2)
         assert abs(float(values2[-1]) - best2) <= TOL
         checked += 1
     elapsed = time.time() - start
@@ -109,7 +109,7 @@ def test_ac4_tail_factor_two():
     x = np.array([1.0, 1.0, 1.0])
     sol = topk_tail_project(x, 2, 2)
     baseline_ok = float(x.sum()) - objective(x, sol) <= 2.0
-    _, opt = brute_force_solve(Instance(x, 2, 2))
+    _, opt = brute_force_solve(x, 2, 2)
     oracle_ok = float(x.sum()) - opt == 1.0
 
     rng = make_rng(4004)
@@ -117,7 +117,7 @@ def test_ac4_tail_factor_two():
     for _ in range(2000):
         x, n, k, delta = random_small_instance(rng)
         sol = topk_tail_project(x, k, delta)
-        _, opt = brute_force_solve(Instance(x, k, delta))
+        _, opt = brute_force_solve(x, k, delta)
         left = float(x.sum()) - objective(x, sol)
         opt_left = float(x.sum()) - opt
         if left > 2.0 * opt_left + TOL:

@@ -111,7 +111,10 @@ class TestFormats:
         buf = io.StringIO()
         rows_to_csv(rows, buf)
         parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert list(parsed[0].keys()) == CSV_FIELDS
+        assert list(parsed[0].keys()) == CSV_FIELDS == [
+            "algo", "kind", "n", "k", "delta", "lam", "p", "repeats",
+            "mean_ms", "head_pct", "tail_pct", "bound_ok",
+        ]
         assert len(parsed) == len(rows)
         assert parsed[0]["bound_ok"] == "True"
 

@@ -54,6 +54,28 @@ class TestProject:
         assert code == 2
         assert "spikes" in err
 
+    def test_head_without_exact_solver_for_p(self, capsys, vector_file):
+        code, out, err = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",
+            "--spikes", "3", "--algo", "head", "--epsilon", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "p=3" in err
+
+    @pytest.mark.parametrize("algo", ["head", "tail", "dp2"])
+    def test_huge_delta_runs_as_delta_n(self, capsys, vector_file, algo):
+        results = []
+        for delta in ("4611686018427387904", "6"):
+            args = ["project", "--in", vector_file, "--k", "2", "--delta", delta, "--algo", algo]
+            if algo in ("head", "tail"):
+                args += ["--epsilon", "0.5"]
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            results.append(json.loads(out))
+        assert results[0]["support"] == results[1]["support"]
+        assert results[0]["value"] == results[1]["value"]
+
     def test_ratio_reporting(self, capsys, vector_file):
         code, out, _ = run_cli(
             capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",

@@ -11,7 +11,7 @@ import pytest
 
 from sepsparse.dp import dp_solve, dp_solve_2spike
 from sepsparse.head import head_project
-from sepsparse.model import Instance, brute_force_solve, is_feasible, max_support_size, objective
+from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 from sepsparse.tail import tail_project, topk_tail_project
 
@@ -53,7 +53,7 @@ def test_every_algorithm_against_the_oracle():
         delta_past_n += delta > n
         opt = {}
         for p, solve in ((1, dp_solve), (2, dp_solve_2spike)):
-            _, opt[p] = brute_force_solve(Instance(x, k, delta, p))
+            _, opt[p] = brute_force_solve(x, k, delta, p)
             values, sols = solve(x, k, delta)
             assert is_feasible(sols[-1], n, k, delta, p)
             assert objective(x, sols[-1]) == values[-1]

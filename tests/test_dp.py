@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepsparse import dp
 from sepsparse.dp import (
     DpTable1,
     DpTable2,
@@ -9,8 +10,9 @@ from sepsparse.dp import (
     dp_solve,
     dp_solve_2spike,
     dp_solve_unrestricted,
+    table_builder,
 )
-from sepsparse.model import Instance, brute_force_solve, is_feasible, objective
+from sepsparse.model import brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 
 
@@ -43,7 +45,7 @@ class TestDpSolve:
         for _ in range(300):
             x, n, k, delta = random_instance(rng)
             values, sols = dp_solve(x, k, delta)
-            _, best = brute_force_solve(Instance(x, k, delta))
+            _, best = brute_force_solve(x, k, delta)
             assert values[-1] == pytest.approx(best, abs=1e-9)
             for ell, sol in enumerate(sols, start=1):
                 assert is_feasible(sol, n, ell, delta, 1)
@@ -105,7 +107,7 @@ class TestDp2Spike:
         # frozen from the exhaustive oracle.
         values, sols = dp_solve_2spike([1.0, 1, 1, 1], 3, 4)
         assert np.array_equal(values, [1.0, 2.0, 2.0])
-        _, best = brute_force_solve(Instance(np.ones(4), 3, 4, spikes=2))
+        _, best = brute_force_solve(np.ones(4), 3, 4, p=2)
         assert values[-1] == best
 
     def test_matches_oracle(self):
@@ -113,11 +115,21 @@ class TestDp2Spike:
         for _ in range(300):
             x, n, k, delta = random_instance(rng)
             values, sols = dp_solve_2spike(x, k, delta)
-            _, best = brute_force_solve(Instance(x, k, delta, spikes=2))
+            _, best = brute_force_solve(x, k, delta, p=2)
             assert values[-1] == pytest.approx(best, abs=1e-9)
             for ell, sol in enumerate(sols, start=1):
                 assert is_feasible(sol, n, ell, delta, 2)
                 assert objective(x, sol) == values[ell - 1]
+
+    def test_huge_delta_equals_delta_n(self):
+        rng = make_rng(137)
+        for _ in range(60):
+            x, n, k, _ = random_instance(rng)
+            want_values, want = dp_solve_2spike(x, k, n)
+            for delta in (2**62, 2**63 - 1):
+                values, sols = dp_solve_2spike(x, k, delta)
+                assert np.array_equal(values, want_values)
+                assert list(sols) == list(want)
 
     def test_monotone_and_concave(self):
         rng = make_rng(43)
@@ -159,3 +171,28 @@ def test_supports_built_on_demand(monkeypatch, solve, build, table_cls):
         with pytest.raises(IndexError):
             sols[bad]
     assert np.array_equal(values, table.values)
+
+
+class TestTableBuilder:
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_rejects_unsupported_p(self, p):
+        with pytest.raises(ValueError, match=f"p={p}"):
+            table_builder(p)
+
+    @pytest.mark.parametrize("p, solve", [(1, dp_solve), (2, dp_solve_2spike)])
+    def test_tables_match_the_solvers(self, p, solve):
+        rng = make_rng(131)
+        for _ in range(150):
+            x, n, k, delta = random_instance(rng)
+            table = table_builder(p)(x, k, delta)
+            values, sols = solve(x, k, delta)
+            assert np.array_equal(table.values, values)
+            assert list(table) == list(sols)
+
+    def test_builder_looked_up_when_called(self, monkeypatch):
+        def replaced(x, budget, delta):
+            raise NotImplementedError
+
+        monkeypatch.setattr(dp, "build_table_1spike", replaced)
+        assert table_builder(1) is replaced
+        assert table_builder(2) is build_table_2spike

@@ -3,7 +3,7 @@ import pytest
 
 from sepsparse.dp import dp_solve
 from sepsparse.head import block_decompose, drop_phase, head_project, slice_solve
-from sepsparse.model import Instance, brute_force_solve, is_feasible, objective
+from sepsparse.model import brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 
 from util import coverage_best_window, keep_only, restricted_optimum, window_members
@@ -129,6 +129,11 @@ class TestSliceSolve:
             slice_solve(None, np.ones(2), 1, 2, 3)
         with pytest.raises(ValueError):
             head_project(np.ones(2), 1, 2, 3, 0.5)
+        # A vector with no blocks still names the p it has no solver for.
+        with pytest.raises(ValueError, match="p=3"):
+            slice_solve(None, np.zeros(4), 1, 2, 3)
+        with pytest.raises(ValueError, match="p=3"):
+            head_project(np.zeros(4), 1, 2, 3, 0.5)
 
 
 class TestHeadProject:
@@ -171,6 +176,18 @@ class TestHeadProject:
             with pytest.raises(ValueError):
                 head_project(np.ones(3), 1, delta, 1, 0.5)
 
+    def test_huge_delta_equals_delta_n(self):
+        rng = make_rng(139)
+        for _ in range(60):
+            n = int(rng.integers(1, 16))
+            k = int(rng.integers(1, n + 2))
+            p = int(rng.integers(1, 3))
+            x = np.round(rng.random(n) * 3)  # ties and zeros
+            for eps in (1.0, 0.5, 0.25):
+                want = head_project(x, k, n, p, eps)
+                for delta in (2**62, 2**63 - 1):
+                    assert head_project(x, k, delta, p, eps) == want
+
     def test_guarantee_vs_oracle(self):
         rng = make_rng(71)
         for _ in range(250):
@@ -179,7 +196,7 @@ class TestHeadProject:
             k = int(rng.integers(1, n + 1))
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.25, 0.0, rng.random(n))
-            _, opt = brute_force_solve(Instance(x, k, delta, p))
+            _, opt = brute_force_solve(x, k, delta, p)
             for lam in (1, 2, 3):
                 sol = head_project(x, k, delta, p, 1.0 / lam)
                 assert is_feasible(sol, n, k, delta, p)

@@ -1,10 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sepsparse.dp import dp_solve, dp_solve_2spike
 from sepsparse.head import head_project
 from sepsparse.model import (
-    Instance,
     brute_force_solve,
     is_feasible,
     max_support_size,
@@ -100,18 +102,20 @@ class TestSquaredAndRestrict:
             assert objective(squared_weights(v), range(1, v.size + 1)) == pytest.approx(lhs, abs=1e-9)
 
 
-class TestInstance:
+class TestOracleValidation:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            Instance(np.array([1.0, -0.5]), 1, 1)
+            brute_force_solve(np.array([1.0, -0.5]), 1, 1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            Instance(np.array([1.0]), 0, 1)
+            brute_force_solve(np.array([1.0]), 0, 1)
         with pytest.raises(ValueError):
-            Instance(np.array([1.0]), 1, 0)
+            brute_force_solve(np.array([1.0]), 1, 0)
         with pytest.raises(ValueError):
-            Instance(np.zeros(0), 1, 1)
+            brute_force_solve(np.zeros(0), 1, 1)
+        with pytest.raises(ValueError):
+            brute_force_solve(np.array([1.0]), 1, 1, 0)
 
 
 class TestNonFiniteWeights:
@@ -125,7 +129,7 @@ class TestNonFiniteWeights:
             lambda: tail_project(x, 2, 2, 0.5),
             lambda: topk_tail_project(x, 2, 2),
             lambda: objective(x, [1]),
-            lambda: Instance(np.asarray(x), 1, 1),
+            lambda: brute_force_solve(x, 1, 1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
@@ -145,23 +149,22 @@ class TestMaxSupportSize:
             n = int(rng.integers(1, 11))
             delta = int(rng.integers(1, 5))
             p = int(rng.integers(1, 4))
-            inst = Instance(np.ones(n), n, delta, p)
-            support, _ = brute_force_solve(inst)
+            support, _ = brute_force_solve(np.ones(n), n, delta, p)
             assert len(support) == max_support_size(n, delta, p)
 
 
 class TestBruteForce:
     def test_spec_examples(self):
-        sup, val = brute_force_solve(Instance(np.array([1.0, 1, 1]), 2, 2))
+        sup, val = brute_force_solve(np.array([1.0, 1, 1]), 2, 2)
         assert (sup, val) == ((1, 3), 2.0)
-        sup, val = brute_force_solve(Instance(np.array([5.0, 1, 4]), 1, 2))
+        sup, val = brute_force_solve(np.array([5.0, 1, 4]), 1, 2)
         assert (sup, val) == ((1,), 5.0)
-        sup, val = brute_force_solve(Instance(np.array([3.0, 2, 3, 2]), 2, 3))
+        sup, val = brute_force_solve(np.array([3.0, 2, 3, 2]), 2, 3)
         assert (sup, val) == ((1, 4), 5.0)
 
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
-            brute_force_solve(Instance(np.ones(26), 2, 2))
+            brute_force_solve(np.ones(26), 2, 2)
 
     def test_output_dominates_every_feasible_support(self):
         rng = make_rng(17)
@@ -170,7 +173,7 @@ class TestBruteForce:
             k = int(rng.integers(1, n + 1))
             delta = int(rng.integers(1, 5))
             x = rng.random(n)
-            sup, val = brute_force_solve(Instance(x, k, delta))
+            sup, val = brute_force_solve(x, k, delta)
             assert is_feasible(sup, n, k, delta, 1)
             assert val == pytest.approx(objective(x, sup), abs=1e-12)
             for _ in range(80):
@@ -180,6 +183,18 @@ class TestBruteForce:
                     assert objective(x, cand) <= val + 1e-12
 
     def test_lexicographic_tie_break(self):
-        sup, val = brute_force_solve(Instance(np.ones(4), 2, 3))
+        sup, val = brute_force_solve(np.ones(4), 2, 3)
         assert val == 2.0
         assert sup == (1, 4)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so the package must not rely on them.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -3,7 +3,7 @@ import pytest
 
 from sepsparse.dp import dp_solve
 from sepsparse.head import block_decompose
-from sepsparse.model import Instance, brute_force_solve, is_feasible, objective
+from sepsparse.model import brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
@@ -27,6 +27,15 @@ class TestTailVector:
             delta = int(rng.integers(1, n + 10))  # includes delta > n
             x = rng.random(n) * float(rng.integers(1, 5))
             assert np.allclose(tail_vector(x, delta), direct_tail_vector(x, delta), atol=1e-9)
+
+
+    def test_huge_delta_equals_delta_n(self):
+        rng = make_rng(149)
+        for _ in range(40):
+            n = int(rng.integers(1, 16))
+            x = np.round(rng.random(n) * 3)
+            for delta in (2**62, 2**63 - 1):
+                assert np.array_equal(tail_vector(x, delta), tail_vector(x, n))
 
 
 class TestStrongAndReduced:
@@ -68,8 +77,8 @@ class TestStrongAndReduced:
             k = int(rng.integers(1, n + 1))
             x = np.where(rng.random(n) < 0.4, 0.0, rng.random(n) * 2)
             prof = strong_and_reduced(x, delta)
-            _, opt_x = brute_force_solve(Instance(x, k, delta))
-            _, opt_r = brute_force_solve(Instance(prof.r, k, delta))
+            _, opt_x = brute_force_solve(x, k, delta)
+            _, opt_r = brute_force_solve(prof.r, k, delta)
             assert opt_x == pytest.approx(opt_r, abs=1e-9)
 
 
@@ -93,7 +102,7 @@ class TestTopK:
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
             sol = topk_tail_project(x, k, delta)
             assert is_feasible(sol, n, k, delta, 1)
-            _, opt = brute_force_solve(Instance(x, k, delta))
+            _, opt = brute_force_solve(x, k, delta)
             assert leftover(x, sol) <= 2.0 * (float(x.sum()) - opt) + 1e-9
 
 
@@ -133,6 +142,17 @@ class TestTailProject:
             with pytest.raises(ValueError):
                 tail_project(np.ones(3), 1, delta, 0.5)
 
+    def test_huge_delta_equals_delta_n(self):
+        rng = make_rng(151)
+        for _ in range(60):
+            n = int(rng.integers(1, 16))
+            k = int(rng.integers(1, n + 2))
+            x = np.round(rng.random(n) * 3)
+            for eps in (1.0, 0.5, 0.25):
+                want = tail_project(x, k, n, eps)
+                for delta in (2**62, 2**63 - 1):
+                    assert tail_project(x, k, delta, eps) == want
+
     def test_guarantee_vs_oracle(self):
         rng = make_rng(103)
         for _ in range(250):
@@ -140,7 +160,7 @@ class TestTailProject:
             delta = int(rng.integers(1, 5))
             k = int(rng.integers(1, n + 1))
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
-            _, opt = brute_force_solve(Instance(x, k, delta))
+            _, opt = brute_force_solve(x, k, delta)
             opt_left = float(x.sum()) - opt
             for eps in (1.0, 0.5, 0.25):
                 sol = tail_project(x, k, delta, eps)

@@ -13,7 +13,6 @@ from itertools import combinations
 import numpy as np
 
 from sepsparse.head import drop_phase
-from sepsparse.model import Instance, brute_force_solve
 
 
 def window_scan_feasible(indices, delta: int, p: int = 1) -> bool:
@@ -58,11 +57,6 @@ def restricted_optimum(member_indices, x, k: int, delta: int, p: int = 1) -> flo
             if ok:
                 best = max(best, float(sum(x[i - 1] for i in combo)))
     return best
-
-
-def oracle_value(x, k: int, delta: int, p: int = 1) -> float:
-    _, value = brute_force_solve(Instance(np.asarray(x, dtype=float), k, delta, p))
-    return float(value)
 
 
 def keep_only(n: int, members) -> np.ndarray:
