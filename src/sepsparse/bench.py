@@ -1,9 +1,11 @@
 """Benchmark harness: runtime and quality sweeps over random instances.
 
-Every sweep cell derives its instance seeds from (master seed, cell index,
-repeat index), so value columns reproduce bit-identically run to run; only
-the timing columns vary.  Quality sweeps compare against an exact solver run
-in the same process and check each row against its proven guarantee:
+A sweep lists ``(n, k, delta)`` points, the algorithms to run at each and
+the spike count ``p`` they all share.  Every repeat of a point draws one
+instance from (master seed, point index, repeat index) and runs every
+algorithm on it, so value columns reproduce bit-identically run to run;
+only the timing columns vary.  A quality sweep also compares each run
+against the exact ``p``-spike optimum and checks its proven guarantee:
 ``value >= lam/(lam+1) * opt`` for head rows and
 ``leftover <= (1 + 2/(lam+1)) * optimal leftover`` for tail rows.
 """
@@ -29,10 +31,8 @@ __all__ = [
     "AlgoSpec",
     "BenchRow",
     "PRESETS",
-    "QualitySweep",
-    "RuntimeSweep",
-    "bench_quality",
-    "bench_runtime",
+    "Sweep",
+    "bench_sweep",
     "rows_to_csv",
     "rows_to_dat",
     "rows_to_json",
@@ -44,61 +44,48 @@ GUARANTEE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AlgoSpec:
-    """One benchmarked algorithm: 'dp', 'dp2', 'head', or 'tail'.
+    """One benchmarked algorithm: 'dp', 'head', or 'tail'.
 
     ``lam`` is the precision knob of the approximate algorithms (head runs
-    at epsilon = 1/lam, tail at epsilon = 2/lam); ``p`` the spike count.
+    at epsilon = 1/lam, tail at epsilon = 2/lam).  The spike count comes
+    from the sweep.
     """
 
     algo: str
     lam: int | None = None
-    p: int = 1
 
-    @property
-    def label(self) -> str:
+    def label(self, p: int) -> str:
+        name = f"dp{p}" if self.algo == "dp" and p != 1 else self.algo
         suffix = f"-lam{self.lam}" if self.lam is not None else ""
-        spikes = "-p2" if self.p == 2 else ""
-        return f"{self.algo}{suffix}{spikes}"
+        spikes = f"-p{p}" if p != 1 else ""
+        return f"{name}{suffix}{spikes}"
 
-    def run(self, x: np.ndarray, k: int, delta: int) -> tuple[int, ...]:
+    def run(self, x: np.ndarray, k: int, delta: int, p: int) -> tuple[int, ...]:
         if self.algo == "dp":
-            _, sols = dp.dp_solve(x, k, delta)
-            return sols[-1]
-        if self.algo == "dp2":
-            _, sols = dp.dp_solve_2spike(x, k, delta)
-            return sols[-1]
+            return dp.table_builder(p)(x, k, delta)[-1]
         if self.algo == "head":
-            return head_project(x, k, delta, self.p, 1.0 / self.lam)
+            return head_project(x, k, delta, p, 1.0 / self.lam)
         if self.algo == "tail":
+            if p != 1:
+                raise ValueError(f"tail supports p = 1 only, got p={p}")
             return tail_project(x, k, delta, 2.0 / self.lam)
         raise ValueError(f"unknown algo {self.algo!r}")
 
 
 @dataclass(frozen=True)
-class RuntimeSweep:
-    """Wall-clock sweep over (n, k, delta) points on fresh uniform instances."""
+class Sweep:
+    """Algorithms run at each ``(n, k, delta)`` point on fresh instances.
+
+    ``kind`` is 'uniform' or 'poisson' (expected spike gap ``gap``).  A
+    ``quality`` sweep adds ratio and guarantee columns to the timings.
+    """
 
     points: list[tuple[int, int, int]]
     algos: list[AlgoSpec]
-    repeats: int = 100
-    seed: int = 0
+    quality: bool = False
+    p: int = 1
     kind: str = "uniform"
-    expected_gap: float | None = None
-
-
-@dataclass(frozen=True)
-class QualitySweep:
-    """Approximation-ratio sweep over k at fixed (n, delta)."""
-
-    n: int
-    delta: int
-    ks: list[int]
-    algos: list[AlgoSpec]
-    repeats: int = 100
-    seed: int = 0
-    kind: str = "uniform"
-    expected_gap: float | None = None
-    spikes: int = 1
+    gap: float | None = None
 
 
 @dataclass
@@ -130,97 +117,82 @@ class BenchRow:
 CSV_FIELDS = [f.name for f in fields(BenchRow)]
 
 
-def _instance(sweep, n: int, cell: int, rep: int) -> np.ndarray:
-    seed = derive_seed(sweep.seed, cell, rep)
+def _instance(sweep: Sweep, n: int, seed: int) -> np.ndarray:
     if sweep.kind == "uniform":
         return gen_uniform(n, seed)
     if sweep.kind == "poisson":
-        x, _ = gen_poisson(n, float(sweep.expected_gap), seed)
+        x, _ = gen_poisson(n, float(sweep.gap), seed)
         return x
     raise ValueError(f"unknown instance kind {sweep.kind!r}")
 
 
-def bench_runtime(sweep: RuntimeSweep) -> list[BenchRow]:
-    """Mean wall time per (point, algorithm); instance generation excluded."""
+def bench_sweep(sweep: Sweep, seed: int = 0, repeats: int = 100) -> list[BenchRow]:
+    """One row per (point, algorithm): mean wall time, plus ratios for quality.
+
+    Instance generation and the exact optimum are not timed.  Tail ratios
+    average only the repeats whose optimal leftover is nonzero; if every
+    repeat degenerates the column is left empty.  Two-spike sweeps report
+    head ratios only.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    build = dp.table_builder(sweep.p)
     rows: list[BenchRow] = []
     for cell, (n, k, delta) in enumerate(sweep.points):
-        instances = [_instance(sweep, n, cell, rep) for rep in range(sweep.repeats)]
-        for spec in sweep.algos:
-            elapsed = 0.0
-            for x in instances:
+        seconds = [0.0] * len(sweep.algos)
+        values: list[list[float]] = [[] for _ in sweep.algos]
+        optima: list[tuple[float, float]] = []
+        for rep in range(repeats):
+            x = _instance(sweep, n, derive_seed(seed, cell, rep))
+            if sweep.quality:
+                optima.append((float(build(x, k, delta).values[-1]), float(x.sum())))
+            for i, spec in enumerate(sweep.algos):
                 start = time.perf_counter()
-                spec.run(x, k, delta)
-                elapsed += time.perf_counter() - start
-            rows.append(
-                BenchRow(
-                    algo=spec.label,
-                    kind=sweep.kind,
-                    n=n,
-                    k=k,
-                    delta=delta,
-                    lam=spec.lam,
-                    p=spec.p,
-                    repeats=sweep.repeats,
-                    mean_ms=1000.0 * elapsed / max(1, sweep.repeats),
-                )
+                sol = spec.run(x, k, delta, sweep.p)
+                seconds[i] += time.perf_counter() - start
+                if sweep.quality:
+                    values[i].append(objective(x, sol))
+        for spec, elapsed, vals in zip(sweep.algos, seconds, values):
+            row = BenchRow(
+                algo=spec.label(sweep.p),
+                kind=sweep.kind,
+                n=n,
+                k=k,
+                delta=delta,
+                lam=spec.lam,
+                p=sweep.p,
+                repeats=repeats,
+                mean_ms=1000.0 * elapsed / repeats,
             )
+            if sweep.quality:
+                _score(row, spec, vals, optima)
+            rows.append(row)
     return rows
 
 
-def bench_quality(sweep: QualitySweep) -> list[BenchRow]:
-    """Mean head/tail ratios against the exact optimum, per (k, algorithm).
-
-    Tail ratios average only the repeats whose optimal leftover is nonzero;
-    if every repeat degenerates the column is left empty.  Two-spike sweeps
-    report head ratios only.
-    """
-    build = dp.table_builder(sweep.spikes)
-    rows: list[BenchRow] = []
-    for cell, k in enumerate(sweep.ks):
-        instances = [
-            _instance(sweep, sweep.n, cell, rep) for rep in range(sweep.repeats)
-        ]
-        optima = [float(build(x, k, sweep.delta).values[-1]) for x in instances]
-        totals = [float(x.sum()) for x in instances]
-        for spec in sweep.algos:
-            elapsed = 0.0
-            head_ratios: list[float] = []
-            tail_ratios: list[float] = []
-            ok = True
-            for x, opt, total in zip(instances, optima, totals):
-                start = time.perf_counter()
-                sol = spec.run(x, k, sweep.delta)
-                elapsed += time.perf_counter() - start
-                val = objective(x, sol)
-                if opt > 0.0:
-                    head_ratios.append(100.0 * val / opt)
-                if spec.algo == "head" and val < (spec.lam / (spec.lam + 1)) * opt - GUARANTEE_SLACK:
+def _score(
+    row: BenchRow, spec: AlgoSpec, values: list[float], optima: list[tuple[float, float]]
+) -> None:
+    """Fill a quality row's ratio columns and ``bound_ok`` from its runs."""
+    head_ratios: list[float] = []
+    tail_ratios: list[float] = []
+    ok = True
+    for val, (opt, total) in zip(values, optima):
+        if opt > 0.0:
+            head_ratios.append(100.0 * val / opt)
+        if spec.algo == "head" and val < (spec.lam / (spec.lam + 1)) * opt - GUARANTEE_SLACK:
+            ok = False
+        if row.p == 1:
+            leftover, opt_leftover = total - val, total - opt
+            if opt_leftover > GUARANTEE_SLACK:
+                tail_ratios.append(100.0 * leftover / opt_leftover)
+            if spec.algo == "tail":
+                bound = 1.0 + 2.0 / (spec.lam + 1)
+                if leftover > bound * opt_leftover + GUARANTEE_SLACK:
                     ok = False
-                if sweep.spikes == 1:
-                    leftover, opt_leftover = total - val, total - opt
-                    if opt_leftover > GUARANTEE_SLACK:
-                        tail_ratios.append(100.0 * leftover / opt_leftover)
-                    if spec.algo == "tail":
-                        bound = 1.0 + 2.0 / (spec.lam + 1)
-                        if leftover > bound * opt_leftover + GUARANTEE_SLACK:
-                            ok = False
-            rows.append(
-                BenchRow(
-                    algo=spec.label,
-                    kind=sweep.kind,
-                    n=sweep.n,
-                    k=k,
-                    delta=sweep.delta,
-                    lam=spec.lam,
-                    p=spec.p,
-                    repeats=sweep.repeats,
-                    mean_ms=1000.0 * elapsed / max(1, sweep.repeats),
-                    head_pct=float(np.mean(head_ratios)) if head_ratios else None,
-                    tail_pct=float(np.mean(tail_ratios)) if tail_ratios else None,
-                    bound_ok=ok if spec.algo in ("head", "tail") else None,
-                )
-            )
-    return rows
+    row.head_pct = float(np.mean(head_ratios)) if head_ratios else None
+    row.tail_pct = float(np.mean(tail_ratios)) if tail_ratios else None
+    row.bound_ok = ok if spec.algo in ("head", "tail") else None
 
 
 # ---------------------------------------------------------------------------
@@ -229,81 +201,47 @@ def bench_quality(sweep: QualitySweep) -> list[BenchRow]:
 
 
 def _sqrt_points(ns: list[int]) -> list[tuple[int, int, int]]:
-    return [(n, int(math.isqrt(n) // 2), int(math.isqrt(n) // 2)) for n in ns]
+    return [(n, math.isqrt(n) // 2, math.isqrt(n) // 2) for n in ns]
 
 
-def _log_points(ns: list[int], delta: int) -> list[tuple[int, int, int]]:
-    return [(n, int(math.log2(n)), delta) for n in ns]
+def _specs(algo: str, lams: tuple[int, ...]) -> list[AlgoSpec]:
+    return [AlgoSpec(algo, lam) for lam in lams]
 
 
-def _preset_fig2_left(seed: int, repeats: int):
-    ns = [25_000, 50_000, 100_000, 200_000, 400_000]
-    algos = [AlgoSpec("dp")] + [AlgoSpec(a, lam) for a in ("head", "tail") for lam in (2, 3)]
-    return [("runtime", RuntimeSweep(_sqrt_points(ns), algos, repeats, seed))]
+_FIG2_NS = [25_000, 50_000, 100_000, 200_000, 400_000]
+_FIG2_ALGOS = [AlgoSpec("dp")] + _specs("head", (2, 3)) + _specs("tail", (2, 3))
+_QUALITY_POINTS = [(1000, k, 20) for k in range(5, 51, 5)]
 
-
-def _preset_fig2_right(seed: int, repeats: int):
-    ns = [25_000, 50_000, 100_000, 200_000, 400_000]
-    algos = [AlgoSpec("dp")] + [AlgoSpec(a, lam) for a in ("head", "tail") for lam in (2, 3)]
-    return [("runtime", RuntimeSweep(_log_points(ns, 40), algos, repeats, seed))]
-
-
-_QUALITY_KS = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
-
-
-def _preset_fig3(seed: int, repeats: int):
-    algos = [AlgoSpec("head", lam) for lam in (1, 2, 3)] + [AlgoSpec("tail", lam) for lam in (2, 3)]
-    return [("quality", QualitySweep(1000, 20, _QUALITY_KS, algos, repeats, seed))]
-
-
-def _preset_fig4(seed: int, repeats: int):
-    algos = [AlgoSpec("head", lam) for lam in (2, 3)] + [AlgoSpec("tail", lam) for lam in (2, 3)]
-    sweep = QualitySweep(
-        1000, 20, _QUALITY_KS, algos, repeats, seed, kind="poisson", expected_gap=20.0
-    )
-    return [("quality", sweep)]
-
-
-def _preset_fig5(seed: int, repeats: int):
-    ns = [2000, 4000, 8000, 16_000]
-    algos = [AlgoSpec("dp2", p=2)] + [AlgoSpec("head", lam, p=2) for lam in (2, 3)]
-    return [("runtime", RuntimeSweep(_sqrt_points(ns), algos, repeats, seed))]
-
-
-def _preset_fig6(seed: int, repeats: int):
-    algos = [AlgoSpec("head", lam, p=2) for lam in (1, 2, 3)]
-    uniform = QualitySweep(1000, 20, _QUALITY_KS, algos, repeats, seed, spikes=2)
-    poisson = QualitySweep(
-        1000,
-        20,
-        _QUALITY_KS,
-        algos,
-        repeats,
-        seed,
-        kind="poisson",
-        expected_gap=10.0,
-        spikes=2,
-    )
-    return [("quality", uniform), ("quality", poisson)]
-
-
-PRESETS = {
-    "fig2-left": _preset_fig2_left,
-    "fig2-right": _preset_fig2_right,
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
+PRESETS: dict[str, list[Sweep]] = {
+    "fig2-left": [Sweep(_sqrt_points(_FIG2_NS), _FIG2_ALGOS)],
+    "fig2-right": [Sweep([(n, int(math.log2(n)), 40) for n in _FIG2_NS], _FIG2_ALGOS)],
+    "fig3": [
+        Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)) + _specs("tail", (2, 3)), quality=True)
+    ],
+    "fig4": [
+        Sweep(
+            _QUALITY_POINTS,
+            _specs("head", (2, 3)) + _specs("tail", (2, 3)),
+            quality=True,
+            kind="poisson",
+            gap=20.0,
+        )
+    ],
+    "fig5": [
+        Sweep(_sqrt_points([2000, 4000, 8000, 16_000]), [AlgoSpec("dp")] + _specs("head", (2, 3)), p=2)
+    ],
+    "fig6": [
+        Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)), quality=True, p=2),
+        Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)), quality=True, p=2, kind="poisson", gap=10.0),
+    ],
 }
 
 
 def run_preset(name: str, seed: int = 0, repeats: int | None = None) -> list[BenchRow]:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    rows: list[BenchRow] = []
-    for mode, sweep in PRESETS[name](seed, repeats if repeats is not None else 100):
-        rows.extend(bench_runtime(sweep) if mode == "runtime" else bench_quality(sweep))
-    return rows
+    repeats = 100 if repeats is None else repeats
+    return [row for sweep in PRESETS[name] for row in bench_sweep(sweep, seed, repeats)]
 
 
 def rows_to_csv(rows: list[BenchRow], fh) -> None:

@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
-from .model import InfeasibleParameters, brute_force_solve, objective
+from .model import InfeasibleParameters, brute_force_solve, max_support_size, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
 from .serialize import read_vector, write_support, write_vector
@@ -72,7 +72,9 @@ def _cmd_project(args) -> int:
 
     start = time.perf_counter()
     if args.algo in ("dp", "dp2"):
-        support = dp.table_builder(spikes)(x, args.k, args.delta)[-1]
+        # Levels past the packing limit repeat the last one; skip building them.
+        k = min(args.k, max_support_size(x.size, min(args.delta, x.size), spikes))
+        support = dp.table_builder(spikes)(x, k, args.delta)[-1]
     elif args.algo == "head":
         support = head_project(x, args.k, args.delta, spikes, args.epsilon)
     elif args.algo == "tail":

@@ -76,6 +76,20 @@ class TestProject:
         assert results[0]["support"] == results[1]["support"]
         assert results[0]["value"] == results[1]["value"]
 
+    @pytest.mark.parametrize("algo, limit", [("dp", 3), ("dp2", 6)])
+    def test_k_past_packing_limit_solves_at_the_limit(self, capsys, vector_file, algo, limit):
+        # 6 entries at delta 2 pack 3 one-spike or 6 two-spike picks.
+        results = []
+        for k in ("4611686018427387904", str(limit)):
+            code, out, _ = run_cli(
+                capsys, "project", "--in", vector_file, "--k", k, "--delta", "2", "--algo", algo
+            )
+            assert code == 0
+            results.append(json.loads(out))
+        assert results[0]["k"] == 4611686018427387904
+        assert results[0]["support"] == results[1]["support"]
+        assert results[0]["value"] == results[1]["value"]
+
     def test_ratio_reporting(self, capsys, vector_file):
         code, out, _ = run_cli(
             capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",

@@ -12,7 +12,7 @@ from sepsparse.dp import (
     dp_solve_unrestricted,
     table_builder,
 )
-from sepsparse.model import brute_force_solve, is_feasible, objective
+from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 
 
@@ -188,6 +188,21 @@ class TestTableBuilder:
             values, sols = solve(x, k, delta)
             assert np.array_equal(table.values, values)
             assert list(table) == list(sols)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_budget_past_packing_limit_repeats_the_limit(self, p):
+        # Levels past max_support_size repeat the last one, so solving at the
+        # limit answers any larger k.
+        rng = make_rng(151)
+        for _ in range(200):
+            x, n, _, _ = random_instance(rng, n_max=20)
+            delta = int(rng.integers(1, n + 4))
+            limit = max_support_size(n, min(delta, n), p)
+            at_limit = table_builder(p)(x, limit, delta)
+            for k in (limit + 1, limit + 5):
+                table = table_builder(p)(x, k, delta)
+                assert table.values[-1] == at_limit.values[-1]
+                assert table[-1] == at_limit[-1]
 
     def test_builder_looked_up_when_called(self, monkeypatch):
         def replaced(x, budget, delta):

@@ -198,3 +198,19 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_dp_picks_an_exact_solver():
+    # dp.table_builder is the one place that maps p to its DP; any other
+    # module that uses a builder or solver by name picks a DP on its own.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    solvers = {"build_table_1spike", "build_table_2spike", "dp_solve", "dp_solve_2spike"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "dp.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Name) and node.id in solvers)
+        or (isinstance(node, ast.Attribute) and node.attr in solvers)
+    ]
+    assert found == []
