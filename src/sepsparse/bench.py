@@ -76,16 +76,21 @@ class AlgoSpec:
 class Sweep:
     """Algorithms run at each ``(n, k, delta)`` point on fresh instances.
 
-    ``kind`` is 'uniform' or 'poisson' (expected spike gap ``gap``).  A
-    ``quality`` sweep adds ratio and guarantee columns to the timings.
+    Without a ``gap`` the instances are uniform; with one they are Poisson
+    spike trains of that expected spike gap.  A ``quality`` sweep adds ratio
+    and guarantee columns to the timings.
     """
 
     points: list[tuple[int, int, int]]
     algos: list[AlgoSpec]
     quality: bool = False
     p: int = 1
-    kind: str = "uniform"
     gap: float | None = None
+
+    @property
+    def kind(self) -> str:
+        """The instance kind named in rows and file names: 'uniform' or 'poisson'."""
+        return "uniform" if self.gap is None else "poisson"
 
 
 @dataclass
@@ -118,12 +123,9 @@ CSV_FIELDS = [f.name for f in fields(BenchRow)]
 
 
 def _instance(sweep: Sweep, n: int, seed: int) -> np.ndarray:
-    if sweep.kind == "uniform":
+    if sweep.gap is None:
         return gen_uniform(n, seed)
-    if sweep.kind == "poisson":
-        x, _ = gen_poisson(n, float(sweep.gap), seed)
-        return x
-    raise ValueError(f"unknown instance kind {sweep.kind!r}")
+    return gen_poisson(n, float(sweep.gap), seed)[0]
 
 
 def bench_sweep(sweep: Sweep, seed: int = 0, repeats: int = 100) -> list[BenchRow]:
@@ -219,20 +221,14 @@ PRESETS: dict[str, list[Sweep]] = {
         Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)) + _specs("tail", (2, 3)), quality=True)
     ],
     "fig4": [
-        Sweep(
-            _QUALITY_POINTS,
-            _specs("head", (2, 3)) + _specs("tail", (2, 3)),
-            quality=True,
-            kind="poisson",
-            gap=20.0,
-        )
+        Sweep(_QUALITY_POINTS, _specs("head", (2, 3)) + _specs("tail", (2, 3)), quality=True, gap=20.0)
     ],
     "fig5": [
         Sweep(_sqrt_points([2000, 4000, 8000, 16_000]), [AlgoSpec("dp")] + _specs("head", (2, 3)), p=2)
     ],
     "fig6": [
         Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)), quality=True, p=2),
-        Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)), quality=True, p=2, kind="poisson", gap=10.0),
+        Sweep(_QUALITY_POINTS, _specs("head", (1, 2, 3)), quality=True, p=2, gap=10.0),
     ],
 }
 

@@ -117,17 +117,17 @@ def _cmd_recover(args) -> int:
     if m < 1:
         raise ConfigError("m must be >= 1")
 
-    model = gen_sensing(m, args.n, derive_seed(args.seed, 0))
+    A = gen_sensing(m, args.n, derive_seed(args.seed, 0))
     support = random_feasible_support(
         args.n, args.k, args.delta, 1, make_rng(args.seed, 1)
     )
     coeffs = make_rng(args.seed, 2).standard_normal(args.k)
     x_true = np.zeros(args.n)
     x_true[np.asarray(support, dtype=np.intp) - 1] = coeffs
-    obs = measure(model, x_true, args.sigma, derive_seed(args.seed, 3))
+    obs = measure(A, x_true, args.sigma, derive_seed(args.seed, 3))
     _, trace = am_iht(
         obs.y,
-        model,
+        A,
         args.k,
         args.delta,
         args.iters,
@@ -157,11 +157,10 @@ def _cmd_recover(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
-        _emit_json(summary, None)
     else:
         sys.stdout.write(csv_text)
-        json.dump(summary, sys.stderr)
-        sys.stderr.write("\n")
+    # The summary takes whichever stream the trace CSV left free, in one format.
+    (sys.stdout if args.out else sys.stderr).write(json.dumps(summary, indent=2) + "\n")
     return 0
 
 

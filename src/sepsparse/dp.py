@@ -14,9 +14,12 @@ goes through it.  A ``delta`` of ``n`` or more is the same problem as
 Each records take-flags during the forward pass, bit-packed with
 ``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and reconstructs a
 support by walking them back.  The budgeted tables build a level's support
-only when it is asked for.  Ties in every max are broken toward *not*
-taking the current index, so reconstructed supports are deterministic and
-stable across runs.
+only when it is asked for.  They run levels only up to the packing limit
+``max_support_size``: every level past it repeats the limit's value and
+support, so ``values`` keeps one entry per budget but no flag row is built
+past the limit.  Ties in every max are broken toward *not* taking the
+current index, so reconstructed supports are deterministic and stable
+across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -31,7 +34,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .model import as_weights
+from .model import as_weights, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -77,7 +80,8 @@ class _DpTable(Sequence):
     ``values[ell-1]`` is the optimum with budget ``ell``.  As a read-only
     sequence of length ``budget``, item ``j`` is the support for budget
     ``j + 1``: built by the subclass's ``support(j + 1)`` on first access,
-    then cached.
+    then cached.  ``flags`` holds levels 0 to ``top`` only, ``top`` being
+    the budget capped at the packing limit, where levels stop changing.
     """
 
     def __init__(self, values: np.ndarray, flags: np.ndarray, delta: int, n: int):
@@ -101,9 +105,11 @@ class _DpTable(Sequence):
             sol = self._built[j] = self.support(j + 1)
         return sol
 
-    def _check_level(self, ell: int) -> None:
+    def _start_level(self, ell: int) -> int:
+        """The flag level a budget-``ell`` walk starts at."""
         if not 0 <= ell <= self.values.size:
             raise ValueError(f"level {ell} outside [0, {self.values.size}]")
+        return min(ell, len(self.flags) - 1)
 
 
 class DpTable1(_DpTable):
@@ -115,10 +121,9 @@ class DpTable1(_DpTable):
 
     def support(self, ell: int) -> tuple[int, ...]:
         """Reconstruct an optimal support for budget ``ell``."""
-        self._check_level(ell)
+        lev = self._start_level(ell)
         sol: list[int] = []
         i = self.n
-        lev = ell
         while lev >= 1 and i >= 1:
             i = _nearest_take(self.flags[lev], i)
             if i == 0:
@@ -136,20 +141,23 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
         raise ValueError("delta must be >= 1")
     n = x.size
     s = min(delta, n)
-    flags = np.zeros((budget + 1, (n + 8) // 8), dtype=np.uint8)
+    top = min(budget, max_support_size(n, min(delta, max(n, 1)), 1))
+    flags = np.zeros((top + 1, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(budget)
     # Level rows live at [s:]; [1 : n + 1] is prev[i - delta] for i = 1..n.
     prev = np.zeros(s + n + 1)
     row = np.zeros(s + n + 1)
     cand = np.empty(n)
     take = np.zeros(n + 1, dtype=bool)
-    for ell in range(1, budget + 1):
+    for ell in range(1, top + 1):
         np.add(x, prev[1 : n + 1], out=cand)
         np.maximum.accumulate(cand, out=row[s + 1 :])
         np.greater(cand, row[s : s + n], out=take[1:])
         flags[ell] = np.packbits(take)
         values[ell - 1] = row[s + n]
         prev, row = row, prev
+    if 0 < top < budget:
+        values[top:] = values[top - 1]
     return DpTable1(values, flags, delta, n)
 
 
@@ -163,13 +171,12 @@ class DpTable2(_DpTable):
 
     def support(self, ell: int) -> tuple[int, ...]:
         """Reconstruct an optimal support for budget ``ell``."""
-        self._check_level(ell)
+        lev = self._start_level(ell)
         delta = self.delta
         flags = self.flags
         sol: list[int] = []
         r = self.n
         i = 1
-        lev = ell
         while lev >= 1 and r >= 1:
             if i <= 1:
                 # Width 0 aliases width 1; skips at width 1 walk straight
@@ -208,7 +215,8 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     if delta == 1:
         return build_table_1spike(x, budget, 1)
     s = delta - 1
-    flags = np.zeros((budget + 1, delta, (n + 8) // 8), dtype=np.uint8)
+    top = min(budget, max_support_size(n, delta, 2))
+    flags = np.zeros((top + 1, delta, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(budget)
     # Row i of a level lives at [i, s:]; width i reads the previous level's
     # row delta - i shifted by i, which starts at column delta - i.
@@ -216,7 +224,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     V = np.zeros((delta, s + n + 1))
     cand = np.empty(n)
     take = np.zeros((delta, n + 1), dtype=bool)
-    for ell in range(1, budget + 1):
+    for ell in range(1, top + 1):
         # Width 1: the skip branch references the same column one step back,
         # which makes the column a running maximum.
         np.add(x, P[delta - 1, s : s + n], out=cand)
@@ -230,6 +238,8 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
         flags[ell] = np.packbits(take, axis=1)
         values[ell - 1] = V[1, s + n]
         P, V = V, P
+    if 0 < top < budget:
+        values[top:] = values[top - 1]
     return DpTable2(values, flags, delta, n)
 
 

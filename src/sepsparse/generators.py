@@ -20,8 +20,10 @@ def gen_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tup
     """Sparse spike train with exponential inter-arrival gaps.
 
     Each gap is an Exponential draw with the given mean, rounded to the
-    nearest integer with a floor of 1; positions accumulate until they pass
-    n.  Spike entries are uniform in [0, 1), everything else exactly 0.
+    nearest integer with a floor of 1.  The spikes sit at the running sums
+    of the gaps that stay at or below n; drawing stops after the first chunk
+    of gaps that passes n.  Spike entries are uniform in [0, 1), everything
+    else exactly 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -31,20 +33,14 @@ def gen_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tup
     # Chunked draws: the chunk size depends only on (n, expected_gap), so
     # the stream of consumed variates is deterministic per seed.
     chunk = max(16, int(2 * n / expected_gap) + 8)
-    positions: list[int] = []
+    ends: list[np.ndarray] = []
     pos = 0
     while pos <= n:
         gaps = np.maximum(1, np.rint(rng.exponential(expected_gap, size=chunk))).astype(np.int64)
-        for g in gaps:
-            pos += int(g)
-            if pos > n:
-                break
-            positions.append(pos)
-        else:
-            continue
-        break
-    values = rng.random(len(positions))
+        chunk_ends = pos + np.cumsum(gaps)
+        ends.append(chunk_ends[chunk_ends <= n])
+        pos = int(chunk_ends[-1])
+    positions = np.concatenate(ends)
     x = np.zeros(n)
-    if positions:
-        x[np.asarray(positions) - 1] = values
-    return x, tuple(positions)
+    x[positions - 1] = rng.random(positions.size)
+    return x, tuple(positions.tolist())

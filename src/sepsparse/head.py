@@ -72,24 +72,23 @@ def block_decompose(x, delta: int, p: int = 1) -> BlockDecomposition:
     return BlockDecomposition(list(zip(los, his)), budgets)
 
 
-def slice_solve(keep: np.ndarray | None, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
+def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
     """Solve the projection restricted to the indices ``keep`` selects, exactly.
 
-    ``keep`` is a boolean mask over ``[n]``, or ``None`` for the whole
-    ground set.  Per block of the masked vector the exact solver that
-    :func:`dp.table_builder` picks for ``p`` produces optima for every
-    budget level; the level-to-level gains are non-increasing, so picking
-    the ``k`` largest gains globally (ties broken by ascending block id,
-    then level) yields per-block budgets whose union is an optimal
-    solution.  Zero gains are dropped after selection.  A ``p`` with no
-    exact solver raises ``ValueError`` even when there is no block.
+    ``keep`` is a boolean mask over ``[n]``.  Per block of the masked
+    vector the exact solver that :func:`dp.table_builder` picks for ``p``
+    produces optima for every budget level; the level-to-level gains are
+    non-increasing, so picking the ``k`` largest gains globally (ties
+    broken by ascending block id, then level) yields per-block budgets
+    whose union is an optimal solution.  Zero gains are dropped after
+    selection.  A ``p`` with no exact solver raises ``ValueError`` even
+    when there is no block.
     """
     x = as_weights(x)
     if k <= 0:
         return ()
     solve = dp.table_builder(p)
-    if keep is not None:
-        x = np.where(keep, x, 0.0)
+    x = np.where(keep, x, 0.0)
     dec = block_decompose(x, delta, p)
     if not dec.blocks:
         return ()

@@ -1,7 +1,8 @@
 """Compressed-sensing recovery of separated-sparse signals.
 
-Measurements are taken through a dense Gaussian matrix with entry variance
-1/m, so measuring preserves expected squared norms.  Recovery alternates a
+The sensing model is its dense Gaussian ``(m, n)`` matrix itself, with entry
+variance 1/m, so measuring preserves expected squared norms; every function
+here reads ``m`` and ``n`` from its shape.  Recovery alternates a
 head projection of the gradient (doubled budget, two spikes: the residual of
 two separated supports is two-spike separated) with a tail projection of the
 updated iterate (original budget, one spike).
@@ -22,7 +23,6 @@ from .tail import tail_project
 __all__ = [
     "Measurement",
     "RecoveryTrace",
-    "SensingModel",
     "am_iht",
     "default_measurement_count",
     "empirical_rip",
@@ -35,26 +35,11 @@ HEAD_SPIKES = 2
 
 
 @dataclass(frozen=True)
-class SensingModel:
-    """A fixed sensing matrix plus the seed that generated it."""
-
-    A: np.ndarray
-    m: int
-    seed: int
-    entry_scale: float
-
-    @property
-    def n(self) -> int:
-        return int(self.A.shape[1])
-
-
-@dataclass(frozen=True)
 class Measurement:
-    """Noisy linear observations, retaining noise and truth for evaluation."""
+    """Noisy linear observations ``y`` and the noise ``e`` added to them."""
 
     y: np.ndarray
     e: np.ndarray
-    x_true: np.ndarray
 
 
 @dataclass
@@ -75,29 +60,28 @@ def default_measurement_count(n: int, k: int) -> int:
     return min(max(1, math.ceil(6.0 * k * math.log(n))), n)
 
 
-def gen_sensing(m: int, n: int, seed: int) -> SensingModel:
-    """Gaussian sensing matrix with entries N(0, 1/m), filled row-major."""
+def gen_sensing(m: int, n: int, seed: int) -> np.ndarray:
+    """Gaussian ``(m, n)`` sensing matrix with entries N(0, 1/m), filled row-major."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    scale = 1.0 / math.sqrt(m)
-    A = make_rng(seed).standard_normal((m, n)) * scale
-    return SensingModel(A=A, m=m, seed=seed, entry_scale=scale)
+    return make_rng(seed).standard_normal((m, n)) * (1.0 / math.sqrt(m))
 
 
-def measure(model: SensingModel, x, noise_sigma: float, seed: int) -> Measurement:
+def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     """Observe ``y = A x + e`` with i.i.d. Gaussian noise of the given sigma."""
+    m, n = A.shape
     x = as_signal(x)
-    if x.size != model.n:
-        raise ValueError(f"signal length {x.size} != model width {model.n}")
+    if x.size != n:
+        raise ValueError(f"signal length {x.size} != model width {n}")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    e = make_rng(seed).standard_normal(model.m) * noise_sigma
-    return Measurement(y=model.A @ x + e, e=e, x_true=x)
+    e = make_rng(seed).standard_normal(m) * noise_sigma
+    return Measurement(y=A @ x + e, e=e)
 
 
 def am_iht(
     y,
-    model: SensingModel,
+    A: np.ndarray,
     k: int,
     delta: int,
     iterations: int,
@@ -116,12 +100,12 @@ def am_iht(
     when ``x_true`` is supplied; ``stop_tol`` optionally ends the loop when
     the measurement-space proxy stalls.
     """
+    m, n = A.shape
     y = as_signal(y)
-    if y.size != model.m:
-        raise ValueError(f"measurement length {y.size} != model height {model.m}")
+    if y.size != m:
+        raise ValueError(f"measurement length {y.size} != model height {m}")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    n = model.n
     budget = 2 * k
     truth = None if x_true is None else as_signal(x_true)
 
@@ -131,14 +115,14 @@ def am_iht(
         return float(np.linalg.norm(truth - xj))
 
     xj = np.zeros(n)
-    res = y - model.A @ xj
+    res = y - A @ xj
     trace = RecoveryTrace(
         supports=[()],
         residuals=[residual_norm(xj)],
         proxies=[float(np.linalg.norm(res))],
     )
     for _ in range(iterations):
-        g = model.A.T @ res
+        g = A.T @ res
         h_support = head_project(squared_weights(g), budget, delta, HEAD_SPIKES, eps_head)
         if not is_feasible(h_support, n, budget, delta, HEAD_SPIKES):
             raise RuntimeError(f"head projection returned an infeasible support {h_support}")
@@ -147,7 +131,7 @@ def am_iht(
         if not is_feasible(t_support, n, k, delta, 1):
             raise RuntimeError(f"tail projection returned an infeasible support {t_support}")
         xj = restrict(merged, t_support)
-        res = y - model.A @ xj
+        res = y - A @ xj
         trace.supports.append(t_support)
         trace.residuals.append(residual_norm(xj))
         trace.proxies.append(float(np.linalg.norm(res)))
@@ -187,9 +171,7 @@ def random_feasible_support(
     )
 
 
-def empirical_rip(
-    model: SensingModel, k: int, delta: int, p: int, samples: int, seed: int
-) -> float:
+def empirical_rip(A: np.ndarray, k: int, delta: int, p: int, samples: int, seed: int) -> float:
     """Worst observed isometry defect over random feasible unit vectors.
 
     Draws ``samples`` supports, fills them with normalized Gaussian
@@ -197,13 +179,14 @@ def empirical_rip(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    n = A.shape[1]
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        support = random_feasible_support(model.n, k, delta, p, rng)
+        support = random_feasible_support(n, k, delta, p, rng)
         coeffs = rng.standard_normal(len(support))
         coeffs /= np.linalg.norm(coeffs)
         cols = np.asarray(support, dtype=np.intp) - 1
-        image = model.A[:, cols] @ coeffs
+        image = A[:, cols] @ coeffs
         worst = max(worst, abs(float(image @ image) - 1.0))
     return worst

@@ -203,12 +203,12 @@ def test_ac8_tail_vector_rolling_equivalence():
 def _recovery_run(seed: int, sigma: float):
     n, k, delta = 200, 5, 20
     m = default_measurement_count(n, k)
-    model = gen_sensing(m, n, seed)
+    A = gen_sensing(m, n, seed)
     support = random_feasible_support(n, k, delta, 1, make_rng(seed, 1))
     x_true = np.zeros(n)
     x_true[np.asarray(support, dtype=int) - 1] = make_rng(seed, 2).standard_normal(k)
-    obs = measure(model, x_true, sigma, seed + 10_000)
-    x_hat, _ = am_iht(obs.y, model, k, delta, 30, 0.01, 0.01, x_true=x_true)
+    obs = measure(A, x_true, sigma, seed + 10_000)
+    x_hat, _ = am_iht(obs.y, A, k, delta, 30, 0.01, 0.01, x_true=x_true)
     err = float(np.linalg.norm(x_true - x_hat))
     return err, float(np.linalg.norm(x_true)), float(np.linalg.norm(obs.e))
 

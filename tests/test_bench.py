@@ -27,7 +27,6 @@ def small_quality(kind="uniform", spikes=1):
         algos=algos,
         quality=True,
         p=spikes,
-        kind=kind,
         gap=10.0 if kind == "poisson" else None,
     )
 
@@ -73,6 +72,15 @@ class TestSpikeCount:
             bench_sweep(Sweep([(60, 4, 4)], [AlgoSpec("dp")]), repeats=repeats)
 
 
+class TestSweep:
+    def test_gap_picks_the_instance_kind(self):
+        uniform = Sweep([(60, 4, 4)], [AlgoSpec("dp")])
+        poisson = Sweep([(60, 4, 4)], [AlgoSpec("dp")], gap=8.0)
+        assert uniform.kind == "uniform"
+        assert poisson.kind == "poisson"
+        assert [r.kind for r in bench_sweep(poisson, repeats=1)] == ["poisson"]
+
+
 class TestQuality:
     def test_guarantee_columns_and_determinism(self):
         rows1 = bench_sweep(small_quality(), seed=5, repeats=4)
@@ -105,7 +113,6 @@ class TestQuality:
             points=[(40, 20, 2)],
             algos=[AlgoSpec("head", 1)],
             quality=True,
-            kind="poisson",
             gap=8.0,
         )
         rows = bench_sweep(sweep, seed=123, repeats=1)

@@ -231,6 +231,15 @@ class TestRecover:
         assert out.startswith("iteration,residual,proxy")
         assert json.loads(err)["k"] == 2
 
+    def test_summary_has_one_format_on_either_stream(self, capsys, tmp_path):
+        args = ["recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "3", "--seed", "1"]
+        code, out, _ = run_cli(capsys, *args, "--out", str(tmp_path / "trace.csv"))
+        assert code == 0
+        code, trace_csv, err = run_cli(capsys, *args)
+        assert code == 0
+        assert trace_csv == (tmp_path / "trace.csv").read_text()
+        assert out == err
+
 
 @pytest.fixture
 def no_sweep(monkeypatch):

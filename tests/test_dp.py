@@ -192,7 +192,7 @@ class TestTableBuilder:
     @pytest.mark.parametrize("p", [1, 2])
     def test_budget_past_packing_limit_repeats_the_limit(self, p):
         # Levels past max_support_size repeat the last one, so solving at the
-        # limit answers any larger k.
+        # limit answers any larger k, at every level.
         rng = make_rng(151)
         for _ in range(200):
             x, n, _, _ = random_instance(rng, n_max=20)
@@ -201,8 +201,28 @@ class TestTableBuilder:
             at_limit = table_builder(p)(x, limit, delta)
             for k in (limit + 1, limit + 5):
                 table = table_builder(p)(x, k, delta)
-                assert table.values[-1] == at_limit.values[-1]
-                assert table[-1] == at_limit[-1]
+                past = k - limit
+                assert np.array_equal(table.values[:limit], at_limit.values)
+                assert np.all(table.values[limit:] == at_limit.values[-1])
+                assert list(table)[:limit] == list(at_limit)
+                assert list(table)[limit:] == [at_limit[-1]] * past
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_huge_budget_builds_flags_up_to_the_limit(self, p):
+        x = make_rng(157).random(6)
+        limit = max_support_size(6, 3, p)
+        at_limit = table_builder(p)(x, limit, 3)
+        table = table_builder(p)(x, 10**6, 3)
+        assert len(table.flags) == limit + 1
+        assert len(table) == table.values.size == 10**6
+        assert np.all(table.values[limit - 1 :] == at_limit.values[-1])
+        assert table[-1] == table[limit - 1] == at_limit[-1]
+
+    @pytest.mark.parametrize("solve", [dp_solve, dp_solve_2spike])
+    def test_empty_vector(self, solve):
+        values, sols = solve(np.zeros(0), 3, 2)
+        assert np.array_equal(values, np.zeros(3))
+        assert list(sols) == [(), (), ()]
 
     def test_builder_looked_up_when_called(self, monkeypatch):
         def replaced(x, budget, delta):

@@ -4,6 +4,8 @@ import pytest
 from sepsparse.generators import gen_poisson, gen_uniform
 from sepsparse.tail import strong_and_reduced
 
+from util import stepwise_poisson
+
 
 class TestUniform:
     def test_deterministic(self):
@@ -55,6 +57,32 @@ class TestPoisson:
         counts = [len(gen_poisson(50, 51.0, seed)[1]) for seed in range(200)]
         assert max(counts) <= 50
         assert float(np.mean(counts)) <= 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 4_000, 400_000])
+    def test_matches_stepwise_reference(self, n):
+        # Gaps from 1 up to far past n: dense trains, trains that need
+        # several chunks of draws, and trains of zero or one spike.
+        for gap in (1.0, 1.5, 3.7, 20.0, n / 2 + 1, float(n), n + 1.0, 10.0 * n, 1e6):
+            for seed in range(2 if n >= 4_000 else 12):
+                x, spikes = gen_poisson(n, gap, seed)
+                ref_x, ref_spikes = stepwise_poisson(n, gap, seed)
+                assert spikes == ref_spikes
+                assert all(type(pos) is int for pos in spikes)
+                assert np.array_equal(x, ref_x)
+
+    @pytest.mark.parametrize(
+        "gap, chunk, seed",
+        [(200.0, 18, 209775), (200.0, 18, 276760), (200.0, 18, 319989), (125.0, 24, 333347), (125.0, 24, 678170)],
+    )
+    def test_matches_stepwise_reference_over_several_chunks(self, gap, chunk, seed):
+        # Rare seeds whose first chunk of gaps sums to at most n = 1000: the
+        # train is only complete after a second chunk, so it has at least
+        # ``chunk`` spikes.
+        x, spikes = gen_poisson(1000, gap, seed)
+        ref_x, ref_spikes = stepwise_poisson(1000, gap, seed)
+        assert len(spikes) >= chunk
+        assert spikes == ref_spikes
+        assert np.array_equal(x, ref_x)
 
     def test_validation(self):
         with pytest.raises(ValueError):

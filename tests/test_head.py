@@ -107,7 +107,7 @@ class TestSliceSolve:
         x[2], x[3], x[6], x[7] = 5.0, 1.0, 4.0, 2.0
         assert slice_solve(keep_only(8, [3, 4, 7, 8]), x, 2, 2, 1) == (3, 7)
         assert slice_solve(keep_only(3, []), np.ones(3), 2, 2, 1) == ()
-        assert slice_solve(None, np.ones(3), 2, 2, 1) == (1, 3)
+        assert slice_solve(np.ones(3, dtype=bool), np.ones(3), 2, 2, 1) == (1, 3)
 
     def test_optimal_on_random_slices(self):
         rng = make_rng(67)
@@ -126,12 +126,12 @@ class TestSliceSolve:
 
     def test_rejects_p3_without_solver(self):
         with pytest.raises(ValueError):
-            slice_solve(None, np.ones(2), 1, 2, 3)
+            slice_solve(np.ones(2, dtype=bool), np.ones(2), 1, 2, 3)
         with pytest.raises(ValueError):
             head_project(np.ones(2), 1, 2, 3, 0.5)
         # A vector with no blocks still names the p it has no solver for.
         with pytest.raises(ValueError, match="p=3"):
-            slice_solve(None, np.zeros(4), 1, 2, 3)
+            slice_solve(np.ones(4, dtype=bool), np.zeros(4), 1, 2, 3)
         with pytest.raises(ValueError, match="p=3"):
             head_project(np.zeros(4), 1, 2, 3, 0.5)
 

@@ -214,3 +214,40 @@ def test_only_dp_picks_an_exact_solver():
         or (isinstance(node, ast.Attribute) and node.attr in solvers)
     ]
     assert found == []
+
+
+def _dotted(node) -> str | None:
+    """``np.random.rand`` for a chain of plain attribute lookups, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def test_only_seeding_draws_randomness():
+    # Bit-identical instances rest on every draw coming from seeding's
+    # generators; a module that imports `random` or calls into `numpy.random`
+    # draws around them.  Annotations such as np.random.Generator are fine.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [_dotted(node.func) or ""]
+            else:
+                continue
+            if any(
+                name == "random" or name.startswith(("random.", "numpy.random", "np.random."))
+                for name in names
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

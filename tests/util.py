@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from sepsparse.head import drop_phase
+from sepsparse.seeding import make_rng
 
 
 def window_scan_feasible(indices, delta: int, p: int = 1) -> bool:
@@ -96,3 +97,29 @@ def tail_bound_coefficient(alpha: float, mu: float) -> float:
     if denom_inner <= 0.0:
         raise ZeroDivisionError("1 - mu*alpha must stay positive")
     return alpha / (1.0 - (1.0 - alpha) / denom_inner)
+
+
+def stepwise_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Spike train drawn like ``gen_poisson``, placing one spike per Python step.
+
+    Draws the same chunks of rounded exponential gaps and adds them to the
+    position one at a time, stopping at the first position past ``n``.
+    """
+    rng = make_rng(seed)
+    chunk = max(16, int(2 * n / expected_gap) + 8)
+    positions: list[int] = []
+    pos = 0
+    done = False
+    while not done:
+        gaps = np.maximum(1, np.rint(rng.exponential(expected_gap, size=chunk))).astype(np.int64)
+        for g in gaps:
+            pos += int(g)
+            if pos > n:
+                done = True
+                break
+            positions.append(pos)
+    values = rng.random(len(positions))
+    x = np.zeros(n)
+    for pos, value in zip(positions, values):
+        x[pos - 1] = value
+    return x, tuple(positions)
