@@ -46,9 +46,10 @@ GUARANTEE_SLACK = 1e-9
 class AlgoSpec:
     """One benchmarked algorithm: 'dp', 'head', or 'tail'.
 
-    ``lam`` is the precision knob of the approximate algorithms (head runs
-    at epsilon = 1/lam, tail at epsilon = 2/lam).  The spike count comes
-    from the sweep.
+    ``lam`` is the precision knob of the approximate algorithms: head and
+    tail each solve ``lam + 1`` keep-sets, at an epsilon well inside the
+    range that maps back to ``lam`` (``1/lam`` itself can map to
+    ``lam + 1``).  The spike count comes from the sweep.
     """
 
     algo: str
@@ -64,11 +65,11 @@ class AlgoSpec:
         if self.algo == "dp":
             return dp.table_builder(p)(x, k, delta)[-1]
         if self.algo == "head":
-            return head_project(x, k, delta, p, 1.0 / self.lam)
+            return head_project(x, k, delta, p, 1.0 / (self.lam - 0.5))
         if self.algo == "tail":
             if p != 1:
                 raise ValueError(f"tail supports p = 1 only, got p={p}")
-            return tail_project(x, k, delta, 2.0 / self.lam)
+            return tail_project(x, k, delta, 2.0 / (self.lam - 0.5))
         raise ValueError(f"unknown algo {self.algo!r}")
 
 

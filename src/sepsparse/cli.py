@@ -47,16 +47,6 @@ def _project_opt(x, k, delta, spikes):
     return float(build(x, k, delta).values[-1])
 
 
-def _resolve_spikes(args) -> int:
-    spikes = args.spikes if args.spikes is not None else (2 if args.algo == "dp2" else 1)
-    if spikes < 1:
-        raise ConfigError("--spikes must be >= 1")
-    allowed = {"dp": (1,), "dp2": (2,), "tail": (1,), "topk": (1,)}
-    if args.algo in allowed and spikes not in allowed[args.algo]:
-        raise ConfigError(f"--algo {args.algo} supports --spikes {allowed[args.algo]}, got {spikes}")
-    return spikes
-
-
 def _cmd_project(args) -> int:
     x = read_vector(args.infile)
     if x.size == 0:
@@ -65,14 +55,17 @@ def _cmd_project(args) -> int:
         raise ConfigError("input vector has negative entries; square it first")
     if args.k < 1 or args.delta < 1:
         raise ConfigError("k and delta must be >= 1")
-    spikes = _resolve_spikes(args)
+    spikes = args.spikes
+    if args.algo in ("tail", "topk") and spikes != 1:
+        raise ConfigError(f"--algo {args.algo} supports --spikes 1 only, got {spikes}")
     needs_eps = args.algo in ("head", "tail")
     if needs_eps and args.epsilon is None:
         raise ConfigError(f"--epsilon is required for --algo {args.algo}")
 
     start = time.perf_counter()
-    if args.algo in ("dp", "dp2"):
-        # Levels past the packing limit repeat the last one; skip building them.
+    if args.algo == "dp":
+        # The table holds one value per budget level, and levels past the
+        # packing limit repeat it; solving at the limit keeps that small.
         k = min(args.k, max_support_size(x.size, min(args.delta, x.size), spikes))
         support = dp.table_builder(spikes)(x, k, args.delta)[-1]
     elif args.algo == "head":
@@ -97,7 +90,7 @@ def _cmd_project(args) -> int:
         "runtime_ms": round(runtime_ms, 3),
     }
     if args.algo in ("head", "tail", "topk"):
-        opt = _project_opt(x, args.k, args.delta, spikes if args.algo == "head" else 1)
+        opt = _project_opt(x, args.k, args.delta, spikes)
         if opt is not None:
             result["opt"] = opt
             result["head_ratio"] = value / opt if opt > 0 else None
@@ -167,14 +160,16 @@ def _cmd_recover(args) -> int:
 def _cmd_gen(args) -> int:
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
-    if args.kind == "poisson":
-        if args.gap is None or args.gap < 1:
-            raise ConfigError("poisson generation needs --gap >= 1")
+    if args.gap is None:
+        if args.spikes_out:
+            raise ConfigError("--spikes-out needs --gap: uniform instances have no spikes")
+        x = gen_uniform(args.n, args.seed)
+    else:
+        if args.gap < 1:
+            raise ConfigError("--gap must be >= 1")
         x, spikes = gen_poisson(args.n, args.gap, args.seed)
         if args.spikes_out:
             write_support(args.spikes_out, spikes)
-    else:
-        x = gen_uniform(args.n, args.seed)
     if args.out:
         write_vector(args.out, x)
     else:
@@ -221,11 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--in", dest="infile", required=True, help="vector file, one number per line")
     proj.add_argument("--k", type=int, required=True)
     proj.add_argument("--delta", type=int, required=True)
-    proj.add_argument("--spikes", type=int, default=None,
-                      help="spike count; defaults to 2 for dp2, otherwise 1")
-    proj.add_argument(
-        "--algo", required=True, choices=["dp", "dp2", "head", "tail", "topk", "oracle"]
-    )
+    proj.add_argument("--spikes", type=int, default=1,
+                      help="spike count p of the model (tail and topk take only 1)")
+    proj.add_argument("--algo", required=True, choices=["dp", "head", "tail", "topk", "oracle"])
     proj.add_argument("--epsilon", type=float, default=None)
     proj.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     proj.set_defaults(func=_cmd_project)
@@ -244,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.set_defaults(func=_cmd_recover)
 
     gen = sub.add_parser("gen", help="generate a random instance vector")
-    gen.add_argument("--kind", required=True, choices=["uniform", "poisson"])
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--gap", type=float, default=None, help="expected spike gap (poisson)")
+    gen.add_argument("--gap", type=float, default=None,
+                     help="expected spike gap of a Poisson spike train (uniform without it)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
     gen.add_argument("--spikes-out", default=None, help="also write the spike support here")

@@ -9,17 +9,17 @@ Three solvers live here:
 :func:`table_builder` is the one place that maps a spike count ``p`` to
 its budgeted recurrence; every caller that picks an exact solver by ``p``
 goes through it.  A ``delta`` of ``n`` or more is the same problem as
-``delta = n``.
+``delta = n``, so every solver clamps it in one shared prologue.
 
 Each records take-flags during the forward pass, bit-packed with
 ``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and reconstructs a
 support by walking them back.  The budgeted tables build a level's support
 only when it is asked for.  They run levels only up to the packing limit
-``max_support_size``: every level past it repeats the limit's value and
-support, so ``values`` keeps one entry per budget but no flag row is built
-past the limit.  Ties in every max are broken toward *not* taking the
-current index, so reconstructed supports are deterministic and stable
-across runs.
+``max_support_size``: every budget past it has the limit's value and
+support, so ``values`` keeps one entry per budget while flag rows and
+cached supports stop at the limit.  Ties in every max are broken toward
+*not* taking the current index, so reconstructed supports are
+deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -29,8 +29,9 @@ allocated.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +47,14 @@ __all__ = [
     "dp_solve_unrestricted",
     "table_builder",
 ]
+
+
+def _prepare(x, delta: int) -> tuple[np.ndarray, int, int]:
+    """Validated weights, their length ``n``, and ``delta`` clamped to ``max(n, 1)``."""
+    x = as_weights(x)
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    return x, x.size, min(delta, max(x.size, 1))
 
 
 def _nearest_take(row: np.ndarray, i: int) -> int:
@@ -74,22 +83,44 @@ def _nearest_take(row: np.ndarray, i: int) -> int:
     return (b << 3) + 8 - (byte & -byte).bit_length()
 
 
+def _walk(rows: Iterable[np.ndarray], i: int, delta: int) -> tuple[int, ...]:
+    """The 1-spike support read back from prefix ``i``, one take row per pick.
+
+    After a pick the walk resumes ``delta`` before it in the next row.
+    """
+    sol: list[int] = []
+    for row in rows:
+        if i < 1:
+            break
+        i = _nearest_take(row, i)
+        if i == 0:
+            break
+        sol.append(i)
+        i -= delta
+    return tuple(reversed(sol))
+
+
 class _DpTable(Sequence):
     """Per-level optima and packed take-flags of a budgeted recurrence.
 
-    ``values[ell-1]`` is the optimum with budget ``ell``.  As a read-only
-    sequence of length ``budget``, item ``j`` is the support for budget
-    ``j + 1``: built by the subclass's ``support(j + 1)`` on first access,
-    then cached.  ``flags`` holds levels 0 to ``top`` only, ``top`` being
-    the budget capped at the packing limit, where levels stop changing.
+    ``values[ell-1]`` is the optimum with budget ``ell``.  ``flags`` holds
+    levels 0 to ``top`` only, ``top`` being the budget capped at the
+    packing limit, where levels stop changing; the builders fill
+    ``values`` up to ``top`` and the table repeats the last of them.  As a
+    read-only sequence of length ``budget``, item ``j`` is the support for
+    budget ``j + 1``, or for ``top`` past it: built by the subclass's
+    ``support`` on first access, then cached per level.
     """
 
     def __init__(self, values: np.ndarray, flags: np.ndarray, delta: int, n: int):
+        top = len(flags) - 1
+        if 0 < top < values.size:
+            values[top:] = values[top - 1]
         self.values = values
         self.flags = flags
         self.delta = delta
         self.n = n
-        self._built: list[tuple[int, ...] | None] = [None] * values.size
+        self._built: list[tuple[int, ...] | None] = [None] * (top + 1)
 
     def __len__(self) -> int:
         return self.values.size
@@ -99,10 +130,10 @@ class _DpTable(Sequence):
         size = self.values.size
         if not -size <= j < size:
             raise IndexError(f"level index {j} outside a table of {size} levels")
-        j %= size
-        sol = self._built[j]
+        lev = min(j % size + 1, len(self._built) - 1)
+        sol = self._built[lev]
         if sol is None:
-            sol = self._built[j] = self.support(j + 1)
+            sol = self._built[lev] = self.support(lev)
         return sol
 
     def _start_level(self, ell: int) -> int:
@@ -121,27 +152,14 @@ class DpTable1(_DpTable):
 
     def support(self, ell: int) -> tuple[int, ...]:
         """Reconstruct an optimal support for budget ``ell``."""
-        lev = self._start_level(ell)
-        sol: list[int] = []
-        i = self.n
-        while lev >= 1 and i >= 1:
-            i = _nearest_take(self.flags[lev], i)
-            if i == 0:
-                break
-            sol.append(i)
-            i -= self.delta
-            lev -= 1
-        return tuple(reversed(sol))
+        return _walk(self.flags[self._start_level(ell) : 0 : -1], self.n, self.delta)
 
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget."""
-    x = as_weights(x)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    n = x.size
+    x, n, delta = _prepare(x, delta)
     s = min(delta, n)
-    top = min(budget, max_support_size(n, min(delta, max(n, 1)), 1))
+    top = min(budget, max_support_size(n, delta, 1))
     flags = np.zeros((top + 1, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(budget)
     # Level rows live at [s:]; [1 : n + 1] is prev[i - delta] for i = 1..n.
@@ -156,8 +174,6 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
         flags[ell] = np.packbits(take)
         values[ell - 1] = row[s + n]
         prev, row = row, prev
-    if 0 < top < budget:
-        values[top:] = values[top - 1]
     return DpTable1(values, flags, delta, n)
 
 
@@ -202,16 +218,10 @@ class DpTable2(_DpTable):
 def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     """Run the budgeted 2-spike recurrence on ``x`` for all levels <= budget.
 
-    The width axis is sized by ``delta``, so a ``delta`` past ``n`` is
-    clamped to ``n``, which admits the same supports.  With ``delta == 1``
-    the window constraint is vacuous and the 1-spike recurrence at
-    separation 1 solves the same problem, so we reuse it.
+    With ``delta == 1`` the window constraint is vacuous and the 1-spike
+    recurrence at separation 1 solves the same problem, so we reuse it.
     """
-    x = as_weights(x)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    n = x.size
-    delta = min(delta, max(n, 1))
+    x, n, delta = _prepare(x, delta)
     if delta == 1:
         return build_table_1spike(x, budget, 1)
     s = delta - 1
@@ -238,8 +248,6 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
         flags[ell] = np.packbits(take, axis=1)
         values[ell - 1] = V[1, s + n]
         P, V = V, P
-    if 0 < top < budget:
-        values[top:] = values[top - 1]
     return DpTable2(values, flags, delta, n)
 
 
@@ -278,10 +286,7 @@ def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...
 
 def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
     """Budget-free 1-spike solver; equivalent to any budget >= ceil(n/delta)."""
-    x = as_weights(x)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    n = x.size
+    x, n, delta = _prepare(x, delta)
     best = np.zeros(n + 1)
     flags = np.zeros(n + 1, dtype=bool)
     for i in range(1, n + 1):
@@ -291,16 +296,7 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
             flags[i] = True
         else:
             best[i] = best[i - 1]
-    packed = np.packbits(flags)
-    sol: list[int] = []
-    i = n
-    while i >= 1:
-        i = _nearest_take(packed, i)
-        if i == 0:
-            break
-        sol.append(i)
-        i -= delta
-    return float(best[n]), tuple(reversed(sol))
+    return float(best[n]), _walk(itertools.repeat(np.packbits(flags)), n, delta)
 
 
 def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sepsparse import head
 from sepsparse.bench import (
     AlgoSpec,
     CSV_FIELDS,
@@ -18,6 +19,7 @@ from sepsparse.bench import (
     run_preset,
 )
 from sepsparse.dp import dp_solve_2spike
+from sepsparse.seeding import make_rng
 
 
 def small_quality(kind="uniform", spikes=1):
@@ -70,6 +72,20 @@ class TestSpikeCount:
     def test_repeats_must_be_positive(self, repeats):
         with pytest.raises(ValueError, match="repeats"):
             bench_sweep(Sweep([(60, 4, 4)], [AlgoSpec("dp")]), repeats=repeats)
+
+
+class TestLam:
+    @pytest.mark.parametrize("algo", ["head", "tail"])
+    def test_runs_the_keep_sets_it_is_labelled_with(self, monkeypatch, algo):
+        # epsilon = 1/lam turns back into ceil(1/epsilon) = lam + 1 for
+        # lam = 49, 98, 103, 107, 196, ...; the count must stay lam + 1.
+        keep_sets = []
+        monkeypatch.setattr(head, "slice_solve", lambda keep, *args: keep_sets.append(keep) or ())
+        x = make_rng(211).random(5000)
+        for lam in [*range(1, 120), 196, 197, 206, 1000, 1600]:
+            keep_sets.clear()
+            AlgoSpec(algo, lam).run(x, 10, 3, 1)
+            assert len(keep_sets) == lam + 1, f"{AlgoSpec(algo, lam).label(1)} ran {len(keep_sets)}"
 
 
 class TestSweep:

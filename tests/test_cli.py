@@ -1,11 +1,15 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sepsparse import bench as bench_mod
-from sepsparse.cli import main
+from sepsparse import dp
+from sepsparse.cli import build_parser, main
 from sepsparse.serialize import read_vector, write_vector
 
 
@@ -37,14 +41,39 @@ class TestProject:
 
     def test_dp2(self, capsys, vector_file):
         code, out, _ = run_cli(
-            capsys, "project", "--in", vector_file, "--k", "3", "--delta", "3", "--algo", "dp2",
+            capsys, "project", "--in", vector_file, "--k", "3", "--delta", "3",
+            "--algo", "dp", "--spikes", "2",
         )
         assert code == 0
         result = json.loads(out)
-        assert result["spikes"] == 2  # dp2 implies the two-spike model
+        assert result["spikes"] == 2
         # oracle-checked: {2, 3, 5} is two-spike feasible at delta=3
         assert result["support"] == [2, 3, 5]
         assert result["value"] == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("spikes", [1, 2])
+    def test_dp_runs_the_table_builder_for_spikes(self, capsys, vector_file, spikes):
+        code, out, _ = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "3", "--delta", "3",
+            "--algo", "dp", "--spikes", str(spikes),
+        )
+        assert code == 0
+        expected = dp.table_builder(spikes)(read_vector(vector_file), 3, 3)[-1]
+        assert json.loads(out)["support"] == list(expected)
+
+    def test_dp_without_exact_solver_for_p(self, capsys, vector_file):
+        code, out, err = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",
+            "--algo", "dp", "--spikes", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "p=3" in err
+
+    def test_dp2_is_not_an_algo(self, capsys, vector_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--in", vector_file, "--k", "2", "--delta", "2", "--algo", "dp2"])
+        assert exc.value.code == 2
 
     def test_spikes_algo_mismatch(self, capsys, vector_file):
         code, _, err = run_cli(
@@ -63,26 +92,29 @@ class TestProject:
         assert out == ""
         assert "p=3" in err
 
-    @pytest.mark.parametrize("algo", ["head", "tail", "dp2"])
-    def test_huge_delta_runs_as_delta_n(self, capsys, vector_file, algo):
+    @pytest.mark.parametrize(
+        "algo_args",
+        [["head", "--epsilon", "0.5"], ["tail", "--epsilon", "0.5"], ["dp", "--spikes", "2"]],
+        ids=["head", "tail", "dp2"],
+    )
+    def test_huge_delta_runs_as_delta_n(self, capsys, vector_file, algo_args):
         results = []
         for delta in ("4611686018427387904", "6"):
-            args = ["project", "--in", vector_file, "--k", "2", "--delta", delta, "--algo", algo]
-            if algo in ("head", "tail"):
-                args += ["--epsilon", "0.5"]
+            args = ["project", "--in", vector_file, "--k", "2", "--delta", delta, "--algo", *algo_args]
             code, out, _ = run_cli(capsys, *args)
             assert code == 0
             results.append(json.loads(out))
         assert results[0]["support"] == results[1]["support"]
         assert results[0]["value"] == results[1]["value"]
 
-    @pytest.mark.parametrize("algo, limit", [("dp", 3), ("dp2", 6)])
-    def test_k_past_packing_limit_solves_at_the_limit(self, capsys, vector_file, algo, limit):
+    @pytest.mark.parametrize("spikes, limit", [("1", 3), ("2", 6)], ids=["dp-3", "dp2-6"])
+    def test_k_past_packing_limit_solves_at_the_limit(self, capsys, vector_file, spikes, limit):
         # 6 entries at delta 2 pack 3 one-spike or 6 two-spike picks.
         results = []
         for k in ("4611686018427387904", str(limit)):
             code, out, _ = run_cli(
-                capsys, "project", "--in", vector_file, "--k", k, "--delta", "2", "--algo", algo
+                capsys, "project", "--in", vector_file, "--k", k, "--delta", "2",
+                "--algo", "dp", "--spikes", spikes,
             )
             assert code == 0
             results.append(json.loads(out))
@@ -176,14 +208,14 @@ class TestProject:
 class TestGen:
     def test_uniform_to_file_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert run_cli(capsys, "gen", "--kind", "uniform", "--n", "50", "--seed", "4", "--out", str(p1))[0] == 0
-        assert run_cli(capsys, "gen", "--kind", "uniform", "--n", "50", "--seed", "4", "--out", str(p2))[0] == 0
+        assert run_cli(capsys, "gen", "--n", "50", "--seed", "4", "--out", str(p1))[0] == 0
+        assert run_cli(capsys, "gen", "--n", "50", "--seed", "4", "--out", str(p2))[0] == 0
         assert np.array_equal(read_vector(p1), read_vector(p2))
 
     def test_poisson_with_spikes_out(self, capsys, tmp_path):
         vec, spk = tmp_path / "v.txt", tmp_path / "s.txt"
         code, _, _ = run_cli(
-            capsys, "gen", "--kind", "poisson", "--n", "100", "--gap", "5",
+            capsys, "gen", "--n", "100", "--gap", "5",
             "--seed", "1", "--out", str(vec), "--spikes-out", str(spk),
         )
         assert code == 0
@@ -191,12 +223,22 @@ class TestGen:
         spikes = [int(v) for v in spk.read_text().strip().split(",")]
         assert all(x[i - 1] > 0 for i in spikes)
 
-    def test_poisson_needs_gap(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--kind", "poisson", "--n", "10")
+    def test_spikes_out_needs_gap(self, capsys, tmp_path):
+        spk = tmp_path / "s.txt"
+        code, out, err = run_cli(capsys, "gen", "--n", "10", "--spikes-out", str(spk))
         assert code == 2
+        assert out == ""
+        assert "--gap" in err
+        assert not spk.exists()
+
+    def test_gap_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--n", "10", "--gap", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "--gap" in err
 
     def test_stdout_output(self, capsys):
-        code, out, _ = run_cli(capsys, "gen", "--kind", "uniform", "--n", "3", "--seed", "0")
+        code, out, _ = run_cli(capsys, "gen", "--n", "3", "--seed", "0")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
@@ -285,3 +327,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```bash\n(.*?)^```", readme.read_text(), re.M | re.S)
+        commands = [
+            shlex.split(line, comments=True)
+            for block in blocks
+            for line in block.splitlines()
+            if line.startswith("sepsparse ")
+        ]
+        assert commands
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")

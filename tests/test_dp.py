@@ -217,6 +217,24 @@ class TestTableBuilder:
         assert len(table) == table.values.size == 10**6
         assert np.all(table.values[limit - 1 :] == at_limit.values[-1])
         assert table[-1] == table[limit - 1] == at_limit[-1]
+        assert table[-1] is table[limit - 1]
+
+    @pytest.mark.parametrize("p, table_cls", [(1, DpTable1), (2, DpTable2)])
+    def test_levels_past_the_limit_share_one_support(self, monkeypatch, p, table_cls):
+        x = make_rng(163).random(6)
+        limit = max_support_size(6, 3, p)
+        table = table_builder(p)(x, 50, 3)
+        calls = []
+        original = table_cls.support
+
+        def counting(self, ell):
+            calls.append(ell)
+            return original(self, ell)
+
+        monkeypatch.setattr(table_cls, "support", counting)
+        sols = list(table)
+        assert sorted(calls) == list(range(1, limit + 1))  # limit calls, not 50
+        assert sols[limit:] == [sols[limit - 1]] * (50 - limit)
 
     @pytest.mark.parametrize("solve", [dp_solve, dp_solve_2spike])
     def test_empty_vector(self, solve):
