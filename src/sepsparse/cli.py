@@ -146,6 +146,8 @@ def _cmd_recover(args) -> int:
         "residual": trace.residuals[-1],
         "proxy": trace.proxies[-1],
         "noise_norm": float(np.linalg.norm(obs.e)),
+        "head_path": trace.head_path,
+        "tail_path": trace.tail_path,
     }
     if args.out:
         with open(args.out, "w") as fh:
@@ -165,8 +167,8 @@ def _cmd_gen(args) -> int:
             raise ConfigError("--spikes-out needs --gap: uniform instances have no spikes")
         x = gen_uniform(args.n, args.seed)
     else:
-        if args.gap < 1:
-            raise ConfigError("--gap must be >= 1")
+        if not args.gap >= 1:  # also rejects NaN
+            raise ConfigError(f"--gap must be >= 1, got {args.gap}")
         x, spikes = gen_poisson(args.n, args.gap, args.seed)
         if args.spikes_out:
             write_support(args.spikes_out, spikes)

@@ -23,12 +23,13 @@ def gen_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tup
     nearest integer with a floor of 1.  The spikes sit at the running sums
     of the gaps that stay at or below n; drawing stops after the first chunk
     of gaps that passes n.  Spike entries are uniform in [0, 1), everything
-    else exactly 0.
+    else exactly 0.  Any gap past n ends the train, so gaps are clipped to
+    n + 1, which keeps a huge or infinite ``expected_gap`` in int64 range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if expected_gap < 1:
-        raise ValueError("expected_gap must be >= 1")
+    if not expected_gap >= 1:  # also rejects NaN
+        raise ValueError(f"expected_gap must be >= 1, got {expected_gap}")
     rng = make_rng(seed)
     # Chunked draws: the chunk size depends only on (n, expected_gap), so
     # the stream of consumed variates is deterministic per seed.
@@ -36,7 +37,8 @@ def gen_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tup
     ends: list[np.ndarray] = []
     pos = 0
     while pos <= n:
-        gaps = np.maximum(1, np.rint(rng.exponential(expected_gap, size=chunk))).astype(np.int64)
+        gaps = np.rint(rng.exponential(expected_gap, size=chunk))
+        gaps = np.clip(gaps, 1, n + 1).astype(np.int64)
         chunk_ends = pos + np.cumsum(gaps)
         ends.append(chunk_ends[chunk_ends <= n])
         pos = int(chunk_ends[-1])

@@ -6,6 +6,11 @@ here reads ``m`` and ``n`` from its shape.  Recovery alternates a
 head projection of the gradient (doubled budget, two spikes: the residual of
 two separated supports is two-spike separated) with a tail projection of the
 updated iterate (original budget, one spike).
+
+Each projection's windowed loop caps ``lam`` at ``ceil(n/delta)``; at that
+cap its last keep-set is the whole ground set, so the loop ends in an exact
+solve anyway.  A step whose ``lam`` reaches the cap therefore calls the
+exact DP once instead, and every other step runs the windowed projector.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dp
 from .head import head_project
 from .model import InfeasibleParameters, as_signal, is_feasible, max_support_size, restrict, squared_weights
 from .seeding import make_rng
@@ -44,11 +50,18 @@ class Measurement:
 
 @dataclass
 class RecoveryTrace:
-    """Per-iterate supports and error norms, including the zero start."""
+    """Per-iterate supports and error norms, including the zero start.
+
+    ``head_path`` and ``tail_path`` name how every head and every tail
+    step was projected: ``"exact"`` (one exact DP call) or ``"windowed"``
+    (the best-over-windows loop).
+    """
 
     supports: list[tuple[int, ...]] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     proxies: list[float] = field(default_factory=list)
+    head_path: str = "windowed"
+    tail_path: str = "windowed"
 
     @property
     def iterations(self) -> int:
@@ -79,6 +92,21 @@ def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     return Measurement(y=A @ x + e, e=e)
 
 
+def _reaches_cap(scale: float, epsilon: float, n: int, delta: int) -> bool:
+    """Whether the window loop's ``lam = ceil(scale/epsilon)`` reaches its cap ``ceil(n/delta)``."""
+    # scale/epsilon overflows to inf for a tiny epsilon; min() keeps it at n.
+    return math.ceil(min(scale / epsilon, n)) >= math.ceil(n / min(delta, max(n, 1)))
+
+
+def _exact_support(w: np.ndarray, budget: int, delta: int, p: int) -> tuple[int, ...]:
+    """An optimal support of the exact DP for spike count ``p``; ``()`` for no budget."""
+    # Levels past the packing limit repeat it, so solving at the limit is the same.
+    budget = min(budget, max_support_size(w.size, delta, p))
+    if budget <= 0:
+        return ()
+    return dp.table_builder(p)(w, budget, delta)[-1]
+
+
 def am_iht(
     y,
     A: np.ndarray,
@@ -99,6 +127,15 @@ def am_iht(
     support, and restricts.  Residual norms are recorded
     when ``x_true`` is supplied; ``stop_tol`` optionally ends the loop when
     the measurement-space proxy stalls.
+
+    The head step runs the exact 2-spike DP when ``ceil(min(1/eps_head,
+    n))`` reaches ``ceil(n/delta)``, and the tail step the exact 1-spike DP
+    when ``ceil(min(2/eps_tail, n))`` does: the windowed loop would end in
+    that same exact solve.  An exact support meets both the head and the
+    tail guarantee.  Otherwise the step calls :func:`head_project` or
+    :func:`tail_project`.  The trace's ``head_path`` and ``tail_path`` say
+    which ran.  The epsilons and ``delta`` are checked up front, as the
+    windowed projectors check them, whichever path runs.
     """
     m, n = A.shape
     y = as_signal(y)
@@ -106,6 +143,15 @@ def am_iht(
         raise ValueError(f"measurement length {y.size} != model height {m}")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    for epsilon in (eps_head, eps_tail):
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
+    head_exact = _reaches_cap(1.0, eps_head, n, delta)
+    tail_exact = _reaches_cap(2.0, eps_tail, n, delta)
     budget = 2 * k
     truth = None if x_true is None else as_signal(x_true)
 
@@ -120,14 +166,24 @@ def am_iht(
         supports=[()],
         residuals=[residual_norm(xj)],
         proxies=[float(np.linalg.norm(res))],
+        head_path="exact" if head_exact else "windowed",
+        tail_path="exact" if tail_exact else "windowed",
     )
     for _ in range(iterations):
         g = A.T @ res
-        h_support = head_project(squared_weights(g), budget, delta, HEAD_SPIKES, eps_head)
+        w = squared_weights(g)
+        if head_exact:
+            h_support = _exact_support(w, budget, delta, HEAD_SPIKES)
+        else:
+            h_support = head_project(w, budget, delta, HEAD_SPIKES, eps_head)
         if not is_feasible(h_support, n, budget, delta, HEAD_SPIKES):
             raise RuntimeError(f"head projection returned an infeasible support {h_support}")
         merged = xj + restrict(g, h_support)
-        t_support = tail_project(squared_weights(merged), k, delta, eps_tail)
+        w = squared_weights(merged)
+        if tail_exact:
+            t_support = _exact_support(w, k, delta, 1)
+        else:
+            t_support = tail_project(w, k, delta, eps_tail)
         if not is_feasible(t_support, n, k, delta, 1):
             raise RuntimeError(f"tail projection returned an infeasible support {t_support}")
         xj = restrict(merged, t_support)

@@ -237,6 +237,18 @@ class TestGen:
         assert out == ""
         assert "--gap" in err
 
+    @pytest.mark.parametrize("gap", ["1e300", "inf"])
+    def test_gap_past_int64_returns(self, capsys, gap):
+        code, out, _ = run_cli(capsys, "gen", "--n", "5", "--gap", gap)
+        assert code == 0
+        assert [float(v) for v in out.split()] == [0.0] * 5
+
+    def test_gap_nan_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--n", "5", "--gap", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--gap" in err
+
     def test_stdout_output(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--n", "3", "--seed", "0")
         assert code == 0
@@ -254,9 +266,29 @@ class TestRecover:
         summary = json.loads(out)
         assert summary["m"] > 0
         assert summary["residual"] <= 1e-6
+        # eps 0.1 gives lam 10 (head) and 20 (tail), past ceil(60/8) = 8.
+        assert (summary["head_path"], summary["tail_path"]) == ("exact", "exact")
         rows = list(csv.DictReader(trace_path.read_text().splitlines()))
         assert len(rows) == summary["iterations"] + 1
         assert list(rows[0].keys()) == ["iteration", "residual", "proxy"]
+
+    def test_coarse_epsilon_reports_the_windowed_path(self, capsys):
+        code, _, err = run_cli(
+            capsys, "recover", "--n", "40", "--k", "2", "--delta", "5",
+            "--iters", "2", "--eps", "0.5", "--seed", "1",
+        )
+        assert code == 0
+        summary = json.loads(err)
+        assert (summary["head_path"], summary["tail_path"]) == ("windowed", "windowed")
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_bad_epsilon_exits_2(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "1", "--eps", eps
+        )
+        assert code == 2
+        assert out == ""
+        assert "epsilon must be finite and positive" in err
 
     def test_infeasible_parameters_exit_3(self, capsys):
         code, _, err = run_cli(

@@ -89,4 +89,15 @@ class TestPoisson:
             gen_poisson(10, 0.5, 0)
         with pytest.raises(ValueError):
             gen_poisson(0, 2.0, 0)
+        with pytest.raises(ValueError, match="expected_gap"):
+            gen_poisson(10, float("nan"), 0)
+
+    @pytest.mark.parametrize("gap", [1e300, float("inf")])
+    def test_gap_past_int64_returns_an_empty_train(self, gap):
+        # Gaps this large once wrapped to negative int64 positions, and the
+        # draw loop never ended.
+        for seed in range(5):
+            x, spikes = gen_poisson(5, gap, seed)
+            assert spikes == ()
+            assert np.array_equal(x, np.zeros(5))
 

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from sepsparse.model import InfeasibleParameters, is_feasible
+import sepsparse.recovery as recovery
+from sepsparse.head import head_project
+from sepsparse.model import InfeasibleParameters, is_feasible, objective
 from sepsparse.recovery import (
     am_iht,
     default_measurement_count,
@@ -11,6 +15,7 @@ from sepsparse.recovery import (
     random_feasible_support,
 )
 from sepsparse.seeding import make_rng
+from sepsparse.tail import tail_project
 
 
 def planted_signal(n, k, delta, seed):
@@ -146,8 +151,8 @@ class TestAmIht:
         assert trace.supports[-1] == support
 
     def test_infeasible_projection_raises(self, monkeypatch):
-        import sepsparse.recovery as recovery
-
+        # eps 0.5 gives lam 2 (head) and 4 (tail), below ceil(40/5) = 8, so
+        # the head step takes the windowed path and calls the patched projector.
         n, k, delta = 40, 2, 5
         A = gen_sensing(default_measurement_count(n, k), n, 7)
         x, _ = planted_signal(n, k, delta, 7)
@@ -174,6 +179,129 @@ class TestAmIht:
             if all(b <= a + 1e-12 for a, b in zip(after_first, after_first[1:])):
                 monotone += 1
         assert monotone >= 18
+
+
+def ac9_instance(seed, sigma=0.0):
+    n, k, delta = 200, 5, 20
+    A = gen_sensing(default_measurement_count(n, k), n, seed)
+    x, _ = planted_signal(n, k, delta, seed)
+    return measure(A, x, sigma, seed + 10_000).y, A, x
+
+
+def refuse(*args):
+    raise AssertionError("the windowed projector ran on the exact path")
+
+
+class TestProjectionPath:
+    def test_ac9_parameters_take_the_exact_path(self, monkeypatch):
+        # lam is 100 for head and 200 for tail; both reach ceil(200/20) = 10.
+        monkeypatch.setattr(recovery, "head_project", refuse)
+        monkeypatch.setattr(recovery, "tail_project", refuse)
+        for seed, sigma in ((0, 0.0), (1, 0.005)):
+            y, A, x = ac9_instance(seed, sigma)
+            x_hat, trace = am_iht(y, A, 5, 20, 30, 0.01, 0.01, x_true=x)
+            assert (trace.head_path, trace.tail_path) == ("exact", "exact")
+            assert trace.iterations == 30
+            if sigma == 0.0:
+                assert np.linalg.norm(x - x_hat) <= 1e-3 * np.linalg.norm(x)
+
+    def test_coarse_epsilon_takes_the_windowed_path_once_per_iteration(self, monkeypatch):
+        # eps 0.5 gives lam 2 (head) and 4 (tail), both below the cap of 10.
+        calls = {"head": 0, "tail": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(recovery, "head_project", counted("head", head_project))
+        monkeypatch.setattr(recovery, "tail_project", counted("tail", tail_project))
+        y, A, x = ac9_instance(2)
+        _, trace = am_iht(y, A, 5, 20, 6, 0.5, 0.5, x_true=x)
+        assert (trace.head_path, trace.tail_path) == ("windowed", "windowed")
+        assert calls == {"head": 6, "tail": 6}
+
+    def test_each_step_picks_its_own_path(self, monkeypatch):
+        # Head lam ceil(1/0.2) = 5 misses the cap of 10; tail lam 10 reaches it.
+        monkeypatch.setattr(recovery, "tail_project", refuse)
+        y, A, x = ac9_instance(3)
+        _, trace = am_iht(y, A, 5, 20, 3, 0.2, 0.2, x_true=x)
+        assert (trace.head_path, trace.tail_path) == ("windowed", "exact")
+
+    def test_exact_support_beats_the_windowed_one_at_the_cap(self):
+        rng = make_rng(4242)
+        cases = 0
+        for _ in range(240):
+            n = int(rng.integers(1, 61))
+            kind = int(rng.integers(0, 3))
+            if kind == 0:  # ties
+                w = rng.integers(0, 3, size=n).astype(float)
+            elif kind == 1:  # zero runs
+                w = rng.random(n)
+                lo = int(rng.integers(0, n))
+                w[lo : lo + int(rng.integers(1, n + 1))] = 0.0
+            else:
+                w = rng.random(n) ** 4
+            delta = int(rng.integers(1, n + 5))
+            k = int(rng.integers(0, n + 2))
+            slack = 64 * np.finfo(float).eps * float(w.sum())
+            # lam = n reaches the cap ceil(n/delta) for every delta >= 1.
+            eps_head, eps_tail = 1.0 / n, 2.0 / n
+            assert recovery._reaches_cap(1.0, eps_head, n, delta)
+            assert recovery._reaches_cap(2.0, eps_tail, n, delta)
+            for p, budget, windowed in (
+                (2, 2 * k, head_project(w, 2 * k, delta, 2, eps_head)),
+                (1, k, tail_project(w, k, delta, eps_tail)),
+            ):
+                exact = recovery._exact_support(w, budget, delta, p)
+                assert is_feasible(exact, n, budget, delta, p)
+                assert objective(w, exact) >= objective(w, windowed) - slack
+            cases += 1
+        assert cases >= 200
+
+    def test_reaches_cap_matches_the_window_loop(self):
+        # best_over_windows caps lam at ceil(n / min(delta, n)).
+        assert recovery._reaches_cap(1.0, 0.1, 100, 10)
+        assert not recovery._reaches_cap(1.0, 0.2, 100, 10)
+        assert recovery._reaches_cap(2.0, 0.2, 100, 10)
+        assert recovery._reaches_cap(1.0, 1.0, 7, 100)  # delta past n: one window
+        assert recovery._reaches_cap(1.0, 5e-324, 7, 1)  # 1/eps overflows to inf
+
+    def test_zero_width_model_returns_empty_supports(self):
+        x_hat, trace = am_iht(np.zeros(3), np.zeros((3, 0)), 2, 3, 2, 0.5, 0.5)
+        assert x_hat.size == 0
+        assert trace.supports == [()] * 3
+
+
+@pytest.mark.parametrize("other_eps", [0.01, 0.5], ids=["exact", "windowed"])
+class TestAmIhtInputErrors:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_epsilon_raises(self, other_eps, bad):
+        y, A, _ = ac9_instance(0)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            am_iht(y, A, 5, 20, 1, bad, other_eps)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            am_iht(y, A, 5, 20, 1, other_eps, bad)
+
+    def test_delta_zero_raises(self, other_eps):
+        y, A, _ = ac9_instance(0)
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            am_iht(y, A, 5, 0, 1, other_eps, other_eps)
+
+    def test_negative_k_raises(self, other_eps):
+        y, A, _ = ac9_instance(0)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            am_iht(y, A, -1, 20, 1, other_eps, other_eps)
+
+    def test_k_zero_keeps_the_zero_iterate(self, other_eps):
+        y, A, _ = ac9_instance(0)
+        x_hat, trace = am_iht(y, A, 0, 20, 3, other_eps, other_eps)
+        assert np.array_equal(x_hat, np.zeros(200))
+        assert trace.supports == [()] * 4
+        path = "exact" if other_eps == 0.01 else "windowed"
+        assert (trace.head_path, trace.tail_path) == (path, path)
 
 
 class TestEmpiricalRip:
