@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
-from .model import InfeasibleParameters, brute_force_solve, max_support_size, objective
+from .model import InfeasibleParameters, brute_force_solve, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
 from .serialize import read_vector, write_support, write_vector
@@ -41,7 +41,8 @@ def _project_opt(x, k, delta, spikes):
     """Exact optimum for ratio reporting, skipped when a DP would be too big."""
     build = dp.table_builder(spikes)
     delta = min(delta, x.size)  # any delta >= n is the problem at delta = n
-    cost = k * delta * x.size if spikes == 2 else k * x.size
+    # The DP runs at most n levels, as no support holds more than n indices.
+    cost = min(k, x.size) * x.size * (delta if spikes == 2 else 1)
     if cost > MAX_OPT_CELLS:
         return None
     return float(build(x, k, delta).values[-1])
@@ -64,10 +65,7 @@ def _cmd_project(args) -> int:
 
     start = time.perf_counter()
     if args.algo == "dp":
-        # The table holds one value per budget level, and levels past the
-        # packing limit repeat it; solving at the limit keeps that small.
-        k = min(args.k, max_support_size(x.size, min(args.delta, x.size), spikes))
-        support = dp.table_builder(spikes)(x, k, args.delta)[-1]
+        support = dp.table_builder(spikes)(x, args.k, args.delta)[-1]
     elif args.algo == "head":
         support = head_project(x, args.k, args.delta, spikes, args.epsilon)
     elif args.algo == "tail":

@@ -16,9 +16,9 @@ Each records take-flags during the forward pass, bit-packed with
 support by walking them back.  The budgeted tables build a level's support
 only when it is asked for.  They run levels only up to the packing limit
 ``max_support_size``: every budget past it has the limit's value and
-support, so ``values`` keeps one entry per budget while flag rows and
-cached supports stop at the limit.  Ties in every max are broken toward
-*not* taking the current index, so reconstructed supports are
+support, so ``values``, flag rows and cached supports all stop at the
+limit, and no caller needs to cap a budget.  Ties in every max are broken
+toward *not* taking the current index, so reconstructed supports are
 deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
@@ -103,34 +103,30 @@ def _walk(rows: Iterable[np.ndarray], i: int, delta: int) -> tuple[int, ...]:
 class _DpTable(Sequence):
     """Per-level optima and packed take-flags of a budgeted recurrence.
 
-    ``values[ell-1]`` is the optimum with budget ``ell``.  ``flags`` holds
-    levels 0 to ``top`` only, ``top`` being the budget capped at the
-    packing limit, where levels stop changing; the builders fill
-    ``values`` up to ``top`` and the table repeats the last of them.  As a
-    read-only sequence of length ``budget``, item ``j`` is the support for
-    budget ``j + 1``, or for ``top`` past it: built by the subclass's
-    ``support`` on first access, then cached per level.
+    The table runs levels 1 to ``top``, the budget capped at the packing
+    limit, where levels stop changing.  ``values[ell-1]`` is the optimum
+    with budget ``ell`` for ``ell <= top``, and ``flags`` holds levels 0 to
+    ``top``.  As a read-only sequence of length ``budget``, item ``j`` is
+    the support for budget ``j + 1``, or for ``top`` past it: built by the
+    subclass's ``support`` on first access, then cached per level.
     """
 
-    def __init__(self, values: np.ndarray, flags: np.ndarray, delta: int, n: int):
-        top = len(flags) - 1
-        if 0 < top < values.size:
-            values[top:] = values[top - 1]
+    def __init__(self, values: np.ndarray, flags: np.ndarray, budget: int, delta: int, n: int):
         self.values = values
         self.flags = flags
+        self.budget = budget
         self.delta = delta
         self.n = n
-        self._built: list[tuple[int, ...] | None] = [None] * (top + 1)
+        self._built: list[tuple[int, ...] | None] = [None] * (values.size + 1)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.budget
 
     def __getitem__(self, j) -> tuple[int, ...]:
         j = operator.index(j)
-        size = self.values.size
-        if not -size <= j < size:
-            raise IndexError(f"level index {j} outside a table of {size} levels")
-        lev = min(j % size + 1, len(self._built) - 1)
+        if not -self.budget <= j < self.budget:
+            raise IndexError(f"level index {j} outside a table of {self.budget} levels")
+        lev = min(j % self.budget + 1, self.values.size)
         sol = self._built[lev]
         if sol is None:
             sol = self._built[lev] = self.support(lev)
@@ -138,9 +134,9 @@ class _DpTable(Sequence):
 
     def _start_level(self, ell: int) -> int:
         """The flag level a budget-``ell`` walk starts at."""
-        if not 0 <= ell <= self.values.size:
-            raise ValueError(f"level {ell} outside [0, {self.values.size}]")
-        return min(ell, len(self.flags) - 1)
+        if not 0 <= ell <= self.budget:
+            raise ValueError(f"level {ell} outside [0, {self.budget}]")
+        return min(ell, self.values.size)
 
 
 class DpTable1(_DpTable):
@@ -161,7 +157,7 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     s = min(delta, n)
     top = min(budget, max_support_size(n, delta, 1))
     flags = np.zeros((top + 1, (n + 8) // 8), dtype=np.uint8)
-    values = np.zeros(budget)
+    values = np.zeros(top)
     # Level rows live at [s:]; [1 : n + 1] is prev[i - delta] for i = 1..n.
     prev = np.zeros(s + n + 1)
     row = np.zeros(s + n + 1)
@@ -174,7 +170,7 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
         flags[ell] = np.packbits(take)
         values[ell - 1] = row[s + n]
         prev, row = row, prev
-    return DpTable1(values, flags, delta, n)
+    return DpTable1(values, flags, budget, delta, n)
 
 
 class DpTable2(_DpTable):
@@ -227,7 +223,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     s = delta - 1
     top = min(budget, max_support_size(n, delta, 2))
     flags = np.zeros((top + 1, delta, (n + 8) // 8), dtype=np.uint8)
-    values = np.zeros(budget)
+    values = np.zeros(top)
     # Row i of a level lives at [i, s:]; width i reads the previous level's
     # row delta - i shifted by i, which starts at column delta - i.
     P = np.zeros((delta, s + n + 1))
@@ -248,7 +244,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
         flags[ell] = np.packbits(take, axis=1)
         values[ell - 1] = V[1, s + n]
         P, V = V, P
-    return DpTable2(values, flags, delta, n)
+    return DpTable2(values, flags, budget, delta, n)
 
 
 def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
@@ -266,20 +262,24 @@ def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:
-    """``(values, supports)`` with the top level's support already built."""
+    """``(values, supports)`` with the top support built and ``values``
+    padded to the budget with the table's last value, or 0 when it has none.
+    """
+    values = np.full(len(table), table.values[-1] if table.values.size else 0.0)
+    values[: table.values.size] = table.values
     if len(table):
         table[-1]
-    return table.values, table
+    return values, table
 
 
 def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:
     """Budgeted 1-spike solver.
 
-    Returns the optimal values for budgets 1..k together with a read-only
-    sequence of one optimal support per budget.  The budget-k support is
-    built here; lower ones on first access.  Each support evaluates to its
-    value exactly (the reconstruction replays the same floating-point
-    additions).
+    Returns the optimal values for budgets 1..k, the packing limit's value
+    repeated past it, together with a read-only sequence of one optimal
+    support per budget.  The budget-k support is built here; lower ones on
+    first access.  Each support evaluates to its value exactly (the
+    reconstruction replays the same floating-point additions).
     """
     return _solved(build_table_1spike(x, k, delta))
 

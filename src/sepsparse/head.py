@@ -94,10 +94,8 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
         return ()
 
     # Levels beyond k can never survive the global selection.
-    levels = np.minimum(dec.budgets, k)
-    tables = [
-        solve(x[lo - 1 : hi], ell, delta) for (lo, hi), ell in zip(dec.blocks, levels.tolist())
-    ]
+    tables = [solve(x[lo - 1 : hi], min(b, k), delta) for (lo, hi), b in zip(dec.blocks, dec.budgets)]
+    levels = np.array([table.values.size for table in tables])
     values = np.concatenate([table.values for table in tables])
     # Each level's gain over the level below; a block's first level gains
     # its whole value.

@@ -86,8 +86,8 @@ def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     x = as_signal(x)
     if x.size != n:
         raise ValueError(f"signal length {x.size} != model width {n}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     e = make_rng(seed).standard_normal(m) * noise_sigma
     return Measurement(y=A @ x + e, e=e)
 
@@ -100,8 +100,6 @@ def _reaches_cap(scale: float, epsilon: float, n: int, delta: int) -> bool:
 
 def _exact_support(w: np.ndarray, budget: int, delta: int, p: int) -> tuple[int, ...]:
     """An optimal support of the exact DP for spike count ``p``; ``()`` for no budget."""
-    # Levels past the packing limit repeat it, so solving at the limit is the same.
-    budget = min(budget, max_support_size(w.size, delta, p))
     if budget <= 0:
         return ()
     return dp.table_builder(p)(w, budget, delta)[-1]
@@ -141,6 +139,8 @@ def am_iht(
     y = as_signal(y)
     if y.size != m:
         raise ValueError(f"measurement length {y.size} != model height {m}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements y must be finite (no NaN or inf)")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if k < 0:

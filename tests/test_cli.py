@@ -111,7 +111,7 @@ class TestProject:
     def test_k_past_packing_limit_solves_at_the_limit(self, capsys, vector_file, spikes, limit):
         # 6 entries at delta 2 pack 3 one-spike or 6 two-spike picks.
         results = []
-        for k in ("4611686018427387904", str(limit)):
+        for k in ("4611686018427387904", str(10**23), str(limit)):
             code, out, _ = run_cli(
                 capsys, "project", "--in", vector_file, "--k", k, "--delta", "2",
                 "--algo", "dp", "--spikes", spikes,
@@ -119,8 +119,44 @@ class TestProject:
             assert code == 0
             results.append(json.loads(out))
         assert results[0]["k"] == 4611686018427387904
+        assert results[1]["k"] == 10**23
+        for result in results[:2]:
+            assert result["support"] == results[-1]["support"]
+            assert result["value"] == results[-1]["value"]
+
+    @pytest.mark.parametrize(
+        "algo_args",
+        [
+            ("head", "--epsilon", "0.5"),
+            ("head", "--spikes", "2", "--epsilon", "0.5"),
+            ("tail", "--epsilon", "0.5"),
+        ],
+        ids=["head", "head2", "tail"],
+    )
+    def test_k_past_int64_runs_as_k_n(self, capsys, vector_file, algo_args):
+        results = []
+        for k in (str(10**23), "6"):
+            args = ["project", "--in", vector_file, "--k", k, "--delta", "2", "--algo", *algo_args]
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            results.append(json.loads(out))
+        assert results[0]["k"] == 10**23
         assert results[0]["support"] == results[1]["support"]
         assert results[0]["value"] == results[1]["value"]
+        assert results[0].get("opt") == results[1].get("opt")
+
+    def test_ratios_reported_for_k_past_n(self, capsys, tmp_path):
+        # 1,000 entries pack 50 picks at delta 20, so the DP behind the
+        # ratios runs 50 levels however large k is.
+        x = np.arange(1000.0)
+        path = tmp_path / "x.txt"
+        write_vector(path, x)
+        want = float(dp.build_table_1spike(x, 1000, 20).values[-1])
+        for k in ("1000000", str(10**23)):
+            args = ["project", "--in", str(path), "--k", k, "--delta", "20", "--algo", "topk"]
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            assert json.loads(out)["opt"] == want
 
     def test_ratio_reporting(self, capsys, vector_file):
         code, out, _ = run_cli(
@@ -289,6 +325,17 @@ class TestRecover:
         assert code == 2
         assert out == ""
         assert "epsilon must be finite and positive" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_2(self, capsys, sigma):
+        code, out, err = run_cli(
+            capsys, "recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "1",
+            "--sigma", sigma,
+        )
+        assert code == 2
+        assert out == ""
+        assert "sigma" in err
 
     def test_infeasible_parameters_exit_3(self, capsys):
         code, _, err = run_cli(

@@ -181,16 +181,22 @@ class TestTableBuilder:
 
     @pytest.mark.parametrize("p, solve", [(1, dp_solve), (2, dp_solve_2spike)])
     def test_tables_match_the_solvers(self, p, solve):
+        # A table stores the levels it runs, up to the packing limit; the
+        # solver's values repeat the last of them up to k.
         rng = make_rng(131)
         for _ in range(150):
             x, n, k, delta = random_instance(rng)
+            top = min(k, max_support_size(n, min(delta, n), p))
             table = table_builder(p)(x, k, delta)
             values, sols = solve(x, k, delta)
-            assert np.array_equal(table.values, values)
+            assert table.values.size == top
+            assert len(table) == len(sols) == values.size == k
+            assert np.array_equal(values[:top], table.values)
+            assert np.all(values[top:] == table.values[-1])
             assert list(table) == list(sols)
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_budget_past_packing_limit_repeats_the_limit(self, p):
+    @pytest.mark.parametrize("p, solve", [(1, dp_solve), (2, dp_solve_2spike)], ids=["1", "2"])
+    def test_budget_past_packing_limit_repeats_the_limit(self, p, solve):
         # Levels past max_support_size repeat the last one, so solving at the
         # limit answers any larger k, at every level.
         rng = make_rng(151)
@@ -201,23 +207,26 @@ class TestTableBuilder:
             at_limit = table_builder(p)(x, limit, delta)
             for k in (limit + 1, limit + 5):
                 table = table_builder(p)(x, k, delta)
-                past = k - limit
-                assert np.array_equal(table.values[:limit], at_limit.values)
-                assert np.all(table.values[limit:] == at_limit.values[-1])
+                assert table.values.size == limit and len(table) == k
+                assert np.array_equal(table.values, at_limit.values)
                 assert list(table)[:limit] == list(at_limit)
-                assert list(table)[limit:] == [at_limit[-1]] * past
+                assert list(table)[limit:] == [at_limit[-1]] * (k - limit)
+                values, _ = solve(x, k, delta)
+                assert np.array_equal(values[:limit], at_limit.values)
+                assert np.all(values[limit:] == at_limit.values[-1])
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_huge_budget_builds_flags_up_to_the_limit(self, p):
         x = make_rng(157).random(6)
         limit = max_support_size(6, 3, p)
         at_limit = table_builder(p)(x, limit, 3)
-        table = table_builder(p)(x, 10**6, 3)
+        table = table_builder(p)(x, 2**62, 3)
         assert len(table.flags) == limit + 1
-        assert len(table) == table.values.size == 10**6
-        assert np.all(table.values[limit - 1 :] == at_limit.values[-1])
-        assert table[-1] == table[limit - 1] == at_limit[-1]
+        assert table.values.size == limit and len(table) == 2**62
+        assert np.array_equal(table.values, at_limit.values)
+        assert table[-1] == table[limit - 1] == table[2**62 - 1] == at_limit[-1]
         assert table[-1] is table[limit - 1]
+        assert table_builder(p)(x, 10**23, 3)[-1] == at_limit[-1]
 
     @pytest.mark.parametrize("p, table_cls", [(1, DpTable1), (2, DpTable2)])
     def test_levels_past_the_limit_share_one_support(self, monkeypatch, p, table_cls):

@@ -188,6 +188,18 @@ class TestHeadProject:
                 for delta in (2**62, 2**63 - 1):
                     assert head_project(x, k, delta, p, eps) == want
 
+    def test_huge_k_equals_k_n(self):
+        # No support holds more than n indices, so any k >= n is the same
+        # problem, even a k past int64.
+        rng = make_rng(167)
+        for _ in range(60):
+            n = int(rng.integers(1, 16))
+            delta = int(rng.integers(1, n + 3))
+            p = int(rng.integers(1, 3))
+            x = np.round(rng.random(n) * 3)  # ties and zeros
+            for eps in (1.0, 0.25):
+                assert head_project(x, 10**23, delta, p, eps) == head_project(x, n, delta, p, eps)
+
     def test_guarantee_vs_oracle(self):
         rng = make_rng(71)
         for _ in range(250):

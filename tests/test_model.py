@@ -216,6 +216,28 @@ def test_only_dp_picks_an_exact_solver():
     assert found == []
 
 
+def test_only_dp_applies_the_packing_limit():
+    # The DP tables stop at max_support_size themselves, so a caller that
+    # caps a budget by it again is a leftover clamp; drawing a random
+    # feasible support is its one use outside model.py and dp.py.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name in ("model.py", "dp.py"):
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            is_import = isinstance(top, (ast.Import, ast.ImportFrom))
+            owner = "import" if is_import else getattr(top, "name", "module")
+            found += [
+                f"{path.name}:{owner}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Name) and node.id == "max_support_size")
+                or (isinstance(node, ast.Attribute) and node.attr == "max_support_size")
+                or (isinstance(node, ast.alias) and node.name == "max_support_size")
+            ]
+    assert found == ["recovery.py:import", "recovery.py:random_feasible_support"]
+
+
 def _dotted(node) -> str | None:
     """``np.random.rand`` for a chain of plain attribute lookups, else None."""
     parts = []

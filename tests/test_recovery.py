@@ -73,6 +73,12 @@ class TestSensing:
         with pytest.raises(ValueError):
             measure(A, np.zeros(5), 0.0, 0)
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    def test_bad_noise_sigma_raises(self, sigma):
+        A = gen_sensing(3, 4, 0)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            measure(A, np.zeros(4), sigma, 0)
+
     def test_measurement_identity_bitwise(self):
         A = gen_sensing(6, 9, 2)
         x = make_rng(8).standard_normal(9)
@@ -294,6 +300,13 @@ class TestAmIhtInputErrors:
         y, A, _ = ac9_instance(0)
         with pytest.raises(ValueError, match="k must be >= 0"):
             am_iht(y, A, -1, 20, 1, other_eps, other_eps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measurements_raise(self, other_eps, bad):
+        y, A, _ = ac9_instance(0)
+        y[3] = bad
+        with pytest.raises(ValueError, match="measurements y must be finite"):
+            am_iht(y, A, 5, 20, 1, other_eps, other_eps)
 
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
         y, A, _ = ac9_instance(0)

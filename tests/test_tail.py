@@ -153,6 +153,15 @@ class TestTailProject:
                 for delta in (2**62, 2**63 - 1):
                     assert tail_project(x, k, delta, eps) == want
 
+    def test_huge_k_equals_k_n(self):
+        rng = make_rng(173)
+        for _ in range(60):
+            n = int(rng.integers(1, 16))
+            delta = int(rng.integers(1, n + 3))
+            x = np.round(rng.random(n) * 3)
+            for eps in (1.0, 0.25):
+                assert tail_project(x, 10**23, delta, eps) == tail_project(x, n, delta, eps)
+
     def test_guarantee_vs_oracle(self):
         rng = make_rng(103)
         for _ in range(250):
