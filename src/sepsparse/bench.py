@@ -63,7 +63,7 @@ class AlgoSpec:
 
     def run(self, x: np.ndarray, k: int, delta: int, p: int) -> tuple[int, ...]:
         if self.algo == "dp":
-            return dp.table_builder(p)(x, k, delta)[-1]
+            return dp.table_builder(p)(x, k, delta).support(k)
         if self.algo == "head":
             return head_project(x, k, delta, p, 1.0 / (self.lam - 0.5))
         if self.algo == "tail":

@@ -65,7 +65,7 @@ def _cmd_project(args) -> int:
 
     start = time.perf_counter()
     if args.algo == "dp":
-        support = dp.table_builder(spikes)(x, args.k, args.delta)[-1]
+        support = dp.table_builder(spikes)(x, args.k, args.delta).support(args.k)
     elif args.algo == "head":
         support = head_project(x, args.k, args.delta, spikes, args.epsilon)
     elif args.algo == "tail":

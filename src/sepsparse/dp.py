@@ -16,10 +16,11 @@ Each records take-flags during the forward pass, bit-packed with
 support by walking them back.  The budgeted tables build a level's support
 only when it is asked for.  They run levels only up to the packing limit
 ``max_support_size``: every budget past it has the limit's value and
-support, so ``values``, flag rows and cached supports all stop at the
-limit, and no caller needs to cap a budget.  Ties in every max are broken
-toward *not* taking the current index, so reconstructed supports are
-deterministic and stable across runs.
+support.  A table is the sequence of the levels it ran, and
+``table.support(k)`` reads an optimal support for any budget ``k`` up to
+the requested one, so no caller caps a budget.  Ties in every max are
+broken toward *not* taking the current index, so reconstructed supports
+are deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -30,7 +31,6 @@ allocated.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,11 +49,14 @@ __all__ = [
 ]
 
 
-def _prepare(x, delta: int) -> tuple[np.ndarray, int, int]:
-    """Validated weights, their length ``n``, and ``delta`` clamped to ``max(n, 1)``."""
+def _prepare(x, delta: int, budget: int = 0) -> tuple[np.ndarray, int, int]:
+    """Validated weights, their length ``n``, and ``delta`` clamped to ``max(n, 1)``;
+    a negative ``budget`` (a table builder's) is rejected."""
     x = as_weights(x)
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     return x, x.size, min(delta, max(x.size, 1))
 
 
@@ -105,10 +108,11 @@ class _DpTable(Sequence):
 
     The table runs levels 1 to ``top``, the budget capped at the packing
     limit, where levels stop changing.  ``values[ell-1]`` is the optimum
-    with budget ``ell`` for ``ell <= top``, and ``flags`` holds levels 0 to
-    ``top``.  As a read-only sequence of length ``budget``, item ``j`` is
-    the support for budget ``j + 1``, or for ``top`` past it: built by the
-    subclass's ``support`` on first access, then cached per level.
+    with budget ``ell`` and ``flags`` holds levels 0 to ``top``.  As a
+    read-only sequence of those ``top`` levels, item ``j`` is the support
+    for budget ``j + 1``, built by the subclass's ``support`` on first
+    access and then cached.  ``support(ell)`` answers every budget from 0
+    to ``budget``, the limit's support past ``top``.
     """
 
     def __init__(self, values: np.ndarray, flags: np.ndarray, budget: int, delta: int, n: int):
@@ -117,19 +121,16 @@ class _DpTable(Sequence):
         self.budget = budget
         self.delta = delta
         self.n = n
-        self._built: list[tuple[int, ...] | None] = [None] * (values.size + 1)
+        self._built: list[tuple[int, ...] | None] = [None] * values.size
 
     def __len__(self) -> int:
-        return self.budget
+        return self.values.size
 
     def __getitem__(self, j) -> tuple[int, ...]:
-        j = operator.index(j)
-        if not -self.budget <= j < self.budget:
-            raise IndexError(f"level index {j} outside a table of {self.budget} levels")
-        lev = min(j % self.budget + 1, self.values.size)
-        sol = self._built[lev]
+        j = range(len(self))[j]
+        sol = self._built[j]
         if sol is None:
-            sol = self._built[lev] = self.support(lev)
+            sol = self._built[j] = self.support(j + 1)
         return sol
 
     def _start_level(self, ell: int) -> int:
@@ -153,7 +154,7 @@ class DpTable1(_DpTable):
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget."""
-    x, n, delta = _prepare(x, delta)
+    x, n, delta = _prepare(x, delta, budget)
     s = min(delta, n)
     top = min(budget, max_support_size(n, delta, 1))
     flags = np.zeros((top + 1, (n + 8) // 8), dtype=np.uint8)
@@ -217,7 +218,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     With ``delta == 1`` the window constraint is vacuous and the 1-spike
     recurrence at separation 1 solves the same problem, so we reuse it.
     """
-    x, n, delta = _prepare(x, delta)
+    x, n, delta = _prepare(x, delta, budget)
     if delta == 1:
         return build_table_1spike(x, budget, 1)
     s = delta - 1
@@ -262,23 +263,20 @@ def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:
-    """``(values, supports)`` with the top support built and ``values``
-    padded to the budget with the table's last value, or 0 when it has none.
-    """
-    values = np.full(len(table), table.values[-1] if table.values.size else 0.0)
-    values[: table.values.size] = table.values
+    """``(table.values, table)`` with the top level's support built."""
     if len(table):
         table[-1]
-    return values, table
+    return table.values, table
 
 
 def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:
     """Budgeted 1-spike solver.
 
-    Returns the optimal values for budgets 1..k, the packing limit's value
-    repeated past it, together with a read-only sequence of one optimal
-    support per budget.  The budget-k support is built here; lower ones on
-    first access.  Each support evaluates to its value exactly (the
+    Returns ``(table.values, table)``: the optimal values for budgets 1 to
+    k, stopping at the packing limit past which none changes, and the
+    table of one optimal support per such budget; ``table.support(k)``
+    answers k itself.  The top support is built here, lower ones on first
+    access.  Each support evaluates to its value exactly (the
     reconstruction replays the same floating-point additions).
     """
     return _solved(build_table_1spike(x, k, delta))

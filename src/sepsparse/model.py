@@ -130,6 +130,8 @@ def restrict(v, indices) -> np.ndarray:
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:
     """Largest feasible support size on ``[n]`` for the given (delta, p)."""
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     if n < 0:
         return 0
     # A window holds at most delta distinct positions, so p >= delta is vacuous.

@@ -86,6 +86,8 @@ def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     x = as_signal(x)
     if x.size != n:
         raise ValueError(f"signal length {x.size} != model width {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal x must be finite (no NaN or inf)")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     e = make_rng(seed).standard_normal(m) * noise_sigma
@@ -96,13 +98,6 @@ def _reaches_cap(scale: float, epsilon: float, n: int, delta: int) -> bool:
     """Whether the window loop's ``lam = ceil(scale/epsilon)`` reaches its cap ``ceil(n/delta)``."""
     # scale/epsilon overflows to inf for a tiny epsilon; min() keeps it at n.
     return math.ceil(min(scale / epsilon, n)) >= math.ceil(n / min(delta, max(n, 1)))
-
-
-def _exact_support(w: np.ndarray, budget: int, delta: int, p: int) -> tuple[int, ...]:
-    """An optimal support of the exact DP for spike count ``p``; ``()`` for no budget."""
-    if budget <= 0:
-        return ()
-    return dp.table_builder(p)(w, budget, delta)[-1]
 
 
 def am_iht(
@@ -141,6 +136,9 @@ def am_iht(
         raise ValueError(f"measurement length {y.size} != model height {m}")
     if not np.isfinite(y).all():
         raise ValueError("measurements y must be finite (no NaN or inf)")
+    truth = None if x_true is None else as_signal(x_true)
+    if truth is not None and truth.size != n:
+        raise ValueError(f"x_true length {truth.size} != model width {n}")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if k < 0:
@@ -153,7 +151,6 @@ def am_iht(
     head_exact = _reaches_cap(1.0, eps_head, n, delta)
     tail_exact = _reaches_cap(2.0, eps_tail, n, delta)
     budget = 2 * k
-    truth = None if x_true is None else as_signal(x_true)
 
     def residual_norm(xj: np.ndarray) -> float:
         if truth is None:
@@ -173,7 +170,7 @@ def am_iht(
         g = A.T @ res
         w = squared_weights(g)
         if head_exact:
-            h_support = _exact_support(w, budget, delta, HEAD_SPIKES)
+            h_support = dp.table_builder(HEAD_SPIKES)(w, budget, delta).support(budget)
         else:
             h_support = head_project(w, budget, delta, HEAD_SPIKES, eps_head)
         if not is_feasible(h_support, n, budget, delta, HEAD_SPIKES):
@@ -181,7 +178,7 @@ def am_iht(
         merged = xj + restrict(g, h_support)
         w = squared_weights(merged)
         if tail_exact:
-            t_support = _exact_support(w, k, delta, 1)
+            t_support = dp.table_builder(1)(w, k, delta).support(k)
         else:
             t_support = tail_project(w, k, delta, eps_tail)
         if not is_feasible(t_support, n, k, delta, 1):

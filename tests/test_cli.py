@@ -423,3 +423,10 @@ class TestParser:
                 parser.parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+    def test_readme_python_blocks_run(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})

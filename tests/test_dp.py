@@ -54,10 +54,14 @@ class TestDpSolve:
         rng = make_rng(29)
         for _ in range(200):
             x, n, k, delta = random_instance(rng)
-            values, sols = dp_solve(x, k, delta)
-            for ell in range(1, k + 1):
+            values, table = dp_solve(x, k, delta)
+            top = min(k, max_support_size(n, min(delta, n), 1))
+            assert len(table) == values.size == top
+            for ell in range(1, top + 1):
                 # bit-for-bit: reconstruction replays the DP's additions
-                assert objective(x, sols[ell - 1]) == values[ell - 1]
+                assert objective(x, table[ell - 1]) == values[ell - 1]
+            for ell in range(top + 1, k + 1):
+                assert table.support(ell) == table[-1]
             assert np.all(np.diff(values) >= 0)
 
     def test_marginals_concave(self):
@@ -105,8 +109,9 @@ class TestDp2Spike:
     def test_unit_weights_delta4(self):
         # Windows of four consecutive positions cap any 4-vector at two picks;
         # frozen from the exhaustive oracle.
-        values, sols = dp_solve_2spike([1.0, 1, 1, 1], 3, 4)
-        assert np.array_equal(values, [1.0, 2.0, 2.0])
+        values, table = dp_solve_2spike([1.0, 1, 1, 1], 3, 4)
+        assert np.array_equal(values, [1.0, 2.0])  # the table stops at that limit
+        assert table.support(3) == table[-1] and objective(np.ones(4), table[-1]) == 2.0
         _, best = brute_force_solve(np.ones(4), 3, 4, p=2)
         assert values[-1] == best
 
@@ -181,19 +186,19 @@ class TestTableBuilder:
 
     @pytest.mark.parametrize("p, solve", [(1, dp_solve), (2, dp_solve_2spike)])
     def test_tables_match_the_solvers(self, p, solve):
-        # A table stores the levels it runs, up to the packing limit; the
-        # solver's values repeat the last of them up to k.
+        # A table is the levels it runs, up to the packing limit; its
+        # support() answers every budget past them with the last one.
         rng = make_rng(131)
         for _ in range(150):
             x, n, k, delta = random_instance(rng)
             top = min(k, max_support_size(n, min(delta, n), p))
             table = table_builder(p)(x, k, delta)
             values, sols = solve(x, k, delta)
-            assert table.values.size == top
-            assert len(table) == len(sols) == values.size == k
-            assert np.array_equal(values[:top], table.values)
-            assert np.all(values[top:] == table.values[-1])
+            assert len(table) == len(sols) == table.values.size == values.size == top
+            assert np.array_equal(values, table.values)
             assert list(table) == list(sols)
+            for ell in range(top + 1, k + 1):
+                assert table.support(ell) == sols.support(ell) == table[-1]
 
     @pytest.mark.parametrize("p, solve", [(1, dp_solve), (2, dp_solve_2spike)], ids=["1", "2"])
     def test_budget_past_packing_limit_repeats_the_limit(self, p, solve):
@@ -207,13 +212,13 @@ class TestTableBuilder:
             at_limit = table_builder(p)(x, limit, delta)
             for k in (limit + 1, limit + 5):
                 table = table_builder(p)(x, k, delta)
-                assert table.values.size == limit and len(table) == k
+                assert table.values.size == len(table) == limit
                 assert np.array_equal(table.values, at_limit.values)
-                assert list(table)[:limit] == list(at_limit)
-                assert list(table)[limit:] == [at_limit[-1]] * (k - limit)
+                assert list(table) == list(at_limit)
+                past = [table.support(ell) for ell in range(limit, k + 1)]
+                assert past == [at_limit[-1]] * (k - limit + 1)
                 values, _ = solve(x, k, delta)
-                assert np.array_equal(values[:limit], at_limit.values)
-                assert np.all(values[limit:] == at_limit.values[-1])
+                assert np.array_equal(values, at_limit.values)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_huge_budget_builds_flags_up_to_the_limit(self, p):
@@ -222,11 +227,16 @@ class TestTableBuilder:
         at_limit = table_builder(p)(x, limit, 3)
         table = table_builder(p)(x, 2**62, 3)
         assert len(table.flags) == limit + 1
-        assert table.values.size == limit and len(table) == 2**62
+        assert table.values.size == len(table) == limit
         assert np.array_equal(table.values, at_limit.values)
-        assert table[-1] == table[limit - 1] == table[2**62 - 1] == at_limit[-1]
+        assert table[-1] == table[limit - 1] == table.support(2**62) == at_limit[-1]
         assert table[-1] is table[limit - 1]
-        assert table_builder(p)(x, 10**23, 3)[-1] == at_limit[-1]
+        with pytest.raises(IndexError):
+            table[limit]
+        with pytest.raises(ValueError, match="outside"):
+            table.support(2**62 + 1)
+        huge = table_builder(p)(x, 10**23, 3)
+        assert len(huge) == limit and huge.support(10**23) == at_limit[-1]
 
     @pytest.mark.parametrize("p, table_cls", [(1, DpTable1), (2, DpTable2)])
     def test_levels_past_the_limit_share_one_support(self, monkeypatch, p, table_cls):
@@ -243,13 +253,38 @@ class TestTableBuilder:
         monkeypatch.setattr(table_cls, "support", counting)
         sols = list(table)
         assert sorted(calls) == list(range(1, limit + 1))  # limit calls, not 50
-        assert sols[limit:] == [sols[limit - 1]] * (50 - limit)
+        assert len(sols) == limit
+        assert [table.support(ell) for ell in range(limit + 1, 51)] == [sols[-1]] * (50 - limit)
 
     @pytest.mark.parametrize("solve", [dp_solve, dp_solve_2spike])
     def test_empty_vector(self, solve):
         values, sols = solve(np.zeros(0), 3, 2)
-        assert np.array_equal(values, np.zeros(3))
-        assert list(sols) == [(), (), ()]
+        assert values.size == len(sols) == 0
+        assert [sols.support(ell) for ell in range(4)] == [()] * 4
+
+    @pytest.mark.parametrize("k", [2**62, 10**23])
+    def test_solvers_answer_a_budget_past_int64(self, k):
+        x = np.ones(6)
+        values, table = dp_solve(x, k, 2)
+        assert np.array_equal(values, [1.0, 2.0, 3.0]) and len(table) == 3
+        assert table[-1] == table.support(k) == (1, 3, 5)
+        values, table = dp_solve_2spike(x, k, 2)
+        assert np.array_equal(values, np.arange(1.0, 7.0)) and len(table) == 6
+        assert table[-1] == table.support(k) == (1, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: build_table_1spike(x, -1, 2),
+            lambda x: build_table_2spike(x, -1, 2),
+            lambda x: build_table_2spike(x, -1, 1),
+            lambda x: dp_solve(x, -3, 2),
+            lambda x: dp_solve_2spike(x, -3, 2),
+        ],
+    )
+    def test_negative_budget_raises(self, call):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -"):
+            call(np.ones(5))
 
     def test_builder_looked_up_when_called(self, monkeypatch):
         def replaced(x, budget, delta):

@@ -34,13 +34,22 @@ def dense(case) -> np.ndarray:
     return x
 
 
+def every_level(values: np.ndarray, table, k: int) -> list:
+    """Values and supports for budgets 1..k, as recorded.
+
+    A table stops at the packing limit; every budget past it has the last
+    level's value, and ``table.support`` answers it.
+    """
+    padded = values.tolist() + values[-1:].tolist() * (k - values.size)
+    past = [table.support(ell) for ell in range(len(table) + 1, k + 1)]
+    return [padded, [list(s) for s in [*table, *past]]]
+
+
 def outputs(x: np.ndarray, k: int, delta: int) -> dict:
-    values, sols = dp_solve(x, k, delta)
-    values2, sols2 = dp_solve_2spike(x, k, delta)
     value_u, sol_u = dp_solve_unrestricted(x, delta)
     return {
-        "dp": [values.tolist(), [list(s) for s in sols]],
-        "dp2": [values2.tolist(), [list(s) for s in sols2]],
+        "dp": every_level(*dp_solve(x, k, delta), k),
+        "dp2": every_level(*dp_solve_2spike(x, k, delta), k),
         "unrestricted": [value_u, list(sol_u)],
         "head1": list(head_project(x, k, delta, 1, HEAD_EPS)),
         "head2": list(head_project(x, k, delta, 2, HEAD_EPS)),

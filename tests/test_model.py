@@ -143,6 +143,11 @@ class TestMaxSupportSize:
         assert max_support_size(3, 5, 1) == 1
         assert max_support_size(6, 1, 1) == 6
 
+    @pytest.mark.parametrize("delta", [0, -3])
+    def test_delta_below_one_raises(self, delta):
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            max_support_size(5, delta, 1)
+
     def test_matches_enumeration(self):
         rng = make_rng(13)
         for _ in range(60):

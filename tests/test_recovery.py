@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sepsparse.recovery as recovery
+from sepsparse import dp
 from sepsparse.head import head_project
 from sepsparse.model import InfeasibleParameters, is_feasible, objective
 from sepsparse.recovery import (
@@ -79,6 +80,14 @@ class TestSensing:
         with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
             measure(A, np.zeros(4), sigma, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_signal_raises(self, bad):
+        A = gen_sensing(3, 4, 0)
+        x = np.zeros(4)
+        x[2] = bad
+        with pytest.raises(ValueError, match="signal x must be finite"):
+            measure(A, x, 0.0, 0)
+
     def test_measurement_identity_bitwise(self):
         A = gen_sensing(6, 9, 2)
         x = make_rng(8).standard_normal(9)
@@ -112,6 +121,12 @@ class TestRandomSupport:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleParameters):
             random_feasible_support(10, 4, 5, 1, make_rng(0))
+
+    def test_delta_zero_raises(self):
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            random_feasible_support(5, 1, 0, 1, make_rng(0))
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            empirical_rip(gen_sensing(3, 5, 0), 1, 0, 1, 2, 0)
 
 
 class TestAmIht:
@@ -261,7 +276,7 @@ class TestProjectionPath:
                 (2, 2 * k, head_project(w, 2 * k, delta, 2, eps_head)),
                 (1, k, tail_project(w, k, delta, eps_tail)),
             ):
-                exact = recovery._exact_support(w, budget, delta, p)
+                exact = dp.table_builder(p)(w, budget, delta).support(budget)
                 assert is_feasible(exact, n, budget, delta, p)
                 assert objective(w, exact) >= objective(w, windowed) - slack
             cases += 1
@@ -307,6 +322,12 @@ class TestAmIhtInputErrors:
         y[3] = bad
         with pytest.raises(ValueError, match="measurements y must be finite"):
             am_iht(y, A, 5, 20, 1, other_eps, other_eps)
+
+    @pytest.mark.parametrize("length", [199, 201])
+    def test_x_true_of_the_wrong_length_raises(self, other_eps, length):
+        y, A, _ = ac9_instance(0)
+        with pytest.raises(ValueError, match=f"x_true length {length} != model width 200"):
+            am_iht(y, A, 5, 20, 1, other_eps, other_eps, x_true=np.zeros(length))
 
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
         y, A, _ = ac9_instance(0)
