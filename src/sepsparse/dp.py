@@ -3,7 +3,8 @@
 Three solvers live here:
 
 * :func:`dp_solve` -- the budgeted 1-spike solver, O(k n).
-* :func:`dp_solve_unrestricted` -- budget-free 1-spike solver, O(n).
+* :func:`dp_solve_unrestricted` -- budget-free 1-spike solver, O(n) vector
+  work plus a Python loop over the nonzero weights.
 * :func:`dp_solve_2spike` -- the budgeted 2-spike solver, O(k delta n).
 
 :func:`table_builder` is the one place that maps a spike count ``p`` to
@@ -283,18 +284,27 @@ def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...
 
 
 def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
-    """Budget-free 1-spike solver; equivalent to any budget >= ceil(n/delta)."""
+    """Budget-free 1-spike solver; equivalent to any budget >= ceil(n/delta).
+
+    O(n) vector work plus a Python loop over the nonzero weights only: a
+    zero is never taken and leaves the prefix optimum unchanged, so the
+    recurrence steps from nonzero to nonzero.  Each one reads the optimum
+    at its predecessor, the last nonzero at or before ``i - delta``.
+    """
     x, n, delta = _prepare(x, delta)
-    best = np.zeros(n + 1)
+    pos = np.flatnonzero(x) + 1
+    # best[j] is the prefix optimum through the j-th nonzero (1-based), and
+    # pred names each nonzero's predecessor by that j, 0 (best 0.0) for none.
+    pred = np.searchsorted(pos, pos - delta, side="right")
+    best = [0.0]
+    took = []
+    for w, j in zip(x[pos - 1].tolist(), pred.tolist()):
+        cand = w + best[j]
+        took.append(cand > best[-1])
+        best.append(cand if took[-1] else best[-1])
     flags = np.zeros(n + 1, dtype=bool)
-    for i in range(1, n + 1):
-        cand = x[i - 1] + (best[i - delta] if i > delta else 0.0)
-        if cand > best[i - 1]:
-            best[i] = cand
-            flags[i] = True
-        else:
-            best[i] = best[i - 1]
-    return float(best[n]), _walk(itertools.repeat(np.packbits(flags)), n, delta)
+    flags[pos[np.array(took, dtype=bool)]] = True
+    return best[-1], _walk(itertools.repeat(np.packbits(flags)), n, delta)
 
 
 def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:

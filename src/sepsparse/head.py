@@ -151,11 +151,16 @@ def head_project(x, k: int, delta: int, p: int, epsilon: float) -> tuple[int, ..
     """Projection capturing at least ``1 - 1/(lam+1)`` of the optimal mass.
 
     Runs the exact slice solver on each of the ``lam + 1`` keep-sets with
-    ``lam = ceil(1/epsilon)`` and returns the best solution found.
+    ``lam = ceil(1/epsilon)`` and returns the best solution found.  An
+    invalid ``delta`` or a ``p`` with no exact solver raises ``ValueError``
+    even when there is nothing to project.
     """
     x = as_weights(x)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    dp.table_builder(p)  # raises for a p with no exact solver
     if x.size == 0 or k <= 0:
         return ()
     # 1/epsilon overflows to inf below ~5.6e-309; any lam >= n is capped alike.

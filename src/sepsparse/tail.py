@@ -94,10 +94,13 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
 
     Entry ties at the selection threshold are resolved toward lower
     indices.  Since the candidate set has at most k elements, the
-    budget-free solver already respects the sparsity budget, keeping the
-    whole routine linear.
+    budget-free solver already respects the sparsity budget.  Its Python
+    loop visits only nonzero weights, so it runs at most k steps on a
+    length-n vector after O(n) vector work.
     """
     x = as_weights(x)
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     n = x.size
     if k <= 0 or n == 0:
         return ()
@@ -126,6 +129,8 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     x = as_weights(x)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     n = x.size
     if n == 0 or k <= 0:
         return ()

@@ -15,6 +15,8 @@ from sepsparse.dp import (
 from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 
+from util import unrestricted_cases, unrestricted_reference
+
 
 def random_instance(rng, n_max=14, delta_max=5):
     n = int(rng.integers(1, n_max + 1))
@@ -97,6 +99,15 @@ class TestDpUnrestricted:
             assert value == pytest.approx(values[-1], abs=1e-9)
             assert objective(x, sol) == value
             assert is_feasible(sol, n, k, delta, 1)
+
+    def test_matches_per_position_reference(self):
+        # 3,008 cases: the nonzero-only loop replays the per-position
+        # recurrence's additions and strict comparisons exactly.
+        for x, _k, delta in unrestricted_cases(43, 3000):
+            value, sol = dp_solve_unrestricted(x, delta)
+            want_value, want_sol = unrestricted_reference(x, delta)
+            assert value == want_value
+            assert sol == want_sol
 
 
 class TestDp2Spike:

@@ -134,6 +134,10 @@ class TestSliceSolve:
             slice_solve(np.ones(4, dtype=bool), np.zeros(4), 1, 2, 3)
         with pytest.raises(ValueError, match="p=3"):
             head_project(np.zeros(4), 1, 2, 3, 0.5)
+        # Nor does an empty x or a k <= 0 skip the check.
+        for x, k in (([], 1), (np.ones(4), 0)):
+            with pytest.raises(ValueError, match="p=3"):
+                head_project(x, k, 2, 3, 0.5)
 
 
 class TestHeadProject:
@@ -175,6 +179,9 @@ class TestHeadProject:
         for delta in (0, -2):
             with pytest.raises(ValueError):
                 head_project(np.ones(3), 1, delta, 1, 0.5)
+        for x, k in (([], 1), (np.ones(3), 0)):
+            with pytest.raises(ValueError, match="delta must be >= 1"):
+                head_project(x, k, 0, 1, 0.5)
 
     def test_huge_delta_equals_delta_n(self):
         rng = make_rng(139)

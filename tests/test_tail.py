@@ -7,7 +7,14 @@ from sepsparse.model import brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
-from util import direct_tail_vector, keep_only, tail_bound_coefficient, window_members
+from util import (
+    direct_tail_vector,
+    keep_only,
+    tail_bound_coefficient,
+    topk_reference,
+    unrestricted_cases,
+    window_members,
+)
 
 
 def leftover(x, support):
@@ -93,6 +100,16 @@ class TestTopK:
         assert topk_tail_project([9.0, 0, 0], 1, 2) == (1,)
         assert topk_tail_project([5.0, 1, 4, 1], 2, 2) == (1, 3)
 
+    def test_matches_selection_on_reference_solver(self):
+        for x, k, delta in unrestricted_cases(47, 3000):
+            assert topk_tail_project(x, k, delta) == topk_reference(x, k, delta)
+
+    def test_delta_validation(self):
+        # Checked before the early return for an empty x or a k <= 0.
+        for x, k, delta in ((np.ones(3), 2, 0), ([], 2, 0), (np.ones(3), 0, 0), ([], 1, -1)):
+            with pytest.raises(ValueError, match="delta must be >= 1"):
+                topk_tail_project(x, k, delta)
+
     def test_factor_two_vs_oracle(self):
         rng = make_rng(101)
         for _ in range(300):
@@ -141,6 +158,9 @@ class TestTailProject:
         for delta in (0, -2):
             with pytest.raises(ValueError):
                 tail_project(np.ones(3), 1, delta, 0.5)
+        for x, k in (([], 1), (np.ones(3), 0)):
+            with pytest.raises(ValueError, match="delta must be >= 1"):
+                tail_project(x, k, -1, 0.5)
 
     def test_huge_delta_equals_delta_n(self):
         rng = make_rng(151)

@@ -123,3 +123,82 @@ def stepwise_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray
     for pos, value in zip(positions, values):
         x[pos - 1] = value
     return x, tuple(positions)
+
+
+def unrestricted_reference(x, delta: int) -> tuple[float, tuple[int, ...]]:
+    """The budget-free 1-spike recurrence with one Python step per position.
+
+    This is ``dp_solve_unrestricted``'s former loop over all of ``[n]``; the
+    solver's loop over the nonzeros alone must match it bit for bit.  The
+    support is read back by scanning the take flags down from ``n``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    best = np.zeros(n + 1)
+    flags = np.zeros(n + 1, dtype=bool)
+    for i in range(1, n + 1):
+        cand = x[i - 1] + (best[i - delta] if i > delta else 0.0)
+        if cand > best[i - 1]:
+            best[i] = cand
+            flags[i] = True
+        else:
+            best[i] = best[i - 1]
+    sol: list[int] = []
+    i = n
+    while i >= 1:
+        if flags[i]:
+            sol.append(i)
+            i -= delta
+        else:
+            i -= 1
+    return float(best[n]), tuple(reversed(sol))
+
+
+def topk_reference(x, k: int, delta: int) -> tuple[int, ...]:
+    """Top-k tail selection solved by :func:`unrestricted_reference`.
+
+    Keeps the ``k`` heaviest entries, ties toward lower indices, by a stable
+    sort rather than a partition.
+    """
+    x = np.asarray(x, dtype=float)
+    keep = np.zeros(x.size, dtype=bool)
+    keep[np.argsort(-x, kind="stable")[: max(k, 0)]] = True
+    return unrestricted_reference(np.where(keep, x, 0.0), delta)[1]
+
+
+def unrestricted_cases(seed: int, count: int):
+    """``count`` small hostile ``(x, k, delta)`` cases, then 4 large sparse and 4 dense.
+
+    The small ones cycle through integer ties with zero runs, ``-0.0``
+    entries, all-zero and empty vectors, weights from 1e-300 to 1e300, and a
+    ``delta`` past ``n``.  The large sparse ones have ``n`` from 2e4 to 1e5
+    and at most ``k`` nonzeros, the vectors top-k hands the solver.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        n = int(rng.integers(0, 60))
+        delta = int(rng.integers(1, 12))
+        kind = c % 5
+        if kind == 0:
+            x = rng.integers(0, 3, n).astype(float)
+            start = int(rng.integers(0, n + 1))
+            x[start : start + int(rng.integers(0, 20))] = 0.0
+        elif kind == 1:
+            x = np.where(rng.random(n) < 0.5, -0.0, rng.integers(0, 3, n).astype(float))
+        elif kind == 2:
+            x = np.zeros(n if c % 2 else 0)
+        elif kind == 3:
+            x = 10.0 ** rng.uniform(-300, 300, n) * (rng.random(n) < 0.6)
+        else:
+            x = np.round(rng.random(n) * 3, 1)
+            delta = n + int(rng.integers(1, 10**6))
+        yield x, int(rng.integers(-1, n + 3)), delta
+    for _ in range(4):
+        n = int(rng.integers(20_000, 100_001))
+        k = int(rng.integers(1, 400))
+        x = np.zeros(n)
+        x[rng.choice(n, size=k, replace=False)] = np.ceil(rng.random(k) * 5)
+        yield x, k, int(rng.integers(1, 400))
+    for _ in range(4):
+        n = int(rng.integers(1_000, 5_001))
+        yield rng.random(n), int(rng.integers(1, n + 1)), int(rng.integers(1, 80))
