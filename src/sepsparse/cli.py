@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
-from .model import InfeasibleParameters, brute_force_solve, objective
+from .model import InfeasibleParameters, brute_force_solve, check_delta, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
 from .serialize import read_vector, write_support, write_vector
@@ -40,7 +40,7 @@ class ConfigError(Exception):
 def _project_opt(x, k, delta, spikes):
     """Exact optimum for ratio reporting, skipped when a DP would be too big."""
     build = dp.table_builder(spikes)
-    delta = min(delta, x.size)  # any delta >= n is the problem at delta = n
+    delta = check_delta(delta, x.size)
     # The DP runs at most n levels, as no support holds more than n indices.
     cost = min(k, x.size) * x.size * (delta if spikes == 2 else 1)
     if cost > MAX_OPT_CELLS:

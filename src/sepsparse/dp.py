@@ -10,7 +10,8 @@ Three solvers live here:
 :func:`table_builder` is the one place that maps a spike count ``p`` to
 its budgeted recurrence; every caller that picks an exact solver by ``p``
 goes through it.  A ``delta`` of ``n`` or more is the same problem as
-``delta = n``, so every solver clamps it in one shared prologue.
+``delta = n``; every solver's shared prologue checks and clamps it with
+:func:`model.check_delta`, the one home of that rule.
 
 Each records take-flags during the forward pass, bit-packed with
 ``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and reconstructs a
@@ -36,7 +37,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import as_weights, max_support_size
+from .model import as_weights, check_delta, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -51,14 +52,13 @@ __all__ = [
 
 
 def _prepare(x, delta: int, budget: int = 0) -> tuple[np.ndarray, int, int]:
-    """Validated weights, their length ``n``, and ``delta`` clamped to ``max(n, 1)``;
+    """Validated weights, their length ``n``, and ``delta`` through :func:`check_delta`;
     a negative ``budget`` (a table builder's) is rejected."""
     x = as_weights(x)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
+    delta = check_delta(delta, x.size)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    return x, x.size, min(delta, max(x.size, 1))
+    return x, x.size, delta
 
 
 def _nearest_take(row: np.ndarray, i: int) -> int:

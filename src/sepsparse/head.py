@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import as_weights, objective
+from .model import as_weights, check_delta, objective
 
 __all__ = [
     "BlockDecomposition",
@@ -26,6 +26,8 @@ __all__ = [
     "drop_phase",
     "head_project",
     "slice_solve",
+    "window_cap",
+    "window_count",
 ]
 
 
@@ -35,9 +37,29 @@ def drop_phase(idx, delta: int, lam: int) -> np.ndarray:
     Keep-set ``nu`` leaves out every index whose position modulo the period
     ``(lam + 1) * delta`` falls in ``[nu * delta, (nu + 1) * delta)``, so each
     index is dropped by exactly one of the ``lam + 1`` sets and kept by the
-    other ``lam``.
+    other ``lam``.  A ``delta`` past the largest index puts every index in
+    phase 0, so it is clamped there.
     """
-    return ((np.asarray(idx) - 1) % ((lam + 1) * delta)) // delta
+    idx = np.asarray(idx)
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    delta = check_delta(delta, int(idx.max(initial=0)))
+    return ((idx - 1) % ((lam + 1) * delta)) // delta
+
+
+def window_cap(n: int, delta: int) -> int:
+    """``ceil(n / delta)`` with ``delta`` clamped to ``n``: at this ``lam`` the last
+    keep-set is all of ``[n]``, and a larger ``lam`` only adds keep-sets equal to it."""
+    return math.ceil(n / check_delta(delta, n))
+
+
+def window_count(n: int, delta: int, epsilon: float, scale: float = 1.0) -> int:
+    """The ``lam`` of a projection at precision ``epsilon``: ``ceil(scale /
+    epsilon)`` capped at :func:`window_cap`, ``scale`` 1 for head and 2 for tail."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and positive")
+    # scale/epsilon overflows to inf below ~1e-308; min() keeps it at n.
+    return min(math.ceil(min(scale / epsilon, n)), window_cap(n, delta))
 
 
 @dataclass
@@ -60,8 +82,9 @@ def block_decompose(x, delta: int, p: int = 1) -> BlockDecomposition:
     apart, so they can be solved independently.
     """
     x = as_weights(x)
-    if delta < 1 or p < 1:
-        raise ValueError("delta and p must be >= 1")
+    delta = check_delta(delta, x.size)
+    if p < 1:
+        raise ValueError("p must be >= 1")
     nonzero = np.flatnonzero(x) + 1
     if nonzero.size == 0:
         return BlockDecomposition([], [])
@@ -81,13 +104,14 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
     non-increasing, so picking the ``k`` largest gains globally (ties
     broken by ascending block id, then level) yields per-block budgets
     whose union is an optimal solution.  Zero gains are dropped after
-    selection.  A ``p`` with no exact solver raises ``ValueError`` even
-    when there is no block.
+    selection.  A ``p`` with no exact solver or an invalid ``delta`` raises
+    ``ValueError`` even when there is no block or ``k <= 0``.
     """
     x = as_weights(x)
+    solve = dp.table_builder(p)
+    delta = check_delta(delta, x.size)
     if k <= 0:
         return ()
-    solve = dp.table_builder(p)
     x = np.where(keep, x, 0.0)
     dec = block_decompose(x, delta, p)
     if not dec.blocks:
@@ -123,17 +147,10 @@ def best_over_windows(
     """Best exact slice solution over the ``lam + 1`` periodic keep-sets.
 
     ``x`` is a non-empty weight vector and ``forced`` an optional boolean
-    mask over ``[n]`` of indices kept by every slice.  Keep-sets whose
-    dropped run starts beyond ``n`` all equal the full ground set, and the
-    phases do not change once the period exceeds ``n``, so ``lam`` is capped
-    at ``ceil(n / delta)``.  Any ``delta >= n`` admits the same supports as
-    ``delta = n``, so it is clamped to ``n``.  Ties keep the earliest
-    keep-set.
+    mask over ``[n]`` of indices kept by every slice.  ``lam`` is capped at
+    :func:`window_cap`.  Ties keep the earliest keep-set.
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    delta = min(delta, x.size)
-    lam = min(lam, math.ceil(x.size / delta))
+    lam = min(lam, window_cap(x.size, delta))
     phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
     if forced is not None:
         phase[forced] = -1  # a phase no keep-set drops
@@ -151,17 +168,14 @@ def head_project(x, k: int, delta: int, p: int, epsilon: float) -> tuple[int, ..
     """Projection capturing at least ``1 - 1/(lam+1)`` of the optimal mass.
 
     Runs the exact slice solver on each of the ``lam + 1`` keep-sets with
-    ``lam = ceil(1/epsilon)`` and returns the best solution found.  An
-    invalid ``delta`` or a ``p`` with no exact solver raises ``ValueError``
-    even when there is nothing to project.
+    ``lam = ceil(1/epsilon)`` (see :func:`window_count`) and returns the
+    best solution found.  An invalid ``epsilon`` or ``delta`` or a ``p``
+    with no exact solver raises ``ValueError`` even when there is nothing
+    to project.
     """
     x = as_weights(x)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be finite and positive")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
+    lam = window_count(x.size, delta, epsilon)
     dp.table_builder(p)  # raises for a p with no exact solver
     if x.size == 0 or k <= 0:
         return ()
-    # 1/epsilon overflows to inf below ~5.6e-309; any lam >= n is capped alike.
-    return best_over_windows(x, k, delta, p, math.ceil(min(1.0 / epsilon, x.size)))
+    return best_over_windows(x, k, delta, p, lam)

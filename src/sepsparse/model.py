@@ -25,6 +25,7 @@ __all__ = [
     "as_support",
     "as_weights",
     "brute_force_solve",
+    "check_delta",
     "is_feasible",
     "max_support_size",
     "objective",
@@ -128,10 +129,19 @@ def restrict(v, indices) -> np.ndarray:
     return out
 
 
-def max_support_size(n: int, delta: int, p: int = 1) -> int:
-    """Largest feasible support size on ``[n]`` for the given (delta, p)."""
+def check_delta(delta: int, n: int) -> int:
+    """``delta`` checked to be >= 1 and clamped to ``max(n, 1)``: on ``n``
+    positions any ``delta >= n`` admits the same supports as ``delta = n``."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    return min(delta, max(n, 1))
+
+
+def max_support_size(n: int, delta: int, p: int = 1) -> int:
+    """Largest feasible support size on ``[n]`` for the given (delta, p)."""
+    delta = check_delta(delta, n)
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if n < 0:
         return 0
     # A window holds at most delta distinct positions, so p >= delta is vacuous.
@@ -153,8 +163,11 @@ def brute_force_solve(x, k: int, delta: int, p: int = 1) -> tuple[tuple[int, ...
     n = x.size
     if n < 1:
         raise ValueError("brute force requires n >= 1")
-    if k < 1 or delta < 1 or p < 1:
-        raise ValueError("k, delta and p must all be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    delta = check_delta(delta, n)
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"brute force limited to n <= {MAX_BRUTE_FORCE_N}, got {n}")
     nonzero = [int(i) + 1 for i in np.flatnonzero(x)]

@@ -7,10 +7,10 @@ head projection of the gradient (doubled budget, two spikes: the residual of
 two separated supports is two-spike separated) with a tail projection of the
 updated iterate (original budget, one spike).
 
-Each projection's windowed loop caps ``lam`` at ``ceil(n/delta)``; at that
-cap its last keep-set is the whole ground set, so the loop ends in an exact
-solve anyway.  A step whose ``lam`` reaches the cap therefore calls the
-exact DP once instead, and every other step runs the windowed projector.
+``head.py`` owns each projection's window count and its cap; at the cap the
+last keep-set is the whole ground set, so the loop ends in an exact solve
+anyway.  A step whose count reaches the cap therefore calls the exact DP
+once instead, and every other step runs the windowed projector.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp
-from .head import head_project
+from .head import head_project, window_cap, window_count
 from .model import InfeasibleParameters, as_signal, is_feasible, max_support_size, restrict, squared_weights
 from .seeding import make_rng
 from .tail import tail_project
@@ -94,12 +94,6 @@ def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     return Measurement(y=A @ x + e, e=e)
 
 
-def _reaches_cap(scale: float, epsilon: float, n: int, delta: int) -> bool:
-    """Whether the window loop's ``lam = ceil(scale/epsilon)`` reaches its cap ``ceil(n/delta)``."""
-    # scale/epsilon overflows to inf for a tiny epsilon; min() keeps it at n.
-    return math.ceil(min(scale / epsilon, n)) >= math.ceil(n / min(delta, max(n, 1)))
-
-
 def am_iht(
     y,
     A: np.ndarray,
@@ -121,14 +115,14 @@ def am_iht(
     when ``x_true`` is supplied; ``stop_tol`` optionally ends the loop when
     the measurement-space proxy stalls.
 
-    The head step runs the exact 2-spike DP when ``ceil(min(1/eps_head,
-    n))`` reaches ``ceil(n/delta)``, and the tail step the exact 1-spike DP
-    when ``ceil(min(2/eps_tail, n))`` does: the windowed loop would end in
-    that same exact solve.  An exact support meets both the head and the
-    tail guarantee.  Otherwise the step calls :func:`head_project` or
-    :func:`tail_project`.  The trace's ``head_path`` and ``tail_path`` say
-    which ran.  The epsilons and ``delta`` are checked up front, as the
-    windowed projectors check them, whichever path runs.
+    The head step runs the exact 2-spike DP when ``head.window_count(n,
+    delta, eps_head)`` equals ``head.window_cap(n, delta)``, and the tail
+    step the exact 1-spike DP when ``window_count(n, delta, eps_tail, 2.0)``
+    does: the windowed loop would end in that same exact solve.  An exact
+    support meets both the head and the tail guarantee.  Otherwise the step
+    calls :func:`head_project` or :func:`tail_project`.  The trace's
+    ``head_path`` and ``tail_path`` say which ran.  The counts check
+    ``delta`` and the epsilons up front, whichever path runs.
     """
     m, n = A.shape
     y = as_signal(y)
@@ -143,13 +137,9 @@ def am_iht(
         raise ValueError("iterations must be >= 0")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    for epsilon in (eps_head, eps_tail):
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise ValueError("epsilon must be finite and positive")
-    head_exact = _reaches_cap(1.0, eps_head, n, delta)
-    tail_exact = _reaches_cap(2.0, eps_tail, n, delta)
+    cap = window_cap(n, delta)
+    head_exact = window_count(n, delta, eps_head) == cap
+    tail_exact = window_count(n, delta, eps_tail, 2.0) == cap
     budget = 2 * k
 
     def residual_norm(xj: np.ndarray) -> float:

@@ -11,14 +11,13 @@ slice turns the head guarantee into a tail guarantee.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dp
-from .head import best_over_windows
-from .model import as_weights
+from .head import best_over_windows, window_count
+from .model import as_weights, check_delta
 
 # perfbench/tracing.py patches these two names here; keep them importable.
 from .head import slice_solve  # noqa: F401
@@ -43,10 +42,8 @@ def tail_vector(x, delta: int) -> np.ndarray:
     to ``n``.
     """
     x = as_weights(x)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     n = x.size
-    delta = min(delta, n)
+    delta = check_delta(delta, n)
     prefix = np.concatenate(([0.0], np.cumsum(x)))
     positions = np.arange(1, n + 1)
     hi = np.minimum(positions + delta - 1, n)
@@ -99,9 +96,8 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     length-n vector after O(n) vector work.
     """
     x = as_weights(x)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     n = x.size
+    delta = check_delta(delta, n)
     if k <= 0 or n == 0:
         return ()
     if k >= n:
@@ -121,21 +117,17 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     """Projection leaving at most ``1 + eps`` times the optimal leftover mass.
 
     Builds the reduced vector, then runs the windowed slice loop at halved
-    precision (``lam = ceil(2/epsilon)``) with the strong set merged into
-    every slice; strong indices always land in singleton blocks of the
-    reduced vector, so block sizes stay bounded.  Returns the slice solution
+    precision (``lam = ceil(2/epsilon)``, see :func:`window_count`) with
+    the strong set merged into every slice; strong indices always land in
+    singleton blocks of the reduced vector, so block sizes stay bounded.  Returns the slice solution
     with maximal reduced-vector mass.  Single-spike model only.
     """
     x = as_weights(x)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be finite and positive")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     n = x.size
+    lam = window_count(n, delta, epsilon, 2.0)
     if n == 0 or k <= 0:
         return ()
     profile = strong_and_reduced(x, delta)
     forced = np.zeros(n, dtype=bool)
     forced[profile.strong - 1] = True
-    # 2/epsilon overflows to inf below ~1.1e-308; any lam >= n is capped alike.
-    return best_over_windows(profile.r, k, delta, 1, math.ceil(min(2.0 / epsilon, n)), forced)
+    return best_over_windows(profile.r, k, delta, 1, lam, forced)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from sepsparse.dp import dp_solve
-from sepsparse.head import block_decompose, drop_phase, head_project, slice_solve
+from sepsparse.head import (
+    best_over_windows,
+    block_decompose,
+    drop_phase,
+    head_project,
+    slice_solve,
+    window_cap,
+    window_count,
+)
 from sepsparse.model import brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 
@@ -32,6 +40,25 @@ class TestWindows:
         for n, delta, lam in [(17, 3, 2), (40, 5, 1), (9, 1, 3)]:
             total = sum(len(window_members(n, delta, lam, nu)) for nu in range(lam + 1))
             assert total == lam * n
+
+    def test_negative_lam_or_delta_raises(self):
+        # The period (lam + 1) * delta would be 0 or negative.
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            drop_phase(np.arange(1, 5), 0, 1)
+        with pytest.raises(ValueError, match="lam must be >= 0, got -1"):
+            drop_phase(np.arange(1, 5), 2, -1)
+        with pytest.raises(ValueError, match="lam must be >= 0, got -1"):
+            best_over_windows(np.ones(4), 2, 2, 1, -1)
+        # A delta past every index puts all of them in phase 0.
+        assert list(drop_phase(np.arange(1, 5), 2**62, 1)) == [0, 0, 0, 0]
+
+    def test_window_count_reaches_the_cap(self):
+        # best_over_windows caps lam at ceil(n / min(delta, n)).
+        assert window_count(100, 10, 0.1) == window_cap(100, 10) == 10
+        assert window_count(100, 10, 0.2) == 5
+        assert window_count(100, 10, 0.2, 2.0) == window_cap(100, 10)
+        assert window_count(7, 100, 1.0) == window_cap(7, 100) == 1  # delta past n: one window
+        assert window_count(7, 1, 5e-324) == window_cap(7, 1) == 7  # 1/eps overflows to inf
 
     def test_block_size_capped_by_lam_delta(self):
         rng = make_rng(53)
@@ -138,6 +165,11 @@ class TestSliceSolve:
         for x, k in (([], 1), (np.ones(4), 0)):
             with pytest.raises(ValueError, match="p=3"):
                 head_project(x, k, 2, 3, 0.5)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="p=3"):
+                slice_solve(np.ones(4, dtype=bool), np.ones(4), k, 2, 3)
+            with pytest.raises(ValueError, match="p=3"):
+                best_over_windows(np.ones(4), k, 2, 3, 2)
 
 
 class TestHeadProject:

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepsparse.dp import dp_solve, dp_solve_2spike
-from sepsparse.head import head_project
+from sepsparse import recovery
+from sepsparse.dp import build_table_1spike, build_table_2spike, dp_solve, dp_solve_2spike, dp_solve_unrestricted
+from sepsparse.head import best_over_windows, block_decompose, head_project, slice_solve
 from sepsparse.model import (
     brute_force_solve,
+    check_delta,
     is_feasible,
     max_support_size,
     objective,
@@ -15,7 +17,7 @@ from sepsparse.model import (
     squared_weights,
 )
 from sepsparse.seeding import make_rng
-from sepsparse.tail import tail_project, topk_tail_project
+from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
 from util import pairwise_feasible, window_scan_feasible
 
@@ -148,6 +150,13 @@ class TestMaxSupportSize:
         with pytest.raises(ValueError, match="delta must be >= 1"):
             max_support_size(5, delta, 1)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_p_below_one_raises(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            max_support_size(10, 2, p)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            recovery.random_feasible_support(10, 0, 2, p, make_rng(0))
+
     def test_matches_enumeration(self):
         rng = make_rng(13)
         for _ in range(60):
@@ -191,6 +200,73 @@ class TestBruteForce:
         sup, val = brute_force_solve(np.ones(4), 2, 3)
         assert val == 2.0
         assert sup == (1, 4)
+
+
+class TestCheckDelta:
+    def test_clamps_to_n(self):
+        assert check_delta(2, 5) == 2
+        assert check_delta(9, 5) == 5
+        assert check_delta(2**63, 4) == 4
+        assert check_delta(3, 0) == 1
+
+    def test_every_delta_taker_rejects_delta_below_one(self):
+        # Each runs on normal input and on each early-return shape, and
+        # each raises check_delta's message.
+        takers = {
+            "head_project": lambda x, k, d: head_project(x, k, d, 2, 0.5),
+            "tail_project": lambda x, k, d: tail_project(x, k, d, 0.5),
+            "topk_tail_project": lambda x, k, d: topk_tail_project(x, k, d),
+            "slice_solve": lambda x, k, d: slice_solve(np.ones(x.size, dtype=bool), x, k, d, 1),
+            "best_over_windows": lambda x, k, d: best_over_windows(x, k, d, 1, 2),
+            "block_decompose": lambda x, k, d: block_decompose(x, d, 1),
+            "tail_vector": lambda x, k, d: tail_vector(x, d),
+            "strong_and_reduced": lambda x, k, d: strong_and_reduced(x, d),
+            "build_table_1spike": lambda x, k, d: build_table_1spike(x, k, d),
+            "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
+            "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(x, d),
+            "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
+            "am_iht": lambda x, k, d: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, d, 1, 0.5, 0.5),
+        }
+        wrong = []
+        for name, call in takers.items():
+            # best_over_windows takes a non-empty x only.
+            shapes = [(np.ones(5), 2), (np.ones(5), 0)] + [(np.zeros(0), 2)] * (name != "best_over_windows")
+            for x, k in shapes:
+                for delta in (0, -1):
+                    try:
+                        call(x, k, delta)
+                    except ValueError as err:
+                        if str(err) != "delta must be >= 1":
+                            wrong.append((name, x.size, k, delta, str(err)))
+                    else:
+                        wrong.append((name, x.size, k, delta, "returned"))
+        assert wrong == []
+
+
+def test_each_parameter_rule_has_one_home():
+    # model.check_delta owns the delta check and clamp and head.window_count
+    # the precision; a second copy of either message is a second copy of
+    # its rule.  recovery only compares head's window count and cap.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    homes = {"delta must be >= 1": [], "epsilon must be finite and positive": []}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and node.value in homes:
+                homes[node.value].append(path.name)
+    assert homes == {
+        "delta must be >= 1": ["model.py"],
+        "epsilon must be finite and positive": ["head.py"],
+    }
+    assert not hasattr(recovery, "_reaches_cap")
+    tree = ast.parse((package / "recovery.py").read_text())
+    am_iht = next(node for node in tree.body if getattr(node, "name", None) == "am_iht")
+    arithmetic = [
+        node.lineno
+        for node in ast.walk(am_iht)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div))
+        or (isinstance(node, ast.Attribute) and node.attr == "ceil")
+    ]
+    assert arithmetic == []
 
 
 def test_package_has_no_assert_statements():

@@ -5,7 +5,7 @@ import pytest
 
 import sepsparse.recovery as recovery
 from sepsparse import dp
-from sepsparse.head import head_project
+from sepsparse.head import head_project, window_cap, window_count
 from sepsparse.model import InfeasibleParameters, is_feasible, objective
 from sepsparse.recovery import (
     am_iht,
@@ -270,8 +270,8 @@ class TestProjectionPath:
             slack = 64 * np.finfo(float).eps * float(w.sum())
             # lam = n reaches the cap ceil(n/delta) for every delta >= 1.
             eps_head, eps_tail = 1.0 / n, 2.0 / n
-            assert recovery._reaches_cap(1.0, eps_head, n, delta)
-            assert recovery._reaches_cap(2.0, eps_tail, n, delta)
+            assert window_count(n, delta, eps_head) == window_cap(n, delta)
+            assert window_count(n, delta, eps_tail, 2.0) == window_cap(n, delta)
             for p, budget, windowed in (
                 (2, 2 * k, head_project(w, 2 * k, delta, 2, eps_head)),
                 (1, k, tail_project(w, k, delta, eps_tail)),
@@ -281,14 +281,6 @@ class TestProjectionPath:
                 assert objective(w, exact) >= objective(w, windowed) - slack
             cases += 1
         assert cases >= 200
-
-    def test_reaches_cap_matches_the_window_loop(self):
-        # best_over_windows caps lam at ceil(n / min(delta, n)).
-        assert recovery._reaches_cap(1.0, 0.1, 100, 10)
-        assert not recovery._reaches_cap(1.0, 0.2, 100, 10)
-        assert recovery._reaches_cap(2.0, 0.2, 100, 10)
-        assert recovery._reaches_cap(1.0, 1.0, 7, 100)  # delta past n: one window
-        assert recovery._reaches_cap(1.0, 5e-324, 7, 1)  # 1/eps overflows to inf
 
     def test_zero_width_model_returns_empty_supports(self):
         x_hat, trace = am_iht(np.zeros(3), np.zeros((3, 0)), 2, 3, 2, 0.5, 0.5)
