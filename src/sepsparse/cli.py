@@ -28,8 +28,8 @@ __all__ = ["main", "run"]
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
-# Largest DP cell count (k n, or k delta n for two spikes) that `project`
-# spends on the exact optimum behind its ratio report.
+# Largest DP cell count (dp.table_cells) that `project` spends on the exact
+# optimum behind its ratio report.
 MAX_OPT_CELLS = 5e7
 
 
@@ -39,13 +39,9 @@ class ConfigError(Exception):
 
 def _project_opt(x, k, delta, spikes):
     """Exact optimum for ratio reporting, skipped when a DP would be too big."""
-    build = dp.table_builder(spikes)
-    delta = check_delta(delta, x.size)
-    # The DP runs at most n levels, as no support holds more than n indices.
-    cost = min(k, x.size) * x.size * (delta if spikes == 2 else 1)
-    if cost > MAX_OPT_CELLS:
+    if dp.table_cells(x.size, k, delta, spikes) > MAX_OPT_CELLS:
         return None
-    return float(build(x, k, delta).values[-1])
+    return float(dp.table_builder(spikes)(x, k, delta).values[-1])
 
 
 def _cmd_project(args) -> int:
@@ -54,8 +50,9 @@ def _cmd_project(args) -> int:
         raise ConfigError(f"{args.infile} contains no values")
     if float(x.min()) < 0:
         raise ConfigError("input vector has negative entries; square it first")
-    if args.k < 1 or args.delta < 1:
-        raise ConfigError("k and delta must be >= 1")
+    if args.k < 1:
+        raise ConfigError("k must be >= 1")
+    check_delta(args.delta, x.size)
     spikes = args.spikes
     if args.algo in ("tail", "topk") and spikes != 1:
         raise ConfigError(f"--algo {args.algo} supports --spikes 1 only, got {spikes}")
@@ -100,8 +97,9 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    if args.n < 1 or args.k < 1 or args.delta < 1:
-        raise ConfigError("n, k and delta must be >= 1")
+    if args.n < 1 or args.k < 1:
+        raise ConfigError("n and k must be >= 1")
+    check_delta(args.delta, args.n)
     if args.iters < 0:
         raise ConfigError("--iters must be >= 0")
     m = args.m if args.m is not None else default_measurement_count(args.n, args.k)

@@ -20,9 +20,10 @@ only when it is asked for.  They run levels only up to the packing limit
 ``max_support_size``: every budget past it has the limit's value and
 support.  A table is the sequence of the levels it ran, and
 ``table.support(k)`` reads an optimal support for any budget ``k`` up to
-the requested one, so no caller caps a budget.  Ties in every max are
-broken toward *not* taking the current index, so reconstructed supports
-are deterministic and stable across runs.
+the requested one, so no caller caps a budget.  :func:`table_cells` prices
+a table by the levels it runs; no other module works out a table's size.
+Ties in every max are broken toward *not* taking the current index, so
+reconstructed supports are deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -48,17 +49,21 @@ __all__ = [
     "dp_solve_2spike",
     "dp_solve_unrestricted",
     "table_builder",
+    "table_cells",
 ]
 
 
-def _prepare(x, delta: int, budget: int = 0) -> tuple[np.ndarray, int, int]:
-    """Validated weights, their length ``n``, and ``delta`` through :func:`check_delta`;
-    a negative ``budget`` (a table builder's) is rejected."""
+def _prepare(x, delta: int) -> tuple[np.ndarray, int, int]:
+    """Validated weights, their length ``n``, and ``delta`` through :func:`check_delta`."""
     x = as_weights(x)
-    delta = check_delta(delta, x.size)
+    return x, x.size, check_delta(delta, x.size)
+
+
+def _levels(n: int, budget: int, delta: int, p: int) -> int:
+    """The levels a budget-``budget`` table runs: the budget, >= 0, capped at the packing limit."""
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    return x, x.size, delta
+    return min(budget, max_support_size(n, delta, p))
 
 
 def _nearest_take(row: np.ndarray, i: int) -> int:
@@ -155,9 +160,9 @@ class DpTable1(_DpTable):
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget."""
-    x, n, delta = _prepare(x, delta, budget)
+    x, n, delta = _prepare(x, delta)
     s = min(delta, n)
-    top = min(budget, max_support_size(n, delta, 1))
+    top = _levels(n, budget, delta, 1)
     flags = np.zeros((top + 1, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(top)
     # Level rows live at [s:]; [1 : n + 1] is prev[i - delta] for i = 1..n.
@@ -219,11 +224,11 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     With ``delta == 1`` the window constraint is vacuous and the 1-spike
     recurrence at separation 1 solves the same problem, so we reuse it.
     """
-    x, n, delta = _prepare(x, delta, budget)
+    x, n, delta = _prepare(x, delta)
     if delta == 1:
         return build_table_1spike(x, budget, 1)
     s = delta - 1
-    top = min(budget, max_support_size(n, delta, 2))
+    top = _levels(n, budget, delta, 2)
     flags = np.zeros((top + 1, delta, (n + 8) // 8), dtype=np.uint8)
     values = np.zeros(top)
     # Row i of a level lives at [i, s:]; width i reads the previous level's
@@ -261,6 +266,13 @@ def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
     if p == 2:
         return build_table_2spike
     raise ValueError(f"no exact solver for p={p}; only p = 1 and p = 2 are supported")
+
+
+def table_cells(n: int, k: int, delta: int, p: int) -> int:
+    """The cells the budget-``k`` table for spike count ``p`` fills on ``n``
+    weights: ``n`` per level it runs, times the clamped ``delta`` for ``p = 2``."""
+    table_builder(p)  # raises for a p with no exact solver
+    return _levels(n, k, delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:

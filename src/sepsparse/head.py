@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import as_weights, check_delta, objective
+from .model import as_weights, check_delta, check_p, objective
 
 __all__ = [
     "BlockDecomposition",
@@ -83,8 +83,7 @@ def block_decompose(x, delta: int, p: int = 1) -> BlockDecomposition:
     """
     x = as_weights(x)
     delta = check_delta(delta, x.size)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     nonzero = np.flatnonzero(x) + 1
     if nonzero.size == 0:
         return BlockDecomposition([], [])
@@ -93,6 +92,12 @@ def block_decompose(x, delta: int, p: int = 1) -> BlockDecomposition:
     his = nonzero[np.concatenate((cuts, [nonzero.size - 1]))].tolist()
     budgets = [p * math.ceil((hi - lo + 1) / delta) for lo, hi in zip(los, his)]
     return BlockDecomposition(list(zip(los, his)), budgets)
+
+
+def _check_mask(mask, n: int, name: str) -> None:
+    """Reject a ``mask`` that is not a boolean array of length ``n``."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (n,)):
+        raise ValueError(f"{name} must be a boolean mask of length {n}")
 
 
 def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
@@ -104,12 +109,14 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
     non-increasing, so picking the ``k`` largest gains globally (ties
     broken by ascending block id, then level) yields per-block budgets
     whose union is an optimal solution.  Zero gains are dropped after
-    selection.  A ``p`` with no exact solver or an invalid ``delta`` raises
+    selection.  A ``p`` with no exact solver, an invalid ``delta`` or a
+    ``keep`` that is not a boolean array of ``x``'s length raises
     ``ValueError`` even when there is no block or ``k <= 0``.
     """
     x = as_weights(x)
     solve = dp.table_builder(p)
     delta = check_delta(delta, x.size)
+    _check_mask(keep, x.size, "keep")
     if k <= 0:
         return ()
     x = np.where(keep, x, 0.0)
@@ -147,12 +154,14 @@ def best_over_windows(
     """Best exact slice solution over the ``lam + 1`` periodic keep-sets.
 
     ``x`` is a non-empty weight vector and ``forced`` an optional boolean
-    mask over ``[n]`` of indices kept by every slice.  ``lam`` is capped at
-    :func:`window_cap`.  Ties keep the earliest keep-set.
+    mask over ``[n]`` of indices kept by every slice; any other ``forced``
+    raises ``ValueError``.  ``lam`` is capped at :func:`window_cap`.  Ties
+    keep the earliest keep-set.
     """
     lam = min(lam, window_cap(x.size, delta))
     phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
     if forced is not None:
+        _check_mask(forced, x.size, "forced")
         phase[forced] = -1  # a phase no keep-set drops
     best: tuple[int, ...] = ()
     best_val = 0.0

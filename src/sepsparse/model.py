@@ -10,6 +10,9 @@ Conventions used throughout the package:
   window rule: every ``delta`` consecutive positions may contain at most
   ``p`` chosen indices.  For ``p == 1`` this is exactly the pairwise rule
   ``|i - j| >= delta`` for distinct chosen ``i, j``.
+* Each parameter rule has one home: :func:`check_delta` checks and clamps
+  ``delta``, :func:`check_p` checks ``p``, and :func:`is_feasible` is the
+  one feasibility test, which every other module calls.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "as_weights",
     "brute_force_solve",
     "check_delta",
+    "check_p",
     "is_feasible",
     "max_support_size",
     "objective",
@@ -88,8 +92,10 @@ def is_feasible(indices, n: int, k: int, delta: int, p: int = 1) -> bool:
 
     The window rule is evaluated through its pairwise form: sorted indices
     ``i_1 < i_2 < ...`` satisfy it iff ``i_{j+p} - i_j >= delta`` for every
-    ``j``.  Indices outside ``[1, n]`` raise ``ValueError``.
+    ``j``.  Indices outside ``[1, n]`` and a ``delta`` or ``p`` below 1 raise ``ValueError``.
     """
+    check_delta(delta, n)
+    check_p(p)
     idx = as_support(indices, n)
     if len(idx) > k:
         return False
@@ -137,11 +143,16 @@ def check_delta(delta: int, n: int) -> int:
     return min(delta, max(n, 1))
 
 
+def check_p(p: int) -> None:
+    """Reject a spike count ``p`` below 1."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+
+
 def max_support_size(n: int, delta: int, p: int = 1) -> int:
     """Largest feasible support size on ``[n]`` for the given (delta, p)."""
     delta = check_delta(delta, n)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     if n < 0:
         return 0
     # A window holds at most delta distinct positions, so p >= delta is vacuous.
@@ -166,8 +177,7 @@ def brute_force_solve(x, k: int, delta: int, p: int = 1) -> tuple[tuple[int, ...
     if k < 1:
         raise ValueError("k must be >= 1")
     delta = check_delta(delta, n)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"brute force limited to n <= {MAX_BRUTE_FORCE_N}, got {n}")
     nonzero = [int(i) + 1 for i in np.flatnonzero(x)]

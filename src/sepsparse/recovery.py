@@ -133,6 +133,8 @@ def am_iht(
     truth = None if x_true is None else as_signal(x_true)
     if truth is not None and truth.size != n:
         raise ValueError(f"x_true length {truth.size} != model width {n}")
+    if truth is not None and not np.isfinite(truth).all():
+        raise ValueError("x_true must be finite (no NaN or inf)")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if k < 0:
@@ -207,7 +209,7 @@ def random_feasible_support(
         return tuple(int(v) for v in base + np.arange(k) * (delta - 1))
     for _ in range(10_000):
         cand = np.sort(rng.choice(n, size=k, replace=False)) + 1
-        if all(cand[j + p] - cand[j] >= delta for j in range(k - p)):
+        if is_feasible(cand, n, k, delta, p):
             return tuple(int(v) for v in cand)
     raise RuntimeError(
         "rejection sampling failed; the support density is too close to the packing limit"

@@ -161,7 +161,7 @@ class TestFormats:
         written = rows_to_dat(rows, str(tmp_path / "series"))
         assert written
         for path in written:
-            lines = open(path).read().strip().splitlines()
+            lines = Path(path).read_text().strip().splitlines()
             assert all(len(line.split()) == 2 for line in lines)
 
 

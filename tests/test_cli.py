@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from sepsparse import bench as bench_mod
-from sepsparse import dp
+from sepsparse import cli, dp
 from sepsparse.cli import build_parser, main
+from sepsparse.generators import gen_uniform
 from sepsparse.serialize import read_vector, write_vector
 
 
@@ -157,6 +158,28 @@ class TestProject:
             code, out, _ = run_cli(capsys, *args)
             assert code == 0
             assert json.loads(out)["opt"] == want
+
+    def test_ratios_reported_past_the_packing_limit(self, capsys, tmp_path):
+        # 10,000 entries pack 10 picks at delta 1000: k = 10 and k = 10**6
+        # both run the same 10-level table of 1e5 cells.
+        path = tmp_path / "x.txt"
+        write_vector(path, gen_uniform(10_000, 1))
+        results = []
+        for k in ("10", "1000000"):
+            args = ["project", "--in", str(path), "--k", k, "--delta", "1000", "--algo", "head", "--epsilon", "0.5"]
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            results.append(json.loads(out))
+        for key in ("opt", "head_ratio", "tail_ratio"):
+            assert results[1][key] == results[0][key] is not None
+
+    def test_delta_below_one_exits_2(self, capsys, vector_file):
+        code, out, err = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "0", "--algo", "dp"
+        )
+        assert code == 2
+        assert out == ""
+        assert "delta must be >= 1" in err
 
     def test_ratio_reporting(self, capsys, vector_file):
         code, out, _ = run_cli(
@@ -336,6 +359,14 @@ class TestRecover:
         assert code == 2
         assert out == ""
         assert "sigma" in err
+
+    def test_delta_below_one_exits_2(self, capsys, monkeypatch):
+        # The check runs before the sensing matrix is drawn.
+        monkeypatch.setattr(cli, "gen_sensing", None)
+        code, out, err = run_cli(capsys, "recover", "--n", "40", "--k", "2", "--delta", "0", "--iters", "1")
+        assert code == 2
+        assert out == ""
+        assert "delta must be >= 1" in err
 
     def test_infeasible_parameters_exit_3(self, capsys):
         code, _, err = run_cli(

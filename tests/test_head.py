@@ -151,6 +151,20 @@ class TestSliceSolve:
             best = restricted_optimum(members, x, k, delta, p)
             assert objective(x, sol) == pytest.approx(best, abs=1e-9)
 
+    def test_mask_must_be_boolean_of_x_length(self):
+        x = np.ones(3)
+        for mask in (np.array([True]), np.ones(3), np.array([1, 3]), [True, True, True]):
+            for k in (2, 0):
+                with pytest.raises(ValueError, match="keep must be a boolean mask of length 3"):
+                    slice_solve(mask, x, k, 2, 1)
+        # forced names positions by a mask, never by index: support (2, 5)
+        # as a mask gives (3,), but np.array([2, 5]) would force (3, 6).
+        w = np.array([0.0, 1, 4, 0, 0, 1, 0, 0])
+        assert best_over_windows(w, 2, 2, 1, 1, keep_only(8, [2, 5])) == (3,)
+        for forced in (np.array([2, 5]), np.ones(7, dtype=bool)):
+            with pytest.raises(ValueError, match="forced must be a boolean mask of length 8"):
+                best_over_windows(w, 2, 2, 1, 1, forced)
+
     def test_rejects_p3_without_solver(self):
         with pytest.raises(ValueError):
             slice_solve(np.ones(2, dtype=bool), np.ones(2), 1, 2, 3)

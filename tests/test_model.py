@@ -150,12 +150,18 @@ class TestMaxSupportSize:
         with pytest.raises(ValueError, match="delta must be >= 1"):
             max_support_size(5, delta, 1)
 
-    @pytest.mark.parametrize("p", [0, -1])
+    @pytest.mark.parametrize("p", [0, -1, -5])
     def test_p_below_one_raises(self, p):
         with pytest.raises(ValueError, match="p must be >= 1"):
             max_support_size(10, 2, p)
         with pytest.raises(ValueError, match="p must be >= 1"):
             recovery.random_feasible_support(10, 0, 2, p, make_rng(0))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            is_feasible((1, 2), 10, 2, 2, p)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            block_decompose(np.ones(4), 2, p)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            brute_force_solve(np.ones(4), 2, 2, p)
 
     def test_matches_enumeration(self):
         rng = make_rng(13)
@@ -225,6 +231,7 @@ class TestCheckDelta:
             "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
             "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(x, d),
             "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
+            "is_feasible": lambda x, k, d: is_feasible(range(1, x.size + 1), x.size, k, d, 1),
             "am_iht": lambda x, k, d: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, d, 1, 0.5, 0.5),
         }
         wrong = []
@@ -244,17 +251,19 @@ class TestCheckDelta:
 
 
 def test_each_parameter_rule_has_one_home():
-    # model.check_delta owns the delta check and clamp and head.window_count
-    # the precision; a second copy of either message is a second copy of
-    # its rule.  recovery only compares head's window count and cap.
+    # model.check_delta owns the delta check and clamp, model.check_p the
+    # spike count and head.window_count the precision; a second copy of a
+    # message is a second copy of its rule.  recovery only compares head's
+    # window count and cap.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
-    homes = {"delta must be >= 1": [], "epsilon must be finite and positive": []}
+    homes = {"delta must be >= 1": [], "p must be >= 1": [], "epsilon must be finite and positive": []}
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Constant) and node.value in homes:
                 homes[node.value].append(path.name)
     assert homes == {
         "delta must be >= 1": ["model.py"],
+        "p must be >= 1": ["model.py"],
         "epsilon must be finite and positive": ["head.py"],
     }
     assert not hasattr(recovery, "_reaches_cap")

@@ -118,6 +118,13 @@ class TestRandomSupport:
             assert len(sup) == k
             assert is_feasible(sup, n, max(k, 1), delta, p)
 
+    def test_p2_draws_are_pinned(self):
+        # Rejection sampling near the packing limit (6 picks at this n and
+        # delta); any change to the acceptance rule or the draws shows here.
+        rng = make_rng(31)
+        draws = [random_feasible_support(12, 4, 5, 2, rng) for _ in range(3)]
+        assert draws == [(1, 2, 6, 11), (3, 4, 8, 9), (1, 3, 8, 9)]
+
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleParameters):
             random_feasible_support(10, 4, 5, 1, make_rng(0))
@@ -314,6 +321,10 @@ class TestAmIhtInputErrors:
         y[3] = bad
         with pytest.raises(ValueError, match="measurements y must be finite"):
             am_iht(y, A, 5, 20, 1, other_eps, other_eps)
+        y, A, x = ac9_instance(0)
+        x[7] = bad
+        with pytest.raises(ValueError, match="x_true must be finite"):
+            am_iht(y, A, 5, 20, 1, other_eps, other_eps, x_true=x)
 
     @pytest.mark.parametrize("length", [199, 201])
     def test_x_true_of_the_wrong_length_raises(self, other_eps, length):
