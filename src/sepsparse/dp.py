@@ -10,7 +10,7 @@ Three solvers live here:
 :func:`table_builder` is the one place that maps a spike count ``p`` to
 its budgeted recurrence; every caller that picks an exact solver by ``p``
 goes through it.  A ``delta`` of ``n`` or more is the same problem as
-``delta = n``; every solver's shared prologue checks and clamps it with
+``delta = n``; every solver checks and clamps it with
 :func:`model.check_delta`, the one home of that rule.
 
 Each records take-flags during the forward pass, bit-packed with
@@ -29,6 +29,15 @@ The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
 out of range, is a slice of that buffer and no per-level array is
 allocated.
+
+The budgeted builders take a vector or a 2-D array of rows and run each
+level once for all rows; a vector is the one-row case of the same loop,
+and ``table.row(r)`` reads row ``r`` of a batch as a table of its own.  A
+block padded with trailing zeros has the same values and supports as the
+block alone on every level the block runs, and its levels past its own
+packing limit gain exactly 0, so a batch of blocks of different lengths
+needs no per-row length or budget.  :func:`batch_rows` groups rows into
+batches, shortest first, under a private cap on one level's cells.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .model import as_weights, check_delta, max_support_size
 __all__ = [
     "DpTable1",
     "DpTable2",
+    "batch_rows",
     "build_table_1spike",
     "build_table_2spike",
     "dp_solve",
@@ -54,9 +64,15 @@ __all__ = [
 
 
 def _prepare(x, delta: int) -> tuple[np.ndarray, int, int]:
-    """Validated weights, their length ``n``, and ``delta`` through :func:`check_delta`."""
-    x = as_weights(x)
-    return x, x.size, check_delta(delta, x.size)
+    """Validated weights, a vector or a 2-D array of rows, the row length
+    ``n``, and ``delta`` through :func:`check_delta`.
+
+    Every row of a 2-D ``x`` is checked like a vector by :func:`as_weights`.
+    """
+    arr = np.asarray(x)
+    x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
+    n = x.shape[-1]
+    return x, n, check_delta(delta, n)
 
 
 def _levels(n: int, budget: int, delta: int, p: int) -> int:
@@ -119,6 +135,10 @@ class _DpTable(Sequence):
     for budget ``j + 1``, built by the subclass's ``support`` on first
     access and then cached.  ``support(ell)`` answers every budget from 0
     to ``budget``, the limit's support past ``top``.
+
+    A table built on a 2-D array of rows holds every row's levels in
+    ``values[r]`` and ``flags[..., r, :]``; :meth:`row` reads row ``r`` as
+    a table of its own, the one a builder returns for that row alone.
     """
 
     def __init__(self, values: np.ndarray, flags: np.ndarray, budget: int, delta: int, n: int):
@@ -127,10 +147,10 @@ class _DpTable(Sequence):
         self.budget = budget
         self.delta = delta
         self.n = n
-        self._built: list[tuple[int, ...] | None] = [None] * values.size
+        self._built: list[tuple[int, ...] | None] = [None] * values.shape[-1]
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     def __getitem__(self, j) -> tuple[int, ...]:
         j = range(len(self))[j]
@@ -139,11 +159,15 @@ class _DpTable(Sequence):
             sol = self._built[j] = self.support(j + 1)
         return sol
 
+    def row(self, r: int) -> _DpTable:
+        """Row ``r`` of a table built on rows, as a table of its own."""
+        return type(self)(self.values[r], self.flags[..., r, :], self.budget, self.delta, self.n)
+
     def _start_level(self, ell: int) -> int:
         """The flag level a budget-``ell`` walk starts at."""
         if not 0 <= ell <= self.budget:
             raise ValueError(f"level {ell} outside [0, {self.budget}]")
-        return min(ell, self.values.size)
+        return min(ell, len(self))
 
 
 class DpTable1(_DpTable):
@@ -159,25 +183,33 @@ class DpTable1(_DpTable):
 
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
-    """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget."""
+    """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget.
+
+    ``x`` is a vector or a 2-D array of rows; every level runs once for
+    all rows, each row on its own along the last axis.
+    """
     x, n, delta = _prepare(x, delta)
+    rows = x.shape[:-1]
     s = min(delta, n)
     top = _levels(n, budget, delta, 1)
-    flags = np.zeros((top + 1, (n + 8) // 8), dtype=np.uint8)
-    values = np.zeros(top)
-    # Level rows live at [s:]; [1 : n + 1] is prev[i - delta] for i = 1..n.
-    prev = np.zeros(s + n + 1)
-    row = np.zeros(s + n + 1)
-    cand = np.empty(n)
-    take = np.zeros(n + 1, dtype=bool)
+    nbytes = (n + 8) // 8
+    flags = np.zeros((top + 1, *rows, nbytes), dtype=np.uint8)
+    values = np.zeros((top, *rows))
+    # Level rows live at [..., s:]; [..., 1 : n + 1] is prev[i - delta] for i = 1..n.
+    prev = np.zeros((*rows, s + n + 1))
+    row = np.zeros((*rows, s + n + 1))
+    cand = np.empty(x.shape)
+    # Whole bytes per row, so packing the flat array packs each row.
+    take = np.zeros((*rows, 8 * nbytes), dtype=bool)
+    took = take[..., 1 : n + 1]
     for ell in range(1, top + 1):
-        np.add(x, prev[1 : n + 1], out=cand)
-        np.maximum.accumulate(cand, out=row[s + 1 :])
-        np.greater(cand, row[s : s + n], out=take[1:])
-        flags[ell] = np.packbits(take)
-        values[ell - 1] = row[s + n]
+        np.add(x, prev[..., 1 : n + 1], out=cand)
+        np.maximum.accumulate(cand, axis=-1, out=row[..., s + 1 :])
+        np.greater(cand, row[..., s : s + n], out=took)
+        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
+        values[ell - 1] = row[..., s + n]
         prev, row = row, prev
-    return DpTable1(values, flags, budget, delta, n)
+    return DpTable1(values.T, flags, budget, delta, n)
 
 
 class DpTable2(_DpTable):
@@ -221,37 +253,43 @@ class DpTable2(_DpTable):
 def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     """Run the budgeted 2-spike recurrence on ``x`` for all levels <= budget.
 
-    With ``delta == 1`` the window constraint is vacuous and the 1-spike
-    recurrence at separation 1 solves the same problem, so we reuse it.
+    ``x`` is a vector or a 2-D array of rows, as for
+    :func:`build_table_1spike`.  With ``delta == 1`` the window constraint
+    is vacuous and the 1-spike recurrence at separation 1 solves the same
+    problem, so we reuse it.
     """
     x, n, delta = _prepare(x, delta)
     if delta == 1:
         return build_table_1spike(x, budget, 1)
+    rows = x.shape[:-1]
     s = delta - 1
     top = _levels(n, budget, delta, 2)
-    flags = np.zeros((top + 1, delta, (n + 8) // 8), dtype=np.uint8)
-    values = np.zeros(top)
-    # Row i of a level lives at [i, s:]; width i reads the previous level's
-    # row delta - i shifted by i, which starts at column delta - i.
-    P = np.zeros((delta, s + n + 1))
-    V = np.zeros((delta, s + n + 1))
-    cand = np.empty(n)
-    take = np.zeros((delta, n + 1), dtype=bool)
+    nbytes = (n + 8) // 8
+    flags = np.zeros((top + 1, delta, *rows, nbytes), dtype=np.uint8)
+    values = np.zeros((top, *rows))
+    # Row i of a level lives at [i, ..., s:]; width i reads the previous
+    # level's row delta - i shifted by i, which starts at column delta - i.
+    P = np.zeros((delta, *rows, s + n + 1))
+    V = np.zeros((delta, *rows, s + n + 1))
+    cand = np.empty(x.shape)
+    # Whole bytes per row, so packing the flat array packs each row.
+    take = np.zeros((delta, *rows, 8 * nbytes), dtype=bool)
+    took = take[..., 1 : n + 1]
     for ell in range(1, top + 1):
         # Width 1: the skip branch references the same column one step back,
         # which makes the column a running maximum.
-        np.add(x, P[delta - 1, s : s + n], out=cand)
-        np.maximum.accumulate(cand, out=V[1, s + 1 :])
-        np.greater(cand, V[1, s : s + n], out=take[1, 1:])
+        np.add(x, P[delta - 1, ..., s : s + n], out=cand)
+        np.maximum.accumulate(cand, axis=-1, out=V[1, ..., s + 1 :])
+        np.greater(cand, V[1, ..., s : s + n], out=took[1])
         for i in range(2, delta):
             lo = delta - i
-            np.add(x, P[delta - i, lo : lo + n], out=cand)
-            np.maximum(cand, V[i - 1, s : s + n], out=V[i, s + 1 :])
-            np.greater(cand, V[i - 1, s : s + n], out=take[i, 1:])
-        flags[ell] = np.packbits(take, axis=1)
-        values[ell - 1] = V[1, s + n]
+            np.add(x, P[delta - i, ..., lo : lo + n], out=cand)
+            np.maximum(cand, V[i - 1, ..., s : s + n], out=V[i, ..., s + 1 :])
+            np.greater(cand, V[i - 1, ..., s : s + n], out=took[i])
+        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
+        values[ell - 1] = V[1, ..., s + n]
         P, V = V, P
-    return DpTable2(values, flags, budget, delta, n)
+    return DpTable2(values.T, flags, budget, delta, n)
 
 
 def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
@@ -266,6 +304,36 @@ def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
     if p == 2:
         return build_table_2spike
     raise ValueError(f"no exact solver for p={p}; only p = 1 and p = 2 are supported")
+
+
+# The cells one level of a batched forward pass may hold: rows times their
+# padded length, times the clamped delta for p = 2.
+_BATCH_CELLS = 1 << 16
+
+
+def batch_rows(lengths: np.ndarray, delta: int, p: int) -> list[np.ndarray]:
+    """Indices of rows of the given ``lengths`` grouped into batches, one
+    builder call each.
+
+    Rows are taken shortest first and a batch pads each to its longest
+    row with trailing zeros.  A batch holds at least one row and grows
+    while one level of its forward pass stays within a private cell cap
+    and padding at most doubles its cells.
+    """
+    table_builder(p)  # raises for a p with no exact solver
+    delta = check_delta(delta, int(lengths.max(initial=0)))
+    order = np.argsort(lengths, kind="stable")
+    width = lengths[order]
+    level_cells = width * np.minimum(width, delta) if p == 2 else width
+    batches = []
+    start = 0
+    while start < order.size:
+        padded = level_cells[start:] * np.arange(1, order.size - start + 1)
+        over = np.flatnonzero((padded > _BATCH_CELLS) | (padded > 2 * level_cells[start:].cumsum()))
+        stop = start + (max(1, int(over[0])) if over.size else padded.size)
+        batches.append(order[start:stop])
+        start = stop
+    return batches
 
 
 def table_cells(n: int, k: int, delta: int, p: int) -> int:
@@ -303,7 +371,9 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
     recurrence steps from nonzero to nonzero.  Each one reads the optimum
     at its predecessor, the last nonzero at or before ``i - delta``.
     """
-    x, n, delta = _prepare(x, delta)
+    x = as_weights(x)
+    n = x.size
+    delta = check_delta(delta, n)
     pos = np.flatnonzero(x) + 1
     # best[j] is the prefix optimum through the j-th nonzero (1-based), and
     # pred names each nonzero's predecessor by that j, 0 (best 0.0) for none.

@@ -4,9 +4,11 @@ The projector removes a periodic run of ``delta`` positions from the ground
 set (one of ``lam + 1`` phase-shifted choices), which caps every remaining
 block at ``lam * delta`` positions.  A keep-set is a boolean mask over
 ``[n]``; its slice zeroes the dropped positions in one masked copy of the
-weights, whose nonzero chains are the blocks.  An exact solver handles each
-block independently on a view of that copy, and a global top-k selection of
-marginal gains stitches the per-block budgets together.
+weights, whose nonzero chains are the blocks.  The blocks are independent;
+they are stacked as rows padded with trailing zeros, in the batches
+:func:`dp.batch_rows` forms, and the exact solver runs once per batch.  A
+global top-k selection of marginal gains stitches the per-block budgets
+together.
 """
 
 from __future__ import annotations
@@ -103,15 +105,18 @@ def _check_mask(mask, n: int, name: str) -> None:
 def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
     """Solve the projection restricted to the indices ``keep`` selects, exactly.
 
-    ``keep`` is a boolean mask over ``[n]``.  Per block of the masked
-    vector the exact solver that :func:`dp.table_builder` picks for ``p``
-    produces optima for every budget level; the level-to-level gains are
-    non-increasing, so picking the ``k`` largest gains globally (ties
-    broken by ascending block id, then level) yields per-block budgets
-    whose union is an optimal solution.  Zero gains are dropped after
-    selection.  A ``p`` with no exact solver, an invalid ``delta`` or a
-    ``keep`` that is not a boolean array of ``x``'s length raises
-    ``ValueError`` even when there is no block or ``k <= 0``.
+    ``keep`` is a boolean mask over ``[n]``.  The blocks of the masked
+    vector are stacked as rows padded with trailing zeros, in the batches
+    :func:`dp.batch_rows` forms, and the exact solver that
+    :func:`dp.table_builder` picks for ``p`` runs once per batch, giving
+    each block's optima for every budget level.  A padded row has its
+    block's values and supports, and its levels past the block's packing
+    limit gain exactly 0.  The level-to-level gains are non-increasing, so
+    picking the ``k`` largest positive gains globally (ties broken by
+    ascending block id, then level) yields per-block budgets whose union
+    is an optimal solution.  A ``p`` with no exact solver, an invalid
+    ``delta`` or a ``keep`` that is not a boolean array of ``x``'s length
+    raises ``ValueError`` even when there is no block or ``k <= 0``.
     """
     x = as_weights(x)
     solve = dp.table_builder(p)
@@ -124,40 +129,51 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
     if not dec.blocks:
         return ()
 
-    # Levels beyond k can never survive the global selection.
-    tables = [solve(x[lo - 1 : hi], min(b, k), delta) for (lo, hi), b in zip(dec.blocks, dec.budgets)]
-    levels = np.array([table.values.size for table in tables])
-    values = np.concatenate([table.values for table in tables])
-    # Each level's gain over the level below; a block's first level gains
-    # its whole value.
-    gains = values.copy()
-    gains[1:] -= values[:-1]
-    firsts = levels.cumsum() - levels
-    gains[firsts] = values[firsts]
-    # A stable sort of the negated gains keeps equal gains in block, then
-    # level order.
-    picked = (-gains).argsort(kind="stable")[:k]
-    picked = picked[gains[picked] > 0.0]
-    block_of = np.arange(len(tables)).repeat(levels)
-    per_block = np.bincount(block_of[picked], minlength=len(tables))
+    los, his = np.array(dec.blocks).T
+    lengths = his - los + 1
+    batches = dp.batch_rows(lengths, delta, p)
+    tables = []
+    for rows in batches:
+        cols = np.arange(lengths[rows].max())
+        # Padding columns read any in-range weight; the mask zeroes them.
+        at = np.minimum(los[rows, None] - 1 + cols, x.size - 1)
+        tables.append(solve(np.where(cols < lengths[rows, None], x[at], 0.0), k, delta))
+    # Row b holds block b's gain at each level over the level below, 0 past
+    # its batch's levels; a block's first level gains its whole value.
+    top = max(len(table) for table in tables)
+    gains = np.zeros((lengths.size, top))
+    batch_of = np.empty(lengths.size, dtype=np.intp)
+    row_of = np.empty(lengths.size, dtype=np.intp)
+    for t, (rows, table) in enumerate(zip(batches, tables)):
+        gains[rows, : len(table)] = np.diff(table.values, axis=1, prepend=0.0)
+        batch_of[rows] = t
+        row_of[rows] = np.arange(rows.size)
+    gains = gains.ravel()
+    # A stable sort of the negated positive gains keeps equal gains in
+    # block, then level order.
+    positive = np.flatnonzero(gains > 0.0)
+    picked = positive[(-gains[positive]).argsort(kind="stable")[:k]]
+    per_block = np.bincount(picked // top, minlength=lengths.size)
 
     solution: list[int] = []
-    for (lo, _hi), table, j in zip(dec.blocks, tables, per_block.tolist()):
-        if j:
-            solution.extend(local + lo - 1 for local in table.support(j))
+    for b in np.flatnonzero(per_block).tolist():
+        lo = dec.blocks[b][0]
+        table = tables[batch_of[b]].row(row_of[b])
+        solution.extend(local + lo - 1 for local in table.support(int(per_block[b])))
     return tuple(solution)
 
 
 def best_over_windows(
-    x: np.ndarray, k: int, delta: int, p: int, lam: int, forced: np.ndarray | None = None
+    x, k: int, delta: int, p: int, lam: int, forced: np.ndarray | None = None
 ) -> tuple[int, ...]:
     """Best exact slice solution over the ``lam + 1`` periodic keep-sets.
 
-    ``x`` is a non-empty weight vector and ``forced`` an optional boolean
-    mask over ``[n]`` of indices kept by every slice; any other ``forced``
-    raises ``ValueError``.  ``lam`` is capped at :func:`window_cap`.  Ties
-    keep the earliest keep-set.
+    ``x`` is a weight vector, checked by :func:`as_weights`, and ``forced``
+    an optional boolean mask over ``[n]`` of indices kept by every slice;
+    any other ``forced`` raises ``ValueError``.  ``lam`` is capped at
+    :func:`window_cap`.  Ties keep the earliest keep-set.
     """
+    x = as_weights(x)
     lam = min(lam, window_cap(x.size, delta))
     phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
     if forced is not None:

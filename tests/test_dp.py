@@ -304,3 +304,50 @@ class TestTableBuilder:
         monkeypatch.setattr(dp, "build_table_1spike", replaced)
         assert table_builder(1) is replaced
         assert table_builder(2) is build_table_2spike
+
+
+class TestRows:
+    """A builder runs a 2-D array of rows; a row padded with trailing zeros
+    keeps the table of the row alone, which batched slices rest on."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_trailing_zeros_keep_values_and_supports(self, p):
+        rng = make_rng(1601)
+        for c in range(400):
+            n = int(rng.integers(1, 16))
+            x = np.round(rng.random(n) * 3) if c % 2 else rng.random(n)
+            # A delta past len(x) in every third case.
+            delta = n + int(rng.integers(1, 5)) if c % 3 == 0 else int(rng.integers(1, 6))
+            k = int(rng.integers(1, 20))
+            padded_x = np.concatenate((x, np.zeros(int(rng.integers(1, 20)))))
+            table = table_builder(p)(x, k, delta)
+            padded = table_builder(p)(padded_x, k, delta)
+            top = len(table)
+            assert np.array_equal(padded.values[:top], table.values)
+            # Levels past the row's own packing limit gain exactly 0.
+            assert np.all(padded.values[top:] == (table.values[-1] if top else 0.0))
+            assert [padded.support(j) for j in range(top + 1)] == [table.support(j) for j in range(top + 1)]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_each_row_is_the_table_of_that_row_alone(self, p):
+        rng = make_rng(1607)
+        for _ in range(100):
+            rows = np.round(rng.random((int(rng.integers(1, 6)), int(rng.integers(0, 14)))) * 3)
+            k, delta = int(rng.integers(0, 10)), int(rng.integers(1, 6))
+            batch = table_builder(p)(rows, k, delta)
+            assert len(batch) == batch.values.shape[1]
+            for r, x in enumerate(rows):
+                alone, row = table_builder(p)(x, k, delta), batch.row(r)
+                assert type(row) is type(alone)
+                assert np.array_equal(row.values, alone.values) and np.array_equal(row.flags, alone.flags)
+                assert [row.support(j) for j in range(k + 1)] == [alone.support(j) for j in range(k + 1)]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_every_row_is_validated(self, p):
+        rows = np.ones((3, 4))
+        for bad, message in ((np.nan, "finite"), (-1.0, "non-negative")):
+            rows[2, 1] = bad
+            with pytest.raises(ValueError, match=message):
+                table_builder(p)(rows, 2, 2)
+        with pytest.raises(ValueError, match="1-D"):
+            table_builder(p)(np.ones((2, 2, 2)), 2, 2)

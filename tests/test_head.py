@@ -161,6 +161,8 @@ class TestSliceSolve:
         # as a mask gives (3,), but np.array([2, 5]) would force (3, 6).
         w = np.array([0.0, 1, 4, 0, 0, 1, 0, 0])
         assert best_over_windows(w, 2, 2, 1, 1, keep_only(8, [2, 5])) == (3,)
+        # Any weight vector, a list included, as for every public projector.
+        assert best_over_windows([1.0, 2.0, 3.0], 1, 1, 1, 1) == (3,)
         for forced in (np.array([2, 5]), np.ones(7, dtype=bool)):
             with pytest.raises(ValueError, match="forced must be a boolean mask of length 8"):
                 best_over_windows(w, 2, 2, 1, 1, forced)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from sepsparse import recovery
-from sepsparse.dp import build_table_1spike, build_table_2spike, dp_solve, dp_solve_2spike, dp_solve_unrestricted
+from sepsparse.dp import (
+    batch_rows,
+    build_table_1spike,
+    build_table_2spike,
+    dp_solve,
+    dp_solve_2spike,
+    dp_solve_unrestricted,
+)
 from sepsparse.head import best_over_windows, block_decompose, head_project, slice_solve
 from sepsparse.model import (
     brute_force_solve,
@@ -128,6 +135,7 @@ class TestNonFiniteWeights:
             lambda: dp_solve(x, 2, 2),
             lambda: dp_solve_2spike(x, 2, 2),
             lambda: head_project(x, 2, 2, 1, 0.5),
+            lambda: best_over_windows(x, 2, 2, 1, 1),
             lambda: tail_project(x, 2, 2, 0.5),
             lambda: topk_tail_project(x, 2, 2),
             lambda: objective(x, [1]),
@@ -229,6 +237,7 @@ class TestCheckDelta:
             "strong_and_reduced": lambda x, k, d: strong_and_reduced(x, d),
             "build_table_1spike": lambda x, k, d: build_table_1spike(x, k, d),
             "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
+            "batch_rows": lambda x, k, d: batch_rows(np.ones(x.size, dtype=int), d, 1),
             "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(x, d),
             "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
             "is_feasible": lambda x, k, d: is_feasible(range(1, x.size + 1), x.size, k, d, 1),
@@ -236,9 +245,7 @@ class TestCheckDelta:
         }
         wrong = []
         for name, call in takers.items():
-            # best_over_windows takes a non-empty x only.
-            shapes = [(np.ones(5), 2), (np.ones(5), 0)] + [(np.zeros(0), 2)] * (name != "best_over_windows")
-            for x, k in shapes:
+            for x, k in [(np.ones(5), 2), (np.ones(5), 0), (np.zeros(0), 2)]:
                 for delta in (0, -1):
                     try:
                         call(x, k, delta)

@@ -3,7 +3,10 @@
 Everything here is deliberately written the slow, obvious way so that it
 never shares code paths with the package internals it checks.  The window
 helpers build on :func:`sepsparse.head.drop_phase`, the one definition of
-the periodic keep-sets, which the tests check separately.
+the periodic keep-sets, which the tests check separately.  The per-block
+slice solver builds on the exact DPs and the block decomposition, which
+the tests check against the brute-force oracle, to pin down how
+``slice_solve`` batches them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from sepsparse.head import drop_phase
+from sepsparse import dp
+from sepsparse.head import block_decompose, drop_phase
+from sepsparse.model import check_delta
 from sepsparse.seeding import make_rng
 
 
@@ -202,3 +207,38 @@ def unrestricted_cases(seed: int, count: int):
     for _ in range(4):
         n = int(rng.integers(1_000, 5_001))
         yield rng.random(n), int(rng.integers(1, n + 1)), int(rng.integers(1, 80))
+
+
+def slice_solve_reference(keep, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
+    """The slice solver with one exact table per block, each on a view of
+    the masked weights and with the block's own budget capped at ``k``.
+
+    This is ``slice_solve`` before it stacked a slice's blocks into
+    batches; the batched solver must match it bit for bit.  Gains are
+    picked globally, ties by ascending block id, then level, and zero gains
+    are dropped after selection.
+    """
+    x = np.asarray(x, dtype=float)
+    if k <= 0:
+        return ()
+    x = np.where(keep, x, 0.0)
+    delta = check_delta(delta, x.size)
+    dec = block_decompose(x, delta, p)
+    if not dec.blocks:
+        return ()
+    solve = dp.table_builder(p)
+    tables = [solve(x[lo - 1 : hi], min(b, k), delta) for (lo, hi), b in zip(dec.blocks, dec.budgets)]
+    levels = np.array([table.values.size for table in tables])
+    values = np.concatenate([table.values for table in tables])
+    gains = values.copy()
+    gains[1:] -= values[:-1]
+    firsts = levels.cumsum() - levels
+    gains[firsts] = values[firsts]
+    picked = (-gains).argsort(kind="stable")[:k]
+    picked = picked[gains[picked] > 0.0]
+    per_block = np.bincount(np.arange(len(tables)).repeat(levels)[picked], minlength=len(tables))
+    solution: list[int] = []
+    for (lo, _hi), table, j in zip(dec.blocks, tables, per_block.tolist()):
+        if j:
+            solution.extend(local + lo - 1 for local in table.support(j))
+    return tuple(solution)
