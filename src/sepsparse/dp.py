@@ -32,11 +32,15 @@ allocated.
 
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
-and ``table.row(r)`` reads row ``r`` of a batch as a table of its own.  A
-block padded with trailing zeros has the same values and supports as the
-block alone on every level the block runs, and its levels past its own
-packing limit gain exactly 0, so a batch of blocks of different lengths
-needs no per-row length or budget.  :func:`batch_rows` groups rows into
+and ``table.row(r)`` reads row ``r`` of a batch as a table of its own.  On
+a batch, ``table.support(budgets)`` takes one budget per row and reads
+every row's support in one call: the 1-spike walk-back runs all rows in
+lockstep, one vector step per level, and the 2-spike one loops over the
+rows.  A table built on a vector keeps the scalar walk.  A block padded
+with trailing zeros has the same values and supports as the block alone
+on every level the block runs, and its levels past its own packing limit
+gain exactly 0, so a batch of blocks of different lengths needs no
+per-row length or budget.  :func:`batch_rows` groups rows into
 batches, shortest first, under a private cap on one level's cells.
 """
 
@@ -132,9 +136,9 @@ class _DpTable(Sequence):
     limit, where levels stop changing.  ``values[ell-1]`` is the optimum
     with budget ``ell`` and ``flags`` holds levels 0 to ``top``.  As a
     read-only sequence of those ``top`` levels, item ``j`` is the support
-    for budget ``j + 1``, built by the subclass's ``support`` on first
-    access and then cached.  ``support(ell)`` answers every budget from 0
-    to ``budget``, the limit's support past ``top``.
+    for budget ``j + 1``, built by :meth:`support` on first access and then
+    cached.  ``support(ell)`` answers every budget from 0 to ``budget``,
+    the limit's support past ``top``.
 
     A table built on a 2-D array of rows holds every row's levels in
     ``values[r]`` and ``flags[..., r, :]``; :meth:`row` reads row ``r`` as
@@ -163,23 +167,94 @@ class _DpTable(Sequence):
         """Row ``r`` of a table built on rows, as a table of its own."""
         return type(self)(self.values[r], self.flags[..., r, :], self.budget, self.delta, self.n)
 
+    def support(self, ell):
+        """Reconstruct an optimal support for budget ``ell``.
+
+        On a table built on a vector ``ell`` is an int and the support a
+        tuple.  On a table built on rows ``ell`` holds one budget per row,
+        0 for none, as an int array (object dtype for Python ints past
+        int64), and every row is read in one call.  The result is
+        ``(row, at)``, int arrays naming each picked index by its row and
+        1-based position, in row order and ascending within a row: the
+        supports ``self.row(r).support(ell[r])`` gives.
+        """
+        if self.values.ndim == 1:
+            return self._walk_row(self.flags, self._start_level(ell))
+        return self._walk_rows(self._start_levels(ell))
+
     def _start_level(self, ell: int) -> int:
         """The flag level a budget-``ell`` walk starts at."""
         if not 0 <= ell <= self.budget:
             raise ValueError(f"level {ell} outside [0, {self.budget}]")
         return min(ell, len(self))
 
+    def _start_levels(self, ell) -> np.ndarray:
+        """The flag level each row's walk starts at, for per-row budgets ``ell``."""
+        ell = np.asarray(ell)
+        if ell.dtype.kind not in "iuO" or ell.shape != self.values.shape[:1]:
+            raise ValueError(f"expected {self.values.shape[0]} integer budgets, got {ell!r}")
+        if ell.size and not (ell.min() >= 0 and ell.max() <= self.budget):
+            raise ValueError(f"levels {ell} outside [0, {self.budget}]")
+        return np.minimum(ell, len(self)).astype(np.intp)
+
+    def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's support from its start level ``lev[r]``, one row at a time."""
+        row: list[int] = []
+        at: list[int] = []
+        for r in np.flatnonzero(lev).tolist():
+            sol = self._walk_row(self.flags[..., r, :], int(lev[r]))
+            row += [r] * len(sol)
+            at += sol
+        return np.array(row, dtype=np.intp), np.array(at, dtype=np.intp)
+
+
+# For each byte value, the offset in its byte of the last bit set (packbits
+# is big-endian: bit j of a row is value bit 7 - j % 8), and the mask that
+# keeps the bits at offsets 0 to j.
+_LAST_BIT = np.array([8 - (b & -b).bit_length() for b in range(256)], dtype=np.intp)
+_UP_TO = np.array([(0xFF00 >> (j + 1)) & 0xFF for j in range(8)], dtype=np.uint8)
+
 
 class DpTable1(_DpTable):
     """Tables of the 1-spike recurrence.
 
     ``flags[ell]`` is the packed row of prefixes ``i`` at which the level-
-    ``ell`` maximum was attained by taking index ``i``.
+    ``ell`` maximum was attained by taking index ``i``.  A batch reads its
+    rows' supports in lockstep, one vector step per level.
     """
 
-    def support(self, ell: int) -> tuple[int, ...]:
-        """Reconstruct an optimal support for budget ``ell``."""
-        return _walk(self.flags[self._start_level(ell) : 0 : -1], self.n, self.delta)
+    def _walk_row(self, flags: np.ndarray, lev: int) -> tuple[int, ...]:
+        """The support read back from level ``lev`` of one row's ``flags``."""
+        return _walk(flags[lev:0:-1], self.n, self.delta)
+
+    def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_walk` on every row at once: each step finds, for every
+        row still walking, the nearest take at or before its position in
+        its own level's flags, by :func:`_nearest_take`'s rule."""
+        nbytes = self.flags.shape[-1]
+        cols = np.arange(nbytes)
+        rows = np.flatnonzero(lev)
+        lev = lev[rows]
+        i = np.full(rows.size, self.n)
+        found_rows, found_at = [rows[:0]], [rows[:0]]
+        while rows.size:
+            every = np.arange(rows.size)
+            byte = self.flags[lev, rows]
+            b = i >> 3
+            byte[every, b] &= _UP_TO[i & 7]
+            live = (byte != 0) & (cols <= b[:, None])
+            last = nbytes - 1 - live[:, ::-1].argmax(axis=1)
+            hit = live[every, last]
+            i = (last << 3) + _LAST_BIT[byte[every, last]]
+            rows, lev, i = rows[hit], lev[hit] - 1, i[hit]
+            found_rows.append(rows)
+            found_at.append(i)
+            i = i - self.delta
+            more = (lev >= 1) & (i >= 1)
+            rows, lev, i = rows[more], lev[more], i[more]
+        row, at = np.concatenate(found_rows), np.concatenate(found_at)
+        order = np.lexsort((at, row))
+        return row[order], at[order]
 
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
@@ -217,14 +292,13 @@ class DpTable2(_DpTable):
 
     The forward state is (prefix r, recent-window width i, budget ell);
     ``flags[ell, i]`` is the packed row of prefixes ``r`` with a take at
-    that state.
+    that state.  A batch walks its rows back one at a time: the walk-backs
+    are a few per cent of a 2-spike slice, next to its forward pass.
     """
 
-    def support(self, ell: int) -> tuple[int, ...]:
-        """Reconstruct an optimal support for budget ``ell``."""
-        lev = self._start_level(ell)
+    def _walk_row(self, flags: np.ndarray, lev: int) -> tuple[int, ...]:
+        """The support read back from level ``lev`` of one row's ``flags``."""
         delta = self.delta
-        flags = self.flags
         sol: list[int] = []
         r = self.n
         i = 1

@@ -3,12 +3,15 @@
 The projector removes a periodic run of ``delta`` positions from the ground
 set (one of ``lam + 1`` phase-shifted choices), which caps every remaining
 block at ``lam * delta`` positions.  A keep-set is a boolean mask over
-``[n]``; its slice zeroes the dropped positions in one masked copy of the
-weights, whose nonzero chains are the blocks.  The blocks are independent;
-they are stacked as rows padded with trailing zeros, in the batches
-:func:`dp.batch_rows` forms, and the exact solver runs once per batch.  A
-global top-k selection of marginal gains stitches the per-block budgets
-together.
+``[n]``, read off phases that repeat with period ``(lam + 1) * delta`` and
+are tiled from one period.  Its slice zeroes the dropped positions in one
+masked copy of the weights, whose nonzero chains are the blocks, held as
+arrays.  The blocks are independent; they are stacked as rows padded with
+trailing zeros, in the batches :func:`dp.batch_rows` forms, and the exact
+solver runs once per batch.  A global top-k selection of marginal gains
+stitches the per-block budgets together, and one ``support`` call per
+batch reads every picked block's support, so no step loops over blocks in
+Python.
 """
 
 from __future__ import annotations
@@ -68,13 +71,15 @@ def window_count(n: int, delta: int, epsilon: float, scale: float = 1.0) -> int:
 class BlockDecomposition:
     """Blocks of a weight vector: spanning intervals and their budgets.
 
-    ``blocks[t]`` is the 1-based inclusive interval spanned by the t-th
-    chain of nonzero-weight indices in which consecutive members are less
-    than ``delta`` apart; ``budgets[t]`` is ``p * ceil(len/delta)``.
+    ``blocks`` is a ``(B, 2)`` int array whose row t is the 1-based
+    inclusive interval ``(lo, hi)`` spanned by the t-th chain of
+    nonzero-weight indices in which consecutive members are less than
+    ``delta`` apart; it iterates as those ``(lo, hi)`` pairs.  ``budgets``
+    is an int array with ``budgets[t] = p * ceil(len/delta)``.
     """
 
-    blocks: list[tuple[int, int]]
-    budgets: list[int]
+    blocks: np.ndarray
+    budgets: np.ndarray
 
 
 def block_decompose(x, delta: int, p: int = 1) -> BlockDecomposition:
@@ -85,15 +90,17 @@ def block_decompose(x, delta: int, p: int = 1) -> BlockDecomposition:
     """
     x = as_weights(x)
     delta = check_delta(delta, x.size)
-    check_p(p)
-    nonzero = np.flatnonzero(x) + 1
+    p = check_p(p)
+    # nonzero() runs several times faster on a bool mask than on floats.
+    nonzero = np.flatnonzero(x != 0.0) + 1
     if nonzero.size == 0:
-        return BlockDecomposition([], [])
+        return BlockDecomposition(nonzero.reshape(0, 2), nonzero)
     cuts = np.flatnonzero(np.diff(nonzero) >= delta)
-    los = nonzero[np.concatenate(([0], cuts + 1))].tolist()
-    his = nonzero[np.concatenate((cuts, [nonzero.size - 1]))].tolist()
-    budgets = [p * math.ceil((hi - lo + 1) / delta) for lo, hi in zip(los, his)]
-    return BlockDecomposition(list(zip(los, his)), budgets)
+    first = np.concatenate(([0], cuts + 1))
+    last = np.concatenate((cuts, [nonzero.size - 1]))
+    blocks = nonzero[np.stack((first, last), axis=1)]
+    lengths = blocks[:, 1] - blocks[:, 0] + 1
+    return BlockDecomposition(blocks, p * -(-lengths // delta))
 
 
 def _check_mask(mask, n: int, name: str) -> None:
@@ -126,28 +133,25 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
         return ()
     x = np.where(keep, x, 0.0)
     dec = block_decompose(x, delta, p)
-    if not dec.blocks:
+    if not len(dec.blocks):
         return ()
 
-    los, his = np.array(dec.blocks).T
+    los, his = dec.blocks.T
     lengths = his - los + 1
     batches = dp.batch_rows(lengths, delta, p)
     tables = []
     for rows in batches:
         cols = np.arange(lengths[rows].max())
-        # Padding columns read any in-range weight; the mask zeroes them.
-        at = np.minimum(los[rows, None] - 1 + cols, x.size - 1)
-        tables.append(solve(np.where(cols < lengths[rows, None], x[at], 0.0), k, delta))
+        # Padding columns read any in-range weight, then are zeroed.
+        padded = x.take(los[rows, None] - 1 + cols, mode="clip")
+        padded[cols >= lengths[rows, None]] = 0.0
+        tables.append(solve(padded, k, delta))
     # Row b holds block b's gain at each level over the level below, 0 past
     # its batch's levels; a block's first level gains its whole value.
     top = max(len(table) for table in tables)
     gains = np.zeros((lengths.size, top))
-    batch_of = np.empty(lengths.size, dtype=np.intp)
-    row_of = np.empty(lengths.size, dtype=np.intp)
-    for t, (rows, table) in enumerate(zip(batches, tables)):
+    for rows, table in zip(batches, tables):
         gains[rows, : len(table)] = np.diff(table.values, axis=1, prepend=0.0)
-        batch_of[rows] = t
-        row_of[rows] = np.arange(rows.size)
     gains = gains.ravel()
     # A stable sort of the negated positive gains keeps equal gains in
     # block, then level order.
@@ -155,12 +159,14 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
     picked = positive[(-gains[positive]).argsort(kind="stable")[:k]]
     per_block = np.bincount(picked // top, minlength=lengths.size)
 
-    solution: list[int] = []
-    for b in np.flatnonzero(per_block).tolist():
-        lo = dec.blocks[b][0]
-        table = tables[batch_of[b]].row(row_of[b])
-        solution.extend(local + lo - 1 for local in table.support(int(per_block[b])))
-    return tuple(solution)
+    # Each batch reads all its blocks' supports at their budgets in one
+    # walk-back.  Blocks are disjoint and ordered, so the solution is the
+    # sorted union of their indices.
+    solution = []
+    for rows, table in zip(batches, tables):
+        row, local = table.support(per_block[rows])
+        solution.append(local + (los[rows[row]] - 1))
+    return tuple(np.sort(np.concatenate(solution)).tolist())
 
 
 def best_over_windows(
@@ -174,8 +180,13 @@ def best_over_windows(
     :func:`window_cap`.  Ties keep the earliest keep-set.
     """
     x = as_weights(x)
-    lam = min(lam, window_cap(x.size, delta))
-    phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
+    n = x.size
+    delta = check_delta(delta, n)
+    lam = min(lam, window_cap(n, delta))
+    # Phases repeat with period (lam + 1) * delta: tile one period, in the
+    # narrowest signed type that holds -1 to lam.
+    period = np.arange(1, min((lam + 1) * delta, n) + 1)
+    phase = np.resize(drop_phase(period, delta, lam).astype(np.min_scalar_type(-lam - 1)), n)
     if forced is not None:
         _check_mask(forced, x.size, "forced")
         phase[forced] = -1  # a phase no keep-set drops

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def is_feasible(indices, n: int, k: int, delta: int, p: int = 1) -> bool:
     ``j``.  Indices outside ``[1, n]`` and a ``delta`` or ``p`` below 1 raise ``ValueError``.
     """
     check_delta(delta, n)
-    check_p(p)
+    p = check_p(p)
     idx = as_support(indices, n)
     if len(idx) > k:
         return False
@@ -135,24 +136,38 @@ def restrict(v, indices) -> np.ndarray:
     return out
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int through ``operator.index``, so a numpy
+    integer computes in Python ints; a float or any other non-integer
+    raises ``ValueError``.  A Python ``bool`` is an ``int`` and passes."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_delta(delta: int, n: int) -> int:
-    """``delta`` checked to be >= 1 and clamped to ``max(n, 1)``: on ``n``
-    positions any ``delta >= n`` admits the same supports as ``delta = n``."""
+    """``delta`` checked to be an integer >= 1 and clamped to ``max(n, 1)``:
+    on ``n`` positions any ``delta >= n`` admits the same supports as
+    ``delta = n``.  The result is a Python int."""
+    delta = _as_int(delta, "delta")
     if delta < 1:
         raise ValueError("delta must be >= 1")
     return min(delta, max(n, 1))
 
 
-def check_p(p: int) -> None:
-    """Reject a spike count ``p`` below 1."""
+def check_p(p: int) -> int:
+    """``p`` checked to be an integer >= 1, as a Python int."""
+    p = _as_int(p, "p")
     if p < 1:
         raise ValueError("p must be >= 1")
+    return p
 
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:
     """Largest feasible support size on ``[n]`` for the given (delta, p)."""
     delta = check_delta(delta, n)
-    check_p(p)
+    p = check_p(p)
     if n < 0:
         return 0
     # A window holds at most delta distinct positions, so p >= delta is vacuous.
@@ -177,7 +192,7 @@ def brute_force_solve(x, k: int, delta: int, p: int = 1) -> tuple[tuple[int, ...
     if k < 1:
         raise ValueError("k must be >= 1")
     delta = check_delta(delta, n)
-    check_p(p)
+    p = check_p(p)
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"brute force limited to n <= {MAX_BRUTE_FORCE_N}, got {n}")
     nonzero = [int(i) + 1 for i in np.flatnonzero(x)]

@@ -37,18 +37,25 @@ def tail_vector(x, delta: int) -> np.ndarray:
 
     Entry i sums x over positions within distance < delta of i (both
     directions), minus x_i.  Computed in O(n) from prefix sums, which is
-    algebraically the rolling one-step update with out-of-range terms 0.
-    A ``delta`` past ``n`` covers all of ``[n]`` either way and is clamped
+    algebraically the rolling one-step update with out-of-range terms 0:
+    ``prefix[min(i + delta - 1, n)] - prefix[max(i - delta, 0)] - x_i``,
+    read as contiguous slices of ``prefix`` with constant edges.  A
+    ``delta`` past ``n`` covers all of ``[n]`` either way and is clamped
     to ``n``.
     """
     x = as_weights(x)
     n = x.size
     delta = check_delta(delta, n)
-    prefix = np.concatenate(([0.0], np.cumsum(x)))
-    positions = np.arange(1, n + 1)
-    hi = np.minimum(positions + delta - 1, n)
-    lo = np.maximum(positions - delta, 0)
-    return prefix[hi] - prefix[lo] - x
+    prefix = np.zeros(n + 1)
+    np.cumsum(x, out=prefix[1:])
+    out = np.empty(n)
+    out[: n - delta + 1] = prefix[delta:]
+    out[n - delta + 1 :] = prefix[n]
+    # The first delta entries subtract prefix[0] = 0.0, which leaves every
+    # float as it is, -0.0 included.
+    out[delta:] -= prefix[1 : n - delta + 1]
+    out -= x
+    return out
 
 
 @dataclass
@@ -119,8 +126,9 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     Builds the reduced vector, then runs the windowed slice loop at halved
     precision (``lam = ceil(2/epsilon)``, see :func:`window_count`) with
     the strong set merged into every slice; strong indices always land in
-    singleton blocks of the reduced vector, so block sizes stay bounded.  Returns the slice solution
-    with maximal reduced-vector mass.  Single-spike model only.
+    singleton blocks of the reduced vector, so block sizes stay bounded.
+    Returns the slice solution with maximal reduced-vector mass.
+    Single-spike model only.
     """
     x = as_weights(x)
     n = x.size

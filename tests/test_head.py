@@ -52,6 +52,36 @@ class TestWindows:
         # A delta past every index puts all of them in phase 0.
         assert list(drop_phase(np.arange(1, 5), 2**62, 1)) == [0, 0, 0, 0]
 
+    def test_best_over_windows_tiles_the_phases_of_drop_phase(self, monkeypatch):
+        # best_over_windows tiles one period of phases over [n]; its keep
+        # masks must be those of drop_phase over all of [n], with the forced
+        # indices kept by every slice.
+        import sepsparse.head as head_mod
+
+        masks = []
+
+        def record(keep, x, k, delta, p=1):
+            masks.append(keep.copy())
+            return ()
+
+        monkeypatch.setattr(head_mod, "slice_solve", record)
+        rng = make_rng(1603)
+        cases = [(600, 1, 300), (600, 2, 299), (300, 1, 127), (300, 1, 128)]  # past int8
+        for c in range(300):
+            n = int(rng.integers(1, 80))
+            delta = int(rng.integers(1, 12)) if c % 4 else n + int(rng.integers(1, 10**6))
+            cases.append((n, delta, int(rng.integers(0, window_cap(n, delta) + 3))))
+        for c, (n, delta, lam) in enumerate(cases):
+            cap = window_cap(n, delta)
+            forced = rng.random(n) < 0.2 if c % 2 else None
+            masks.clear()
+            best_over_windows(rng.random(n), 3, delta, 1, lam, forced)
+            lam = min(lam, cap)
+            phase = drop_phase(np.arange(1, n + 1), delta, lam)
+            want = [(phase != nu) | (forced if forced is not None else False) for nu in range(lam + 1)]
+            assert len(masks) == lam + 1
+            assert all(np.array_equal(got, w) for got, w in zip(masks, want)), (n, delta, lam)
+
     def test_window_count_reaches_the_cap(self):
         # best_over_windows caps lam at ceil(n / min(delta, n)).
         assert window_count(100, 10, 0.1) == window_cap(100, 10) == 10
@@ -100,11 +130,16 @@ class TestBlocks:
     def test_spec_examples(self):
         x = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
         dec = block_decompose(x, 2)
-        assert dec.blocks == [(3, 4), (7, 8)]
+        assert dec.blocks.tolist() == [[3, 4], [7, 8]]
+        assert dec.budgets.tolist() == [1, 1]
         dec = block_decompose(np.zeros(6), 2)
-        assert dec.blocks == []
-        dec = block_decompose(np.array([1.0, 0, 0, 0, 1]), 3)
-        assert dec.blocks == [(1, 1), (5, 5)]
+        assert dec.blocks.shape == (0, 2) and dec.budgets.shape == (0,)
+        dec = block_decompose(np.array([1.0, 0, 0, 0, 1]), 3, 2)
+        assert dec.blocks.tolist() == [[1, 1], [5, 5]]
+        assert dec.budgets.tolist() == [2, 2]
+        # The blocks iterate as (lo, hi) pairs of ints.
+        assert [(int(lo), int(hi)) for lo, hi in dec.blocks] == [(1, 1), (5, 5)]
+        assert dec.blocks.dtype.kind == dec.budgets.dtype.kind == "i"
 
     def test_blocks_are_delta_apart_and_budgeted(self):
         rng = make_rng(61)

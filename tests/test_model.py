@@ -17,6 +17,7 @@ from sepsparse.head import best_over_windows, block_decompose, head_project, sli
 from sepsparse.model import (
     brute_force_solve,
     check_delta,
+    check_p,
     is_feasible,
     max_support_size,
     objective,
@@ -216,6 +217,28 @@ class TestBruteForce:
         assert sup == (1, 4)
 
 
+# Every public function that takes a delta, called as (x, k, delta).
+DELTA_TAKERS = {
+    "head_project": lambda x, k, d: head_project(x, k, d, 2, 0.5),
+    "tail_project": lambda x, k, d: tail_project(x, k, d, 0.5),
+    "topk_tail_project": lambda x, k, d: topk_tail_project(x, k, d),
+    "slice_solve": lambda x, k, d: slice_solve(np.ones(x.size, dtype=bool), x, k, d, 1),
+    "best_over_windows": lambda x, k, d: best_over_windows(x, k, d, 1, 2),
+    "block_decompose": lambda x, k, d: block_decompose(x, d, 1),
+    "tail_vector": lambda x, k, d: tail_vector(x, d),
+    "strong_and_reduced": lambda x, k, d: strong_and_reduced(x, d),
+    "build_table_1spike": lambda x, k, d: build_table_1spike(x, k, d),
+    "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
+    "batch_rows": lambda x, k, d: batch_rows(np.ones(x.size, dtype=int), d, 1),
+    "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(x, d),
+    "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
+    "is_feasible": lambda x, k, d: is_feasible(range(1, x.size + 1), x.size, k, d, 1),
+    "am_iht": lambda x, k, d: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, d, 1, 0.5, 0.5),
+}
+
+
+
+
 class TestCheckDelta:
     def test_clamps_to_n(self):
         assert check_delta(2, 5) == 2
@@ -226,25 +249,8 @@ class TestCheckDelta:
     def test_every_delta_taker_rejects_delta_below_one(self):
         # Each runs on normal input and on each early-return shape, and
         # each raises check_delta's message.
-        takers = {
-            "head_project": lambda x, k, d: head_project(x, k, d, 2, 0.5),
-            "tail_project": lambda x, k, d: tail_project(x, k, d, 0.5),
-            "topk_tail_project": lambda x, k, d: topk_tail_project(x, k, d),
-            "slice_solve": lambda x, k, d: slice_solve(np.ones(x.size, dtype=bool), x, k, d, 1),
-            "best_over_windows": lambda x, k, d: best_over_windows(x, k, d, 1, 2),
-            "block_decompose": lambda x, k, d: block_decompose(x, d, 1),
-            "tail_vector": lambda x, k, d: tail_vector(x, d),
-            "strong_and_reduced": lambda x, k, d: strong_and_reduced(x, d),
-            "build_table_1spike": lambda x, k, d: build_table_1spike(x, k, d),
-            "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
-            "batch_rows": lambda x, k, d: batch_rows(np.ones(x.size, dtype=int), d, 1),
-            "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(x, d),
-            "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
-            "is_feasible": lambda x, k, d: is_feasible(range(1, x.size + 1), x.size, k, d, 1),
-            "am_iht": lambda x, k, d: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, d, 1, 0.5, 0.5),
-        }
         wrong = []
-        for name, call in takers.items():
+        for name, call in DELTA_TAKERS.items():
             for x, k in [(np.ones(5), 2), (np.ones(5), 0), (np.zeros(0), 2)]:
                 for delta in (0, -1):
                     try:
@@ -255,6 +261,46 @@ class TestCheckDelta:
                     else:
                         wrong.append((name, x.size, k, delta, "returned"))
         assert wrong == []
+
+    def test_every_delta_taker_takes_integers_only(self):
+        # delta goes through operator.index: a numpy integer computes as the
+        # Python int it holds, with no overflow warning (an error in these
+        # tests), and a float or a string raises ValueError on every path.
+        wrong = []
+        for name, call in DELTA_TAKERS.items():
+            for x, k in [(np.ones(5), 2), (np.ones(5), 0), (np.zeros(0), 2)]:
+                for delta in (2.5, 2.0, np.float64(3.0), "2"):
+                    try:
+                        call(x, k, delta)
+                    except ValueError as err:
+                        if not str(err).startswith("delta must be an integer"):
+                            wrong.append((name, x.size, k, delta, str(err)))
+                    else:
+                        wrong.append((name, x.size, k, delta, "returned"))
+                for delta in (np.uint64(2), np.int8(2), np.uint64(2**63)):
+                    try:
+                        call(x, k, delta)
+                    except Exception as err:
+                        wrong.append((name, x.size, k, delta, repr(err)))
+        assert wrong == []
+
+    def test_numpy_integer_parameters_compute_as_python_ints(self):
+        x = make_rng(1607).random(40)
+        assert type(check_delta(np.uint64(5), 40)) is int
+        assert build_table_1spike(x, 3, np.uint64(5)).support(3) == build_table_1spike(x, 3, 5).support(3)
+        assert head_project(x, 3, np.uint64(5), 1, 0.5) == head_project(x, 3, 5, 1, 0.5)
+        assert head_project(x, 3, 5, np.uint64(2), 0.5) == head_project(x, 3, 5, 2, 0.5)
+        assert tail_project(x, 3, np.uint64(5), 0.5) == tail_project(x, 3, 5, 0.5)
+        assert max_support_size(50, np.uint64(3), np.uint64(2)) == max_support_size(50, 3, 2)
+        assert type(check_p(np.uint64(2))) is int
+        # bool is an int subclass, so p=True is accepted as p = 1.
+        assert max_support_size(10, 2, True) == max_support_size(10, 2, 1)
+        with pytest.raises(ValueError, match="delta must be an integer"):
+            max_support_size(50, 2.5, 1)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            max_support_size(50, 2, 1.0)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            is_feasible((1, 3), 5, 2, 2, 2.5)
 
 
 def test_each_parameter_rule_has_one_home():

@@ -7,6 +7,7 @@ back afterwards.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +71,32 @@ def test_traced_exact_solve_builds_one_support(solve, table_span):
     assert names.count("dp.support") == 1
     assert tracer.layer_metrics([(0, len(names))])["dp.support.used_ratio"] == 1.0
     assert len(sols) == 3
+
+
+def test_traced_block_figures_match_block_decompose():
+    # The tracer reads the blocks and budgets that block_decompose returns
+    # as arrays; its figures must equal those worked out from them here,
+    # and its layer metrics must serialise as JSON.
+    x = np.array([0.0, 5.0, 1.0, 0.0, 3.0, 0.5, 2.0, 0.0, 0.0, 4.0, 1.5, 0.0, 2.5])
+    k, delta, lam = 3, 2, 2
+    blocks, gains_computed, gains_picked, len_max = 0, 0, 0, 0
+    phase = head.drop_phase(np.arange(1, x.size + 1), delta, lam)
+    for nu in range(lam + 1):
+        dec = head.block_decompose(np.where(phase != nu, x, 0.0), delta, 1)
+        blocks += len(dec.blocks)
+        len_max = max([len_max] + [int(hi - lo + 1) for lo, hi in dec.blocks])
+        gains_computed += sum(min(int(b), k) for b in dec.budgets)
+        gains_picked += len(head.slice_solve(phase != nu, x, k, delta, 1))
+
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        head.head_project(x, k, delta, 1, 1 / lam)
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics([(0, len(tracer.spans))])
+    assert [span[0] for span in tracer.spans].count("head.decompose") == lam + 1
+    assert metrics["head.blocks"] == blocks / (lam + 1)
+    assert metrics["head.block_len_max"] == len_max
+    assert metrics["head.gains_used_ratio"] == gains_picked / gains_computed
+    json.dumps(metrics)

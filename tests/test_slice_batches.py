@@ -88,6 +88,66 @@ def test_batched_slices_match_the_per_block_solver(monkeypatch, per_block_soluti
     assert wrong == []
 
 
+def hostile_batches(seed: int, count: int):
+    """``count`` ``(rows, budget, delta, p, budgets)`` cases of batch tables.
+
+    The rows take the weights of :func:`hostile_slices`, padded with
+    trailing zeros as ``slice_solve`` pads blocks; the table's budget is a
+    small one, the packing limit or past it, or ``10**23``, and the
+    per-row budgets run from 0 past the levels the table runs, up to its
+    budget.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        r, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        delta = int(rng.integers(1, 9)) if c % 5 else n + int(rng.integers(1, 10**6))
+        p = 1 + c % 2
+        kind = c % 4
+        if kind == 0:
+            rows = rng.integers(0, 3, (r, n)).astype(float)
+        elif kind == 1:
+            rows = 10.0 ** rng.uniform(-300, 300, (r, n)) * (rng.random((r, n)) < 0.7)
+        elif kind == 2:
+            rows = rng.random((r, n)) * (rng.random((r, n)) < 0.25)
+        else:
+            rows = rng.random((r, n))
+        rows[np.arange(n) >= rng.integers(1, n + 1, (r, 1))] = 0.0
+        limit = max_support_size(n, delta, p)
+        budget = (int(rng.integers(1, 6)), limit + int(rng.integers(0, 3)), 10**23)[c % 3]
+        budgets = rng.integers(0, min(budget, limit + 3) + 1, r).astype(object)
+        if budget == 10**23:
+            budgets[rng.random(r) < 0.3] = 10**23
+        else:
+            budgets = budgets.astype(np.int64)
+        yield rows, budget, delta, p, budgets
+
+
+def test_batch_support_reads_each_row_at_its_budget():
+    # One call on a batch table gives every row the support its own table
+    # gives at that row's budget: 0 for none, past the levels the table
+    # runs, and 10**23.
+    wrong = []
+    for rows, budget, delta, p, budgets in hostile_batches(1601, CASES):
+        table = dp.table_builder(p)(rows, budget, delta)
+        row, at = table.support(budgets)
+        assert row.dtype == at.dtype == np.intp
+        for r, b in enumerate(budgets.tolist()):
+            if tuple(at[row == r].tolist()) != table.row(r).support(b):
+                wrong.append((rows, budget, delta, p, budgets, r))
+        assert np.all(np.diff(row) >= 0)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_batch_support_rejects_bad_budgets(p):
+    table = dp.table_builder(p)(np.ones((3, 6)), 4, 2)
+    for bad in (np.array([1, 2]), np.array([1, -1, 0]), np.array([0, 5, 0]), np.array([1.0, 2.0, 0.0]), 2):
+        with pytest.raises(ValueError):
+            table.support(bad)
+    row, at = table.support(np.zeros(3, dtype=int))
+    assert row.size == at.size == 0
+
+
 def test_batches_take_rows_shortest_first(monkeypatch):
     lengths = np.array([3, 1, 4, 1, 5, 9, 2, 6])
     # Padding the 9 would more than double the first batch's cells.

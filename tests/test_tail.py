@@ -9,6 +9,7 @@ from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_t
 
 from util import (
     direct_tail_vector,
+    gather_tail_vector,
     keep_only,
     tail_bound_coefficient,
     topk_reference,
@@ -35,6 +36,24 @@ class TestTailVector:
             x = rng.random(n) * float(rng.integers(1, 5))
             assert np.allclose(tail_vector(x, delta), direct_tail_vector(x, delta), atol=1e-9)
 
+
+    def test_matches_the_gather_formula_bit_for_bit(self):
+        # Slices of the prefix sums read the same operands as two gathers,
+        # so every float, -0.0 included, comes out the same.
+        rng = make_rng(1601)
+        cases = [(np.array([2.5]), 1), (np.array([2.5]), 7), (np.zeros(0), 3)]
+        for c in range(400):
+            n = int(rng.integers(1, 60))
+            x = 10.0 ** rng.uniform(-300, 300, n) * (rng.random(n) < 0.7)
+            if c % 3 == 0:
+                x[int(rng.integers(0, n)) :][: int(rng.integers(0, 20))] = 0.0
+            if c % 4 == 0:
+                x = np.where(x == 0.0, -0.0, x)
+            delta = (1, n, n + int(rng.integers(1, 10**6)), int(rng.integers(1, n + 1)))[c % 4]
+            cases.append((x, delta))
+        for x, delta in cases:
+            got, want = tail_vector(x, delta), gather_tail_vector(x, delta)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (x, delta)
 
     def test_huge_delta_equals_delta_n(self):
         rng = make_rng(149)

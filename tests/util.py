@@ -52,6 +52,22 @@ def direct_tail_vector(x, delta: int) -> np.ndarray:
     return out
 
 
+def gather_tail_vector(x, delta: int) -> np.ndarray:
+    """The prefix-sum tail vector read by two index gathers over ``[n]``.
+
+    This is ``tail_vector`` before it read ``prefix`` as contiguous slices;
+    the sliced form must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    delta = check_delta(delta, n)
+    prefix = np.concatenate(([0.0], np.cumsum(x)))
+    positions = np.arange(1, n + 1)
+    hi = np.minimum(positions + delta - 1, n)
+    lo = np.maximum(positions - delta, 0)
+    return prefix[hi] - prefix[lo] - x
+
+
 def restricted_optimum(member_indices, x, k: int, delta: int, p: int = 1) -> float:
     """Exhaustive optimum of the projection restricted to a member set."""
     x = np.asarray(x, dtype=float)
@@ -224,7 +240,7 @@ def slice_solve_reference(keep, x, k: int, delta: int, p: int = 1) -> tuple[int,
     x = np.where(keep, x, 0.0)
     delta = check_delta(delta, x.size)
     dec = block_decompose(x, delta, p)
-    if not dec.blocks:
+    if not len(dec.blocks):
         return ()
     solve = dp.table_builder(p)
     tables = [solve(x[lo - 1 : hi], min(b, k), delta) for (lo, hi), b in zip(dec.blocks, dec.budgets)]
