@@ -30,6 +30,19 @@ leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
 out of range, is a slice of that buffer and no per-level array is
 allocated.
 
+The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
+(131,072) weights, in a process that may run on more than one CPU, runs
+each level in column segments of at least ``_SPLIT_MIN`` columns, cut at
+whole flag bytes.  The calling thread and one worker per further usable
+CPU take the segments in turn: each takes its segment's running maximum
+from 0, each later segment is then raised to the maximum of the ones
+before it, and each packs its own take flags.  The workers belong to one
+pool that lives for the one call, and a worker that has not started when
+the calling thread runs out of segments is called off.  ``max`` is exact,
+so the values and flags are the one-segment ones bit for bit.  Batches,
+shorter vectors and one-CPU processes run one segment on the calling
+thread, and nothing else here starts a thread.
+
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
 and ``table.row(r)`` reads row ``r`` of a batch as a table of its own.  On
@@ -46,12 +59,16 @@ batches, shortest first, under a private cap on one level's cells.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import queue
 from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import as_weights, check_delta, max_support_size
+from .model import as_weights, check_budget, check_delta, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -67,16 +84,18 @@ __all__ = [
 ]
 
 
-def _prepare(x, delta: int) -> tuple[np.ndarray, int, int]:
+def _prepare(x, budget: int, delta: int) -> tuple[np.ndarray, int, int, int]:
     """Validated weights, a vector or a 2-D array of rows, the row length
-    ``n``, and ``delta`` through :func:`check_delta`.
+    ``n``, ``budget`` through :func:`check_budget` and ``delta`` through
+    :func:`check_delta`.
 
     Every row of a 2-D ``x`` is checked like a vector by :func:`as_weights`.
     """
     arr = np.asarray(x)
     x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
     n = x.shape[-1]
-    return x, n, check_delta(delta, n)
+    delta = check_delta(delta, n)
+    return x, n, check_budget(budget), delta
 
 
 def _levels(n: int, budget: int, delta: int, p: int) -> int:
@@ -184,6 +203,7 @@ class _DpTable(Sequence):
 
     def _start_level(self, ell: int) -> int:
         """The flag level a budget-``ell`` walk starts at."""
+        ell = check_budget(ell)
         if not 0 <= ell <= self.budget:
             raise ValueError(f"level {ell} outside [0, {self.budget}]")
         return min(ell, len(self))
@@ -230,10 +250,13 @@ class DpTable1(_DpTable):
     def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_walk` on every row at once: each step finds, for every
         row still walking, the nearest take at or before its position in
-        its own level's flags, by :func:`_nearest_take`'s rule."""
+        its own level's flags, by :func:`_nearest_take`'s rule.  A batch
+        with one row to walk takes the scalar walk, which is faster alone."""
+        rows = np.flatnonzero(lev)
+        if rows.size == 1:
+            return super()._walk_rows(lev)
         nbytes = self.flags.shape[-1]
         cols = np.arange(nbytes)
-        rows = np.flatnonzero(lev)
         lev = lev[rows]
         i = np.full(rows.size, self.n)
         found_rows, found_at = [rows[:0]], [rows[:0]]
@@ -257,13 +280,78 @@ class DpTable1(_DpTable):
         return row[order], at[order]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# The columns each segment of a split 1-spike forward pass holds at least.
+# Below about this length a level's vector work is too short to pay for
+# handing part of it to another thread and back twice.
+_SPLIT_MIN = 1 << 16
+
+
+def _segments(shape: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """The column segments of a 1-spike forward pass on weights of ``shape``.
+
+    A vector of at least two ``_SPLIT_MIN`` columns, in a process that may
+    run on more than one CPU, is cut into as many segments as keep
+    ``_SPLIT_MIN`` columns each; anything else is one segment.  Segment
+    ``(b0, b1, lo, hi)`` owns the packed flag bytes ``b0`` to ``b1 - 1``:
+    take bits ``8 * b0`` to ``8 * b1 - 1``, prefixes ``lo + 1`` to ``hi``.
+    Cutting at whole bytes means no byte is packed by two segments.
+    """
+    n = shape[-1]
+    nbytes = (n + 8) // 8
+    if len(shape) > 1 or n < 2 * _SPLIT_MIN or _usable_cpus() < 2:
+        return [(0, nbytes, 0, n)]
+    count = n // _SPLIT_MIN
+    cuts = [nbytes * j // count for j in range(count + 1)]
+    return [(b0, b1, max(8 * b0, 1) - 1, min(8 * b1, n + 1) - 1) for b0, b1 in zip(cuts, cuts[1:])]
+
+
+def _run_segments(
+    pool: ThreadPoolExecutor, workers: int, work: Callable[[int], None], count: int
+) -> None:
+    """``work(j)`` for ``j`` in ``range(count)``, each taken in turn by
+    whichever of this thread and ``pool``'s ``workers`` is free first; all
+    have finished, or raised here, on return.
+
+    A worker whose task has not started by the time this thread has taken
+    the last segment is called off, so this thread waits only for
+    segments a worker has taken, never for a worker that is slow to wake.
+    """
+    todo = queue.SimpleQueue()
+    for j in range(count):
+        todo.put(j)
+
+    def drain() -> None:
+        while True:
+            try:
+                j = todo.get_nowait()
+            except queue.Empty:
+                return
+            work(j)
+
+    futures = [pool.submit(drain) for _ in range(workers)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            if not future.cancel():
+                future.result()
+
+
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget.
 
     ``x`` is a vector or a 2-D array of rows; every level runs once for
-    all rows, each row on its own along the last axis.
+    all rows, each row on its own along the last axis.  A long vector's
+    levels run split into column segments (see :func:`_segments`), shared
+    between this thread and the workers of one pool that lives for this
+    call (see :func:`_run_segments`).
     """
-    x, n, delta = _prepare(x, delta)
+    x, n, budget, delta = _prepare(x, budget, delta)
     rows = x.shape[:-1]
     s = min(delta, n)
     top = _levels(n, budget, delta, 1)
@@ -277,13 +365,55 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     # Whole bytes per row, so packing the flat array packs each row.
     take = np.zeros((*rows, 8 * nbytes), dtype=bool)
     took = take[..., 1 : n + 1]
-    for ell in range(1, top + 1):
-        np.add(x, prev[..., 1 : n + 1], out=cand)
-        np.maximum.accumulate(cand, axis=-1, out=row[..., s + 1 :])
-        np.greater(cand, row[..., s : s + n], out=took)
-        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
-        values[ell - 1] = row[..., s + n]
-        prev, row = row, prev
+    segments = _segments(x.shape)
+    # Each segment's columns of x, cand and the take flags, and its bits to pack.
+    views = [
+        (x[..., lo:hi], cand[..., lo:hi], took[..., lo:hi], take[..., 8 * b0 : 8 * b1])
+        for b0, b1, lo, hi in segments
+    ]
+    # carries[j] is the row's maximum over the prefixes before segment j.
+    carries = [0.0] * len(segments)
+
+    def extend(j: int) -> None:
+        """Segment ``j``'s candidates and their running maximum from 0."""
+        _, _, lo, hi = segments[j]
+        weights, seg_cand, _, _ = views[j]
+        np.add(weights, prev[..., 1 + lo : 1 + hi], out=seg_cand)
+        np.maximum.accumulate(seg_cand, axis=-1, out=row[..., s + 1 + lo : s + 1 + hi])
+
+    def finish(j: int) -> None:
+        """Segment ``j``'s running maximum raised to its carry, then its
+        take flags, packed."""
+        b0, b1, lo, hi = segments[j]
+        _, seg_cand, seg_took, bits = views[j]
+        before = row[..., s + lo : s + hi]
+        if j:
+            # The running maximum is sorted, so only the entries below the
+            # carry change: they rise to it.
+            seg = row[s + 1 + lo : s + 1 + hi]
+            seg[: np.searchsorted(seg, carries[j])] = carries[j]
+            # The row's entry before the segment is the carry, and the
+            # segment before writes it, so it is not read here.
+            seg_took[..., 0] = seg_cand[..., 0] > carries[j]
+            seg_cand, seg_took, before = seg_cand[..., 1:], seg_took[..., 1:], before[..., 1:]
+        np.greater(seg_cand, before, out=seg_took)
+        flags[ell, ..., b0:b1] = np.packbits(bits).reshape(*rows, b1 - b0)
+
+    workers = min(_usable_cpus(), len(segments)) - 1 if len(segments) > 1 else 0
+    with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+        for ell in range(1, top + 1):
+            if pool is None:
+                extend(0)
+                finish(0)
+            else:
+                _run_segments(pool, workers, extend, len(segments))
+                # max is exact, so carrying the prefix maximum across makes
+                # the split row the whole one, bit for bit.
+                for j in range(1, len(segments)):
+                    carries[j] = max(carries[j - 1], float(row[s + segments[j][2]]))
+                _run_segments(pool, workers, finish, len(segments))
+            values[ell - 1] = row[..., s + n]
+            prev, row = row, prev
     return DpTable1(values.T, flags, budget, delta, n)
 
 
@@ -332,7 +462,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     is vacuous and the 1-spike recurrence at separation 1 solves the same
     problem, so we reuse it.
     """
-    x, n, delta = _prepare(x, delta)
+    x, n, budget, delta = _prepare(x, budget, delta)
     if delta == 1:
         return build_table_1spike(x, budget, 1)
     rows = x.shape[:-1]
@@ -414,7 +544,7 @@ def table_cells(n: int, k: int, delta: int, p: int) -> int:
     """The cells the budget-``k`` table for spike count ``p`` fills on ``n``
     weights: ``n`` per level it runs, times the clamped ``delta`` for ``p = 2``."""
     table_builder(p)  # raises for a p with no exact solver
-    return _levels(n, k, delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
+    return _levels(n, check_budget(k), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:

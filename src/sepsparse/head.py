@@ -22,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import as_weights, check_delta, check_p, objective
+from .model import _ascending_sum, as_weights, check_budget, check_delta, check_p
+
+# perfbench/tracing.py patches this name here; keep it importable.
+from .model import objective  # noqa: F401
 
 __all__ = [
     "BlockDecomposition",
@@ -128,6 +131,7 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
     x = as_weights(x)
     solve = dp.table_builder(p)
     delta = check_delta(delta, x.size)
+    k = check_budget(k)
     _check_mask(keep, x.size, "keep")
     if k <= 0:
         return ()
@@ -182,6 +186,7 @@ def best_over_windows(
     x = as_weights(x)
     n = x.size
     delta = check_delta(delta, n)
+    k = check_budget(k)
     lam = min(lam, window_cap(n, delta))
     # Phases repeat with period (lam + 1) * delta: tile one period, in the
     # narrowest signed type that holds -1 to lam.
@@ -194,7 +199,7 @@ def best_over_windows(
     best_val = 0.0
     for nu in range(lam + 1):
         sol = slice_solve(phase != nu, x, k, delta, p)
-        val = objective(x, sol)
+        val = _ascending_sum(x, sol)
         if val > best_val:
             best, best_val = sol, val
     return best
@@ -212,6 +217,7 @@ def head_project(x, k: int, delta: int, p: int, epsilon: float) -> tuple[int, ..
     x = as_weights(x)
     lam = window_count(x.size, delta, epsilon)
     dp.table_builder(p)  # raises for a p with no exact solver
+    k = check_budget(k)
     if x.size == 0 or k <= 0:
         return ()
     return best_over_windows(x, k, delta, p, lam)

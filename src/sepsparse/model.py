@@ -11,8 +11,9 @@ Conventions used throughout the package:
   ``p`` chosen indices.  For ``p == 1`` this is exactly the pairwise rule
   ``|i - j| >= delta`` for distinct chosen ``i, j``.
 * Each parameter rule has one home: :func:`check_delta` checks and clamps
-  ``delta``, :func:`check_p` checks ``p``, and :func:`is_feasible` is the
-  one feasibility test, which every other module calls.
+  ``delta``, :func:`check_p` checks ``p``, :func:`check_budget` checks a
+  budget ``k``, and :func:`is_feasible` is the one feasibility test, which
+  every other module calls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "as_support",
     "as_weights",
     "brute_force_solve",
+    "check_budget",
     "check_delta",
     "check_p",
     "is_feasible",
@@ -97,6 +99,7 @@ def is_feasible(indices, n: int, k: int, delta: int, p: int = 1) -> bool:
     """
     check_delta(delta, n)
     p = check_p(p)
+    k = check_budget(k)
     idx = as_support(indices, n)
     if len(idx) > k:
         return False
@@ -113,9 +116,15 @@ def objective(x, indices) -> float:
     accumulation order of the dynamic-programming solvers exactly.
     """
     arr = as_weights(x)
+    return _ascending_sum(arr, as_support(indices, arr.size))
+
+
+def _ascending_sum(x: np.ndarray, support: tuple[int, ...]) -> float:
+    """:func:`objective` on weights and a support already checked, for
+    callers that score many supports of one vector."""
     total = 0.0
-    for i in as_support(indices, arr.size):
-        total += arr[i - 1]
+    for w in x[np.asarray(support, dtype=np.intp) - 1].tolist():
+        total += w
     return total
 
 
@@ -156,6 +165,12 @@ def check_delta(delta: int, n: int) -> int:
     return min(delta, max(n, 1))
 
 
+def check_budget(k: int) -> int:
+    """A budget ``k`` checked to be an integer, as a Python int.  Whether
+    a ``k <= 0`` is an empty support or an error is each caller's rule."""
+    return _as_int(k, "k")
+
+
 def check_p(p: int) -> int:
     """``p`` checked to be an integer >= 1, as a Python int."""
     p = _as_int(p, "p")
@@ -187,6 +202,7 @@ def brute_force_solve(x, k: int, delta: int, p: int = 1) -> tuple[tuple[int, ...
     """
     x = as_weights(x)
     n = x.size
+    k = check_budget(k)
     if n < 1:
         raise ValueError("brute force requires n >= 1")
     if k < 1:

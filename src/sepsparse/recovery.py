@@ -22,7 +22,15 @@ import numpy as np
 
 from . import dp
 from .head import head_project, window_cap, window_count
-from .model import InfeasibleParameters, as_signal, is_feasible, max_support_size, restrict, squared_weights
+from .model import (
+    InfeasibleParameters,
+    as_signal,
+    check_budget,
+    is_feasible,
+    max_support_size,
+    restrict,
+    squared_weights,
+)
 from .seeding import make_rng
 from .tail import tail_project
 
@@ -70,6 +78,7 @@ class RecoveryTrace:
 
 def default_measurement_count(n: int, k: int) -> int:
     """Benchmark default m = ceil(6 k ln n), clamped to [1, n]."""
+    k = check_budget(k)
     return min(max(1, math.ceil(6.0 * k * math.log(n))), n)
 
 
@@ -137,6 +146,7 @@ def am_iht(
         raise ValueError("x_true must be finite (no NaN or inf)")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    k = check_budget(k)
     if k < 0:
         raise ValueError("k must be >= 0")
     cap = window_cap(n, delta)
@@ -195,6 +205,7 @@ def random_feasible_support(
     size-k subsets and reject infeasible ones, which is exactly uniform but
     only practical away from the packing limit.
     """
+    k = check_budget(k)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > max_support_size(n, delta, p):
@@ -222,6 +233,7 @@ def empirical_rip(A: np.ndarray, k: int, delta: int, p: int, samples: int, seed:
     Draws ``samples`` supports, fills them with normalized Gaussian
     coefficients, and returns ``max |  ||A x||^2 - 1 |``.
     """
+    k = check_budget(k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = A.shape[1]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dp
 from .head import best_over_windows, window_count
-from .model import as_weights, check_delta
+from .model import as_weights, check_budget, check_delta
 
 # perfbench/tracing.py patches these two names here; keep them importable.
 from .head import slice_solve  # noqa: F401
@@ -105,6 +105,7 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     x = as_weights(x)
     n = x.size
     delta = check_delta(delta, n)
+    k = check_budget(k)
     if k <= 0 or n == 0:
         return ()
     if k >= n:
@@ -133,6 +134,7 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     x = as_weights(x)
     n = x.size
     lam = window_count(n, delta, epsilon, 2.0)
+    k = check_budget(k)
     if n == 0 or k <= 0:
         return ()
     profile = strong_and_reduced(x, delta)

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -351,3 +355,192 @@ class TestRows:
                 table_builder(p)(rows, 2, 2)
         with pytest.raises(ValueError, match="1-D"):
             table_builder(p)(np.ones((2, 2, 2)), 2, 2)
+
+
+def hostile_vectors(seed: int, count: int):
+    """``count`` ``(x, budget, delta)`` cases for the split forward pass.
+
+    Lengths run from 1 to 95, mostly not a multiple of 8; the weights
+    cycle through integer ties with a zero run, weights from 1e-300 to
+    1e300, sparse and dense uniform weights; ``delta`` is small, past
+    half of ``n`` (past a two-way split) or past ``n``; and the budget is
+    small, the packing limit or just past it, or ``10**23``.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        n = int(rng.integers(1, 96))
+        kind = c % 4
+        if kind == 0:
+            x = rng.integers(0, 3, n).astype(float)
+            start = int(rng.integers(0, n))
+            x[start : start + int(rng.integers(0, 20))] = 0.0
+        elif kind == 1:
+            x = 10.0 ** rng.uniform(-300, 300, n) * (rng.random(n) < 0.7)
+        elif kind == 2:
+            x = rng.random(n) * (rng.random(n) < 0.25)
+        else:
+            x = rng.random(n)
+        past_half = max(1, n // 2 + int(rng.integers(0, n // 2 + 1)))
+        delta = (int(rng.integers(1, 9)), past_half, n + int(rng.integers(1, 10**6)))[c % 3]
+        limit = max_support_size(n, delta, 1)
+        budget = (int(rng.integers(1, 6)), limit + int(rng.integers(0, 3)), 10**23)[(c // 3) % 3]
+        yield x, budget, delta
+
+
+def ordered(reverse: bool):
+    """A stand-in for ``dp._run_segments`` that runs a phase's segments on
+    the calling thread, first to last or last to first.  Between the two
+    every pair of segments runs in both orders, so a segment that reads
+    what another writes in the same phase gives a different table in one
+    of them."""
+
+    def run(pool, workers, work, count):
+        for j in sorted(range(count), reverse=reverse):
+            work(j)
+
+    return run
+
+
+class IdlePool:
+    """A stand-in for the worker pool whose workers never start a task."""
+
+    def __init__(self, workers):
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def submit(self, fn, *args):
+        self.futures.append(Future())
+        return self.futures[-1]
+
+
+class TestSplitForwardPass:
+    """A long vector's 1-spike levels run in column segments on threads;
+    the table is the one-segment table, bit for bit."""
+
+    def test_split_tables_match_one_segment(self, monkeypatch):
+        run_on_threads = dp._run_segments
+        wrong, split = [], 0
+        for c, (x, budget, delta) in enumerate(hostile_vectors(1701, 3000)):
+            monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
+            whole = build_table_1spike(x, budget, delta)
+            batch = build_table_1spike(x[None, :], budget, delta).row(0)
+            # Segments of at least 8 or 16 columns, on two to four CPUs.
+            monkeypatch.setattr(dp, "_SPLIT_MIN", (8, 16)[c % 2])
+            monkeypatch.setattr(dp, "_usable_cpus", lambda c=c: 2 + c % 3)
+            split += len(dp._segments(x.shape)) > 1
+            # Every case in both orders on this thread, every tenth on threads.
+            for run in [ordered(False), ordered(True)] + [run_on_threads] * (c % 10 == 0):
+                monkeypatch.setattr(dp, "_run_segments", run)
+                got = build_table_1spike(x, budget, delta)
+                for ref in (whole, batch):
+                    if not (
+                        got.values.tobytes() == ref.values.tobytes()
+                        and got.flags.shape == ref.flags.shape
+                        and got.flags.tobytes() == ref.flags.tobytes()
+                    ):
+                        wrong.append((x, budget, delta, run))
+        assert wrong == []
+        assert split > 2000
+
+    def test_split_is_deterministic_and_leaves_no_thread(self, monkeypatch):
+        x = make_rng(1703).random(4001)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
+        whole = build_table_1spike(x, 40, 37)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 4)
+        assert len(dp._segments(x.shape)) == 8
+        threads = threading.active_count()
+        # Eight segments on four threads that switch as often as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = build_table_1spike(x, 40, 37)
+                assert got.values.tobytes() == whole.values.tobytes()
+                assert got.flags.tobytes() == whole.flags.tobytes()
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_segments_cut_at_whole_bytes(self, monkeypatch):
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
+        n = 2 * dp._SPLIT_MIN + 5
+        segments = dp._segments((n,))
+        assert len(segments) == 2
+        assert segments[0][:3] == (0, segments[1][0], 0)
+        assert segments[-1][1] == (n + 8) // 8 and segments[-1][3] == n
+        for (_, b1, _, hi), (b0, _, lo, _) in zip(segments, segments[1:]):
+            assert b1 == b0 and hi == lo == 8 * b0 - 1
+        # Shorter vectors and batches run one segment.
+        assert dp._segments((n - 6,)) == [(0, (n + 2) // 8, 0, n - 6)]
+        assert len(dp._segments((2, n))) == 1
+
+    def test_real_minimum_splits_a_long_vector(self, monkeypatch):
+        # At the private minimum itself, on two CPUs, with a zero run across
+        # the cut: a few levels only.
+        x = make_rng(1709).random(2 * dp._SPLIT_MIN + 3)
+        x[dp._SPLIT_MIN - 50 : dp._SPLIT_MIN + 50] = 0.0
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
+        got = build_table_1spike(x, 4, 999)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
+        whole = build_table_1spike(x, 4, 999)
+        assert got.values.tobytes() == whole.values.tobytes()
+        assert got.flags.tobytes() == whole.flags.tobytes()
+        assert got.support(4) == whole.support(4)
+
+    def test_one_cpu_runs_one_segment(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was started")
+
+        x = make_rng(1711).random(4001)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
+        monkeypatch.setattr(dp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
+        assert dp._segments(x.shape) == [(0, 501, 0, 4001)]
+        got = build_table_1spike(x, 10, 100)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
+        assert got.flags.tobytes() == build_table_1spike(x, 10, 100).flags.tobytes()
+
+    def test_a_worker_that_never_starts_is_called_off(self, monkeypatch):
+        x = make_rng(1713).random(4001)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
+        whole = build_table_1spike(x, 10, 100)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
+        pools = []
+        monkeypatch.setattr(dp, "ThreadPoolExecutor", lambda workers: pools.append(IdlePool(workers)) or pools[-1])
+        got = build_table_1spike(x, 10, 100)
+        assert got.flags.tobytes() == whole.flags.tobytes()
+        assert got.values.tobytes() == whole.values.tobytes()
+        # Two phases a level, one worker task each, all called off.
+        assert len(pools) == 1 and len(pools[0].futures) == 20
+        assert all(future.cancelled() for future in pools[0].futures)
+
+    def test_a_failing_worker_raises_and_leaves_no_thread(self, monkeypatch):
+        run = dp._run_segments
+        taken = threading.Event()
+
+        def failing(pool, workers, work, count):
+            def work_or_fail(j):
+                if threading.current_thread() is not threading.main_thread():
+                    taken.set()
+                    raise RuntimeError("worker segment failed")
+                # Hold this thread until a worker has taken a segment.
+                if not taken.wait(timeout=60):
+                    raise TimeoutError("no worker took a segment")
+                work(j)
+
+            run(pool, workers, work_or_fail, count)
+
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dp, "_run_segments", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker segment failed"):
+            build_table_1spike(make_rng(1713).random(4001), 10, 100)
+        assert threading.active_count() == threads

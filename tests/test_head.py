@@ -82,6 +82,36 @@ class TestWindows:
             assert len(masks) == lam + 1
             assert all(np.array_equal(got, w) for got, w in zip(masks, want)), (n, delta, lam)
 
+    def test_best_over_windows_scores_slices_without_rechecking(self, monkeypatch):
+        # The slices are scored by the unchecked ascending sum, not by
+        # objective, which re-validates all of x; the pick is the one
+        # objective makes.
+        import sepsparse.head as head_mod
+
+        rng = make_rng(1727)
+        cases = []
+        for c in range(200):
+            n = int(rng.integers(1, 60))
+            x = np.round(rng.random(n) * 3) if c % 2 else rng.random(n)
+            k, delta, lam = int(rng.integers(1, 6)), int(rng.integers(1, 8)), int(rng.integers(0, 4))
+            cases.append((x, k, delta, 1 + c % 2, lam))
+        want = []
+        for x, k, delta, p, lam in cases:
+            lam = min(lam, window_cap(x.size, delta))
+            phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
+            best, best_val = (), 0.0
+            for nu in range(lam + 1):
+                sol = slice_solve(phase != nu, x, k, delta, p)
+                if objective(x, sol) > best_val:
+                    best, best_val = sol, objective(x, sol)
+            want.append(best)
+
+        def unused(x, indices):
+            raise AssertionError("objective called")
+
+        monkeypatch.setattr(head_mod, "objective", unused)
+        assert [best_over_windows(*case) for case in cases] == want
+
     def test_window_count_reaches_the_cap(self):
         # best_over_windows caps lam at ceil(n / min(delta, n)).
         assert window_count(100, 10, 0.1) == window_cap(100, 10) == 10

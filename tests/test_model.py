@@ -1,4 +1,8 @@
 import ast
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +16,13 @@ from sepsparse.dp import (
     dp_solve,
     dp_solve_2spike,
     dp_solve_unrestricted,
+    table_cells,
 )
 from sepsparse.head import best_over_windows, block_decompose, head_project, slice_solve
 from sepsparse.model import (
+    _ascending_sum,
     brute_force_solve,
+    check_budget,
     check_delta,
     check_p,
     is_feasible,
@@ -80,6 +87,21 @@ class TestObjective:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             objective([1.0, 2.0], [3])
+
+    def test_sums_in_ascending_order_bit_for_bit(self):
+        # objective and the unchecked sum that best_over_windows scores
+        # slices with both add the weights one at a time in ascending
+        # index order, the DPs' order, on weights from 1e-300 to 1e300.
+        rng = make_rng(1723)
+        for c in range(500):
+            n = int(rng.integers(1, 40))
+            x = 10.0 ** rng.uniform(-300, 300, n) if c % 2 else np.round(rng.random(n) * 3, 1)
+            support = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5) + 1)
+            want = 0.0
+            for i in support:
+                want += x[i - 1]
+            assert objective(x, support[::-1]) == _ascending_sum(x, support) == want
+            assert np.float64(objective(x, support)).tobytes() == np.float64(want).tobytes()
 
     def test_additive_over_disjoint(self):
         rng = make_rng(7)
@@ -237,6 +259,65 @@ DELTA_TAKERS = {
 }
 
 
+
+# Every public function with a budget, on the weights x and a budget k.
+BUDGET_TAKERS = {
+    "head_project": lambda x, k: head_project(x, k, 2, 2, 0.5),
+    "tail_project": lambda x, k: tail_project(x, k, 2, 0.5),
+    "topk_tail_project": lambda x, k: topk_tail_project(x, k, 2),
+    "slice_solve": lambda x, k: slice_solve(np.ones(x.size, dtype=bool), x, k, 2, 1),
+    "best_over_windows": lambda x, k: best_over_windows(x, k, 2, 1, 2),
+    "build_table_1spike": lambda x, k: build_table_1spike(x, k, 2),
+    "build_table_2spike": lambda x, k: build_table_2spike(x, k, 2),
+    "dp_solve": lambda x, k: dp_solve(x, k, 2),
+    "dp_solve_2spike": lambda x, k: dp_solve_2spike(x, k, 2),
+    "table.support": lambda x, k: build_table_1spike(x, 3, 2).support(k),
+    "table_cells": lambda x, k: table_cells(x.size, k, 2, 1),
+    "is_feasible": lambda x, k: is_feasible(range(1, x.size + 1, 2), x.size, k, 2, 1),
+    "brute_force_solve": lambda x, k: brute_force_solve(x, k, 2, 1),
+    "am_iht": lambda x, k: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, 2, 1, 0.5, 0.5),
+    "random_feasible_support": lambda x, k: recovery.random_feasible_support(x.size, k, 2, 1, make_rng(1)),
+    "empirical_rip": lambda x, k: recovery.empirical_rip(np.ones((3, x.size)), k, 2, 1, 2, 1),
+    "default_measurement_count": lambda x, k: recovery.default_measurement_count(x.size + 2, k),
+}
+
+
+class TestCheckBudget:
+    def test_every_budget_taker_takes_integers_only(self):
+        # Each runs on normal input and on an empty vector, where several
+        # return early, and each raises check_budget's one ValueError.
+        wrong = []
+        for name, call in BUDGET_TAKERS.items():
+            for x in (np.ones(5), np.zeros(0)):
+                for k in (2.5, 2.0, np.float64(3.0), math.nan, -math.inf, math.inf, "2", None):
+                    try:
+                        call(x, k)
+                    except ValueError as err:
+                        if not str(err).startswith("k must be an integer"):
+                            wrong.append((name, x.size, k, str(err)))
+                    else:
+                        wrong.append((name, x.size, k, "returned"))
+        assert wrong == []
+
+    def test_numpy_integer_budgets_compute_as_python_ints(self):
+        x = make_rng(1719).random(5)
+        wrong = []
+        for name, call in BUDGET_TAKERS.items():
+            want = repr(call(x, 2))
+            for k in (np.uint64(2), np.int8(2), np.int64(2)):
+                try:
+                    got = repr(call(x, k))
+                except Exception as err:
+                    wrong.append((name, k, repr(err)))
+                else:
+                    # Tables and traces print their identity, not their content.
+                    if " at 0x" not in want and got != want:
+                        wrong.append((name, k, got, want))
+        assert wrong == []
+        assert type(check_budget(np.uint64(7))) is int
+        assert check_budget(True) == 1  # bool is an int subclass, as for delta and p
+        table = build_table_1spike(x, np.uint64(3), 2)
+        assert type(table.budget) is int and table.support(np.int8(3)) == table.support(3)
 
 
 class TestCheckDelta:
@@ -416,3 +497,26 @@ def test_only_seeding_draws_randomness():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_dp_starts_threads():
+    # dp.py alone imports a threading module, and importing the package
+    # starts no thread.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    threaded = {"threading", "concurrent", "_thread", "multiprocessing"}
+    importers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in threaded for name in names):
+                importers.add(path.name)
+    assert importers == {"dp.py"}
+    code = "import threading, sepsparse, sepsparse.cli, sepsparse.bench; print(threading.active_count())"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "1"
