@@ -31,17 +31,17 @@ out of range, is a slice of that buffer and no per-level array is
 allocated.
 
 The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
-(131,072) weights, in a process that may run on more than one CPU, runs
-each level in column segments of at least ``_SPLIT_MIN`` columns, cut at
-whole flag bytes.  The calling thread and one worker per further usable
-CPU take the segments in turn: each takes its segment's running maximum
+(131,072) weights, in a process that may run on more than one CPU, uses a
+second thread (one per further usable CPU): each level runs in one column
+segment per usable CPU, as far as each keeps ``_SPLIT_MIN`` columns, cut
+at whole flag bytes.  The CPU count is read once per table.  The calling
+thread runs the first segment and a worker of a pool that lives for the
+one call runs each other one: each takes its segment's running maximum
 from 0, each later segment is then raised to the maximum of the ones
-before it, and each packs its own take flags.  The workers belong to one
-pool that lives for the one call, and a worker that has not started when
-the calling thread runs out of segments is called off.  ``max`` is exact,
-so the values and flags are the one-segment ones bit for bit.  Batches,
-shorter vectors and one-CPU processes run one segment on the calling
-thread, and nothing else here starts a thread.
+before it, and each packs its own take flags.  ``max`` is exact, so the
+values and flags are the one-segment ones bit for bit.  Batches, shorter
+vectors and one-CPU processes run one segment on the calling thread, and
+nothing else here starts a thread.
 
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
@@ -62,7 +62,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import queue
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
@@ -250,13 +249,10 @@ class DpTable1(_DpTable):
     def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_walk` on every row at once: each step finds, for every
         row still walking, the nearest take at or before its position in
-        its own level's flags, by :func:`_nearest_take`'s rule.  A batch
-        with one row to walk takes the scalar walk, which is faster alone."""
-        rows = np.flatnonzero(lev)
-        if rows.size == 1:
-            return super()._walk_rows(lev)
+        its own level's flags, by :func:`_nearest_take`'s rule."""
         nbytes = self.flags.shape[-1]
         cols = np.arange(nbytes)
+        rows = np.flatnonzero(lev)
         lev = lev[rows]
         i = np.full(rows.size, self.n)
         found_rows, found_at = [rows[:0]], [rows[:0]]
@@ -291,55 +287,36 @@ def _usable_cpus() -> int:
 _SPLIT_MIN = 1 << 16
 
 
-def _segments(shape: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """The column segments of a 1-spike forward pass on weights of ``shape``.
+def _segments(shape: tuple[int, ...], cpus: int) -> list[tuple[int, int, int, int]]:
+    """The column segments of a 1-spike forward pass on weights of ``shape``
+    in a process that may run on ``cpus`` CPUs.
 
-    A vector of at least two ``_SPLIT_MIN`` columns, in a process that may
-    run on more than one CPU, is cut into as many segments as keep
-    ``_SPLIT_MIN`` columns each; anything else is one segment.  Segment
+    A vector is cut into one segment per CPU, as far as each keeps
+    ``_SPLIT_MIN`` columns; a batch is one segment.  Segment
     ``(b0, b1, lo, hi)`` owns the packed flag bytes ``b0`` to ``b1 - 1``:
     take bits ``8 * b0`` to ``8 * b1 - 1``, prefixes ``lo + 1`` to ``hi``.
     Cutting at whole bytes means no byte is packed by two segments.
     """
     n = shape[-1]
     nbytes = (n + 8) // 8
-    if len(shape) > 1 or n < 2 * _SPLIT_MIN or _usable_cpus() < 2:
+    count = min(cpus, n // _SPLIT_MIN)
+    if len(shape) > 1 or count < 2:
         return [(0, nbytes, 0, n)]
-    count = n // _SPLIT_MIN
     cuts = [nbytes * j // count for j in range(count + 1)]
     return [(b0, b1, max(8 * b0, 1) - 1, min(8 * b1, n + 1) - 1) for b0, b1 in zip(cuts, cuts[1:])]
 
 
-def _run_segments(
-    pool: ThreadPoolExecutor, workers: int, work: Callable[[int], None], count: int
-) -> None:
-    """``work(j)`` for ``j`` in ``range(count)``, each taken in turn by
-    whichever of this thread and ``pool``'s ``workers`` is free first; all
-    have finished, or raised here, on return.
-
-    A worker whose task has not started by the time this thread has taken
-    the last segment is called off, so this thread waits only for
-    segments a worker has taken, never for a worker that is slow to wake.
-    """
-    todo = queue.SimpleQueue()
-    for j in range(count):
-        todo.put(j)
-
-    def drain() -> None:
-        while True:
-            try:
-                j = todo.get_nowait()
-            except queue.Empty:
-                return
-            work(j)
-
-    futures = [pool.submit(drain) for _ in range(workers)]
-    try:
-        drain()
-    finally:
-        for future in futures:
-            if not future.cancel():
-                future.result()
+def _run_segments(pool: ThreadPoolExecutor | None, work: Callable[[int], None], count: int) -> None:
+    """``work(j)`` for ``j`` in ``range(count)``: segment 0 on this thread,
+    each later one on a worker of ``pool`` (``None`` when ``count`` is 1).
+    All have finished, or one has raised here, on return; ``pool``'s
+    shutdown waits out the rest."""
+    futures = []
+    for j in range(1, count):
+        futures.append(pool.submit(work, j))
+    work(0)
+    for future in futures:
+        future.result()
 
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
@@ -347,9 +324,9 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
 
     ``x`` is a vector or a 2-D array of rows; every level runs once for
     all rows, each row on its own along the last axis.  A long vector's
-    levels run split into column segments (see :func:`_segments`), shared
-    between this thread and the workers of one pool that lives for this
-    call (see :func:`_run_segments`).
+    levels run split into column segments (see :func:`_segments`), one on
+    this thread and each other one on a worker of a pool that lives for
+    this call.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     rows = x.shape[:-1]
@@ -365,10 +342,19 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     # Whole bytes per row, so packing the flat array packs each row.
     take = np.zeros((*rows, 8 * nbytes), dtype=bool)
     took = take[..., 1 : n + 1]
-    segments = _segments(x.shape)
-    # Each segment's columns of x, cand and the take flags, and its bits to pack.
-    views = [
-        (x[..., lo:hi], cand[..., lo:hi], took[..., lo:hi], take[..., 8 * b0 : 8 * b1])
+    segments = _segments(x.shape, _usable_cpus())
+    # Each segment's columns of x, cand and the take flags, its bits to pack,
+    # its flag bytes on every level and its prefixes.
+    parts = [
+        (
+            x[..., lo:hi],
+            cand[..., lo:hi],
+            took[..., lo:hi],
+            take[..., 8 * b0 : 8 * b1],
+            flags[..., b0:b1],
+            lo,
+            hi,
+        )
         for b0, b1, lo, hi in segments
     ]
     # carries[j] is the row's maximum over the prefixes before segment j.
@@ -376,20 +362,18 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
 
     def extend(j: int) -> None:
         """Segment ``j``'s candidates and their running maximum from 0."""
-        _, _, lo, hi = segments[j]
-        weights, seg_cand, _, _ = views[j]
+        weights, seg_cand, _, _, _, lo, hi = parts[j]
         np.add(weights, prev[..., 1 + lo : 1 + hi], out=seg_cand)
         np.maximum.accumulate(seg_cand, axis=-1, out=row[..., s + 1 + lo : s + 1 + hi])
 
     def finish(j: int) -> None:
         """Segment ``j``'s running maximum raised to its carry, then its
         take flags, packed."""
-        b0, b1, lo, hi = segments[j]
-        _, seg_cand, seg_took, bits = views[j]
+        _, seg_cand, seg_took, bits, seg_flags, lo, hi = parts[j]
         before = row[..., s + lo : s + hi]
         if j:
-            # The running maximum is sorted, so only the entries below the
-            # carry change: they rise to it.
+            # A later segment is a vector's.  Its running maximum is sorted,
+            # so only the entries below the carry change: they rise to it.
             seg = row[s + 1 + lo : s + 1 + hi]
             seg[: np.searchsorted(seg, carries[j])] = carries[j]
             # The row's entry before the segment is the carry, and the
@@ -397,21 +381,19 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
             seg_took[..., 0] = seg_cand[..., 0] > carries[j]
             seg_cand, seg_took, before = seg_cand[..., 1:], seg_took[..., 1:], before[..., 1:]
         np.greater(seg_cand, before, out=seg_took)
-        flags[ell, ..., b0:b1] = np.packbits(bits).reshape(*rows, b1 - b0)
+        seg_flags[ell] = np.packbits(bits).reshape(seg_flags.shape[1:])
 
-    workers = min(_usable_cpus(), len(segments)) - 1 if len(segments) > 1 else 0
+    # One segment runs on this thread alone: a pool for it would cost a
+    # short table (n = 200, k = 5) about a fifth of its time.
+    workers = len(segments) - 1
     with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
         for ell in range(1, top + 1):
-            if pool is None:
-                extend(0)
-                finish(0)
-            else:
-                _run_segments(pool, workers, extend, len(segments))
-                # max is exact, so carrying the prefix maximum across makes
-                # the split row the whole one, bit for bit.
-                for j in range(1, len(segments)):
-                    carries[j] = max(carries[j - 1], float(row[s + segments[j][2]]))
-                _run_segments(pool, workers, finish, len(segments))
+            _run_segments(pool, extend, len(segments))
+            # max is exact, so carrying the prefix maximum across makes the
+            # split row the whole one, bit for bit.
+            for j in range(1, len(segments)):
+                carries[j] = max(carries[j - 1], float(row[s + segments[j][2]]))
+            _run_segments(pool, finish, len(segments))
             values[ell - 1] = row[..., s + n]
             prev, row = row, prev
     return DpTable1(values.T, flags, budget, delta, n)

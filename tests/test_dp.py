@@ -1,6 +1,5 @@
 import sys
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -394,28 +393,11 @@ def ordered(reverse: bool):
     what another writes in the same phase gives a different table in one
     of them."""
 
-    def run(pool, workers, work, count):
+    def run(pool, work, count):
         for j in sorted(range(count), reverse=reverse):
             work(j)
 
     return run
-
-
-class IdlePool:
-    """A stand-in for the worker pool whose workers never start a task."""
-
-    def __init__(self, workers):
-        self.futures = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-    def submit(self, fn, *args):
-        self.futures.append(Future())
-        return self.futures[-1]
 
 
 class TestSplitForwardPass:
@@ -432,7 +414,7 @@ class TestSplitForwardPass:
             # Segments of at least 8 or 16 columns, on two to four CPUs.
             monkeypatch.setattr(dp, "_SPLIT_MIN", (8, 16)[c % 2])
             monkeypatch.setattr(dp, "_usable_cpus", lambda c=c: 2 + c % 3)
-            split += len(dp._segments(x.shape)) > 1
+            split += len(dp._segments(x.shape, dp._usable_cpus())) > 1
             # Every case in both orders on this thread, every tenth on threads.
             for run in [ordered(False), ordered(True)] + [run_on_threads] * (c % 10 == 0):
                 monkeypatch.setattr(dp, "_run_segments", run)
@@ -453,9 +435,9 @@ class TestSplitForwardPass:
         whole = build_table_1spike(x, 40, 37)
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp, "_usable_cpus", lambda: 4)
-        assert len(dp._segments(x.shape)) == 8
+        assert len(dp._segments(x.shape, 4)) == 4
         threads = threading.active_count()
-        # Eight segments on four threads that switch as often as they can.
+        # Four segments on four threads that switch as often as they can.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -467,18 +449,21 @@ class TestSplitForwardPass:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_segments_cut_at_whole_bytes(self, monkeypatch):
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
-        n = 2 * dp._SPLIT_MIN + 5
-        segments = dp._segments((n,))
+    def test_segments_cut_at_whole_bytes(self):
+        n = 3 * dp._SPLIT_MIN + 5
+        segments = dp._segments((n,), 2)
         assert len(segments) == 2
         assert segments[0][:3] == (0, segments[1][0], 0)
         assert segments[-1][1] == (n + 8) // 8 and segments[-1][3] == n
         for (_, b1, _, hi), (b0, _, lo, _) in zip(segments, segments[1:]):
             assert b1 == b0 and hi == lo == 8 * b0 - 1
-        # Shorter vectors and batches run one segment.
-        assert dp._segments((n - 6,)) == [(0, (n + 2) // 8, 0, n - 6)]
-        assert len(dp._segments((2, n))) == 1
+        # One segment per CPU, as far as each keeps _SPLIT_MIN columns.
+        assert len(dp._segments((n,), 8)) == 3
+        # Shorter vectors, batches and one CPU run one segment.
+        m = 2 * dp._SPLIT_MIN - 1
+        assert dp._segments((m,), 2) == [(0, (m + 8) // 8, 0, m)]
+        assert len(dp._segments((2, n), 2)) == 1
+        assert len(dp._segments((n,), 1)) == 1
 
     def test_real_minimum_splits_a_long_vector(self, monkeypatch):
         # At the private minimum itself, on two CPUs, with a zero run across
@@ -501,46 +486,55 @@ class TestSplitForwardPass:
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
-        assert dp._segments(x.shape) == [(0, 501, 0, 4001)]
+        assert dp._segments(x.shape, dp._usable_cpus()) == [(0, 501, 0, 4001)]
         got = build_table_1spike(x, 10, 100)
         monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
         assert got.flags.tobytes() == build_table_1spike(x, 10, 100).flags.tobytes()
 
-    def test_a_worker_that_never_starts_is_called_off(self, monkeypatch):
-        x = make_rng(1713).random(4001)
+    def test_the_cpu_count_is_read_once_per_table(self, monkeypatch):
+        # A CPU count that falls to one while the table runs changes
+        # nothing: the table keeps the segments and workers it began with.
+        x = make_rng(1712).random(4001)
         monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
         whole = build_table_1spike(x, 10, 100)
+        reads = []
+
+        def falling():
+            reads.append(None)
+            return 2 if len(reads) == 1 else 1
+
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
-        pools = []
-        monkeypatch.setattr(dp, "ThreadPoolExecutor", lambda workers: pools.append(IdlePool(workers)) or pools[-1])
+        monkeypatch.setattr(dp, "_usable_cpus", falling)
         got = build_table_1spike(x, 10, 100)
-        assert got.flags.tobytes() == whole.flags.tobytes()
+        assert len(reads) == 1
         assert got.values.tobytes() == whole.values.tobytes()
-        # Two phases a level, one worker task each, all called off.
-        assert len(pools) == 1 and len(pools[0].futures) == 20
-        assert all(future.cancelled() for future in pools[0].futures)
+        assert got.flags.tobytes() == whole.flags.tobytes()
 
-    def test_a_failing_worker_raises_and_leaves_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_segment_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        # Segment 0 runs on the calling thread and segment 1 on the worker;
+        # either one raising ends the table with its error, and no thread
+        # is left running.
         run = dp._run_segments
-        taken = threading.Event()
+        started = threading.Event()
 
-        def failing(pool, workers, work, count):
+        def fail_one(pool, work, count):
             def work_or_fail(j):
-                if threading.current_thread() is not threading.main_thread():
-                    taken.set()
-                    raise RuntimeError("worker segment failed")
-                # Hold this thread until a worker has taken a segment.
-                if not taken.wait(timeout=60):
-                    raise TimeoutError("no worker took a segment")
+                on_worker = threading.current_thread() is not threading.main_thread()
+                assert on_worker == (j > 0)
+                if j:
+                    started.set()
+                if j == failing:
+                    raise RuntimeError(f"segment {j} failed")
                 work(j)
 
-            run(pool, workers, work_or_fail, count)
+            run(pool, work_or_fail, count)
 
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(dp, "_run_segments", failing)
+        monkeypatch.setattr(dp, "_run_segments", fail_one)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="worker segment failed"):
+        with pytest.raises(RuntimeError, match=f"segment {failing} failed"):
             build_table_1spike(make_rng(1713).random(4001), 10, 100)
+        assert started.is_set()
         assert threading.active_count() == threads

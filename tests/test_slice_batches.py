@@ -138,31 +138,6 @@ def test_batch_support_reads_each_row_at_its_budget():
     assert wrong == []
 
 
-def test_a_batch_with_one_budget_walks_that_row_alone(monkeypatch):
-    # A 1-spike batch read at one nonzero budget takes the scalar walk,
-    # once, and gives that row's own support.
-    walks = []
-
-    def counting(rows, i, delta, walk=dp._walk):
-        walks.append(i)
-        return walk(rows, i, delta)
-
-    monkeypatch.setattr(dp, "_walk", counting)
-    rng = make_rng(1729)
-    wrong = []
-    for rows, budget, delta, _p, budgets in hostile_batches(1729, 600):
-        table = dp.build_table_1spike(rows, budget, delta)
-        r = int(rng.integers(0, len(budgets)))
-        one = np.zeros_like(budgets)
-        one[r] = max(budgets[r], 1)
-        walks.clear()
-        row, at = table.support(one)
-        assert len(walks) == 1 and row.dtype == at.dtype == np.intp
-        if not (np.all(row == r) and tuple(at.tolist()) == table.row(r).support(one[r])):
-            wrong.append((rows, budget, delta, one))
-    assert wrong == []
-
-
 @pytest.mark.parametrize("p", [1, 2])
 def test_batch_support_rejects_bad_budgets(p):
     table = dp.table_builder(p)(np.ones((3, 6)), 4, 2)
