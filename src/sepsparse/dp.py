@@ -33,23 +33,24 @@ allocated.
 The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
 (131,072) weights, in a process that may run on more than one CPU, uses a
 second thread (one per further usable CPU): each level runs in one column
-segment per usable CPU, as far as each keeps ``_SPLIT_MIN`` columns, cut
-at whole flag bytes.  The CPU count is read once per table.  The calling
-thread runs the first segment and a worker of a pool that lives for the
-one call runs each other one: each takes its segment's running maximum
-from 0, each later segment is then raised to the maximum of the ones
-before it, and each packs its own take flags.  ``max`` is exact, so the
-values and flags are the one-segment ones bit for bit.  Batches, shorter
-vectors and one-CPU processes run one segment on the calling thread, and
-nothing else here starts a thread.
+segment per usable CPU, as far as each keeps ``_SPLIT_MIN`` columns.  The
+CPU count is read once per table.  The calling thread runs the first
+segment and a worker of a pool that lives for the one call runs each
+other one: each adds its candidates, takes its running maximum from 0 and
+sets its take flags against it.  The calling thread then raises each
+later segment, in order, to the row's maximum before it, mends the flags
+that maximum changes and packs the whole level once.  ``max`` is exact,
+so the values and flags are the one-segment ones bit for bit.  Batches,
+shorter vectors and one-CPU processes run one segment on the calling
+thread, and nothing else here starts a thread.
 
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
-and ``table.row(r)`` reads row ``r`` of a batch as a table of its own.  On
-a batch, ``table.support(budgets)`` takes one budget per row and reads
-every row's support in one call: the 1-spike walk-back runs all rows in
-lockstep, one vector step per level, and the 2-spike one loops over the
-rows.  A table built on a vector keeps the scalar walk.  A block padded
+and a batch's row ``r`` has the values and flags of the table built on
+that row alone.  On a batch, ``table.support(budgets)`` takes one budget
+per row and reads every row's support in one call: the 1-spike walk-back
+runs all rows in lockstep, one vector step per level, and the 2-spike one
+loops over the rows.  A table built on a vector keeps the scalar walk.  A block padded
 with trailing zeros has the same values and supports as the block alone
 on every level the block runs, and its levels past its own packing limit
 gain exactly 0, so a batch of blocks of different lengths needs no
@@ -67,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import as_weights, check_budget, check_delta, max_support_size
+from .model import as_weights, check_budget, check_delta, check_p, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -159,8 +160,8 @@ class _DpTable(Sequence):
     the limit's support past ``top``.
 
     A table built on a 2-D array of rows holds every row's levels in
-    ``values[r]`` and ``flags[..., r, :]``; :meth:`row` reads row ``r`` as
-    a table of its own, the one a builder returns for that row alone.
+    ``values[r]`` and ``flags[..., r, :]``, the values and flags a builder
+    returns for that row alone.
     """
 
     def __init__(self, values: np.ndarray, flags: np.ndarray, budget: int, delta: int, n: int):
@@ -181,10 +182,6 @@ class _DpTable(Sequence):
             sol = self._built[j] = self.support(j + 1)
         return sol
 
-    def row(self, r: int) -> _DpTable:
-        """Row ``r`` of a table built on rows, as a table of its own."""
-        return type(self)(self.values[r], self.flags[..., r, :], self.budget, self.delta, self.n)
-
     def support(self, ell):
         """Reconstruct an optimal support for budget ``ell``.
 
@@ -193,8 +190,9 @@ class _DpTable(Sequence):
         0 for none, as an int array (object dtype for Python ints past
         int64), and every row is read in one call.  The result is
         ``(row, at)``, int arrays naming each picked index by its row and
-        1-based position, in row order and ascending within a row: the
-        supports ``self.row(r).support(ell[r])`` gives.
+        1-based position, in row order and ascending within a row: for
+        each row ``r``, the support of budget ``ell[r]`` on the table built
+        on that row alone.
         """
         if self.values.ndim == 1:
             return self._walk_row(self.flags, self._start_level(ell))
@@ -283,27 +281,24 @@ def _usable_cpus() -> int:
 
 # The columns each segment of a split 1-spike forward pass holds at least.
 # Below about this length a level's vector work is too short to pay for
-# handing part of it to another thread and back twice.
+# handing part of it to another thread and back.
 _SPLIT_MIN = 1 << 16
 
 
-def _segments(shape: tuple[int, ...], cpus: int) -> list[tuple[int, int, int, int]]:
-    """The column segments of a 1-spike forward pass on weights of ``shape``
-    in a process that may run on ``cpus`` CPUs.
+def _segments(shape: tuple[int, ...], cpus: int) -> list[tuple[int, int]]:
+    """The column segments ``(lo, hi)`` of a 1-spike forward pass on
+    weights of ``shape`` in a process that may run on ``cpus`` CPUs.
 
     A vector is cut into one segment per CPU, as far as each keeps
-    ``_SPLIT_MIN`` columns; a batch is one segment.  Segment
-    ``(b0, b1, lo, hi)`` owns the packed flag bytes ``b0`` to ``b1 - 1``:
-    take bits ``8 * b0`` to ``8 * b1 - 1``, prefixes ``lo + 1`` to ``hi``.
-    Cutting at whole bytes means no byte is packed by two segments.
+    ``_SPLIT_MIN`` columns; a batch is one segment.  Segment ``(lo, hi)``
+    holds columns ``lo`` to ``hi - 1``, prefixes ``lo + 1`` to ``hi``.
     """
     n = shape[-1]
-    nbytes = (n + 8) // 8
     count = min(cpus, n // _SPLIT_MIN)
     if len(shape) > 1 or count < 2:
-        return [(0, nbytes, 0, n)]
-    cuts = [nbytes * j // count for j in range(count + 1)]
-    return [(b0, b1, max(8 * b0, 1) - 1, min(8 * b1, n + 1) - 1) for b0, b1 in zip(cuts, cuts[1:])]
+        return [(0, n)]
+    cuts = [n * j // count for j in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _run_segments(pool: ThreadPoolExecutor | None, work: Callable[[int], None], count: int) -> None:
@@ -326,7 +321,8 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     all rows, each row on its own along the last axis.  A long vector's
     levels run split into column segments (see :func:`_segments`), one on
     this thread and each other one on a worker of a pool that lives for
-    this call.
+    this call; this thread then raises each later segment to the row's
+    maximum before it.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     rows = x.shape[:-1]
@@ -343,45 +339,17 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     take = np.zeros((*rows, 8 * nbytes), dtype=bool)
     took = take[..., 1 : n + 1]
     segments = _segments(x.shape, _usable_cpus())
-    # Each segment's columns of x, cand and the take flags, its bits to pack,
-    # its flag bytes on every level and its prefixes.
-    parts = [
-        (
-            x[..., lo:hi],
-            cand[..., lo:hi],
-            took[..., lo:hi],
-            take[..., 8 * b0 : 8 * b1],
-            flags[..., b0:b1],
-            lo,
-            hi,
-        )
-        for b0, b1, lo, hi in segments
-    ]
-    # carries[j] is the row's maximum over the prefixes before segment j.
-    carries = [0.0] * len(segments)
 
     def extend(j: int) -> None:
-        """Segment ``j``'s candidates and their running maximum from 0."""
-        weights, seg_cand, _, _, _, lo, hi = parts[j]
-        np.add(weights, prev[..., 1 + lo : 1 + hi], out=seg_cand)
-        np.maximum.accumulate(seg_cand, axis=-1, out=row[..., s + 1 + lo : s + 1 + hi])
-
-    def finish(j: int) -> None:
-        """Segment ``j``'s running maximum raised to its carry, then its
-        take flags, packed."""
-        _, seg_cand, seg_took, bits, seg_flags, lo, hi = parts[j]
-        before = row[..., s + lo : s + hi]
-        if j:
-            # A later segment is a vector's.  Its running maximum is sorted,
-            # so only the entries below the carry change: they rise to it.
-            seg = row[s + 1 + lo : s + 1 + hi]
-            seg[: np.searchsorted(seg, carries[j])] = carries[j]
-            # The row's entry before the segment is the carry, and the
-            # segment before writes it, so it is not read here.
-            seg_took[..., 0] = seg_cand[..., 0] > carries[j]
-            seg_cand, seg_took, before = seg_cand[..., 1:], seg_took[..., 1:], before[..., 1:]
-        np.greater(seg_cand, before, out=seg_took)
-        seg_flags[ell] = np.packbits(bits).reshape(seg_flags.shape[1:])
+        """Segment ``j``'s candidates, their running maximum from 0 and
+        their take flags against it.  A later segment's first flag is left
+        to the calling thread: it reads the row entry the segment before
+        writes."""
+        lo, hi = segments[j]
+        np.add(x[..., lo:hi], prev[..., 1 + lo : 1 + hi], out=cand[..., lo:hi])
+        np.maximum.accumulate(cand[..., lo:hi], axis=-1, out=row[..., s + 1 + lo : s + 1 + hi])
+        first = lo + (j > 0)
+        np.greater(cand[..., first:hi], row[..., s + first : s + hi], out=took[..., first:hi])
 
     # One segment runs on this thread alone: a pool for it would cost a
     # short table (n = 200, k = 5) about a fifth of its time.
@@ -389,11 +357,18 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
         for ell in range(1, top + 1):
             _run_segments(pool, extend, len(segments))
-            # max is exact, so carrying the prefix maximum across makes the
-            # split row the whole one, bit for bit.
-            for j in range(1, len(segments)):
-                carries[j] = max(carries[j - 1], float(row[s + segments[j][2]]))
-            _run_segments(pool, finish, len(segments))
+            # A later segment is a vector's.  max is exact, so raising it to
+            # the row's maximum before it makes the split row the whole one.
+            for lo, hi in segments[1:]:
+                carry = row[s + lo]
+                seg = row[s + 1 + lo : s + 1 + hi]
+                below = np.searchsorted(seg, carry, side="right")
+                seg[:below] = carry
+                took[lo] = cand[lo] > carry
+                # Up to the last raised entry cand <= the segment's own
+                # maximum <= carry, so none of those prefixes takes.
+                took[lo + 1 : lo + below] = False
+            flags[ell] = np.packbits(take).reshape(flags.shape[1:])
             values[ell - 1] = row[..., s + n]
             prev, row = row, prev
     return DpTable1(values.T, flags, budget, delta, n)
@@ -482,9 +457,11 @@ def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
     """The budgeted recurrence for spike count ``p``.
 
     ``build_table_1spike`` for ``p = 1`` and ``build_table_2spike`` for
-    ``p = 2``; any other ``p`` raises ``ValueError``.  The builder is looked
-    up when called, so a replaced module attribute is the one returned.
+    ``p = 2``.  ``p`` goes through :func:`model.check_p` first, and a ``p``
+    with no exact solver raises ``ValueError``.  The builder is looked up
+    when called, so a replaced module attribute is the one returned.
     """
+    p = check_p(p)
     if p == 1:
         return build_table_1spike
     if p == 2:

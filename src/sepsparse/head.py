@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import _ascending_sum, as_weights, check_budget, check_delta, check_p
+from .model import _ascending_sum, as_weights, check_budget, check_delta, check_lam, check_p
 
 # perfbench/tracing.py patches this name here; keep it importable.
 from .model import objective  # noqa: F401
@@ -45,12 +45,12 @@ def drop_phase(idx, delta: int, lam: int) -> np.ndarray:
     Keep-set ``nu`` leaves out every index whose position modulo the period
     ``(lam + 1) * delta`` falls in ``[nu * delta, (nu + 1) * delta)``, so each
     index is dropped by exactly one of the ``lam + 1`` sets and kept by the
-    other ``lam``.  A ``delta`` past the largest index puts every index in
-    phase 0, so it is clamped there.
+    other ``lam``.  ``lam`` goes through :func:`model.check_lam`.  A
+    ``delta`` past the largest index puts every index in phase 0, so it is
+    clamped there.
     """
     idx = np.asarray(idx)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    lam = check_lam(lam)
     delta = check_delta(delta, int(idx.max(initial=0)))
     return ((idx - 1) % ((lam + 1) * delta)) // delta
 
@@ -180,14 +180,15 @@ def best_over_windows(
 
     ``x`` is a weight vector, checked by :func:`as_weights`, and ``forced``
     an optional boolean mask over ``[n]`` of indices kept by every slice;
-    any other ``forced`` raises ``ValueError``.  ``lam`` is capped at
-    :func:`window_cap`.  Ties keep the earliest keep-set.
+    any other ``forced`` raises ``ValueError``.  ``lam`` goes through
+    :func:`model.check_lam` and is capped at :func:`window_cap`.  Ties keep
+    the earliest keep-set.
     """
     x = as_weights(x)
     n = x.size
     delta = check_delta(delta, n)
     k = check_budget(k)
-    lam = min(lam, window_cap(n, delta))
+    lam = min(check_lam(lam), window_cap(n, delta))
     # Phases repeat with period (lam + 1) * delta: tile one period, in the
     # narrowest signed type that holds -1 to lam.
     period = np.arange(1, min((lam + 1) * delta, n) + 1)

@@ -12,8 +12,9 @@ Conventions used throughout the package:
   ``|i - j| >= delta`` for distinct chosen ``i, j``.
 * Each parameter rule has one home: :func:`check_delta` checks and clamps
   ``delta``, :func:`check_p` checks ``p``, :func:`check_budget` checks a
-  budget ``k``, and :func:`is_feasible` is the one feasibility test, which
-  every other module calls.
+  budget ``k``, :func:`check_lam` checks a window count ``lam``, and
+  :func:`is_feasible` is the one feasibility test, which every other
+  module calls.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "brute_force_solve",
     "check_budget",
     "check_delta",
+    "check_lam",
     "check_p",
     "is_feasible",
     "max_support_size",
@@ -177,6 +179,14 @@ def check_p(p: int) -> int:
     if p < 1:
         raise ValueError("p must be >= 1")
     return p
+
+
+def check_lam(lam: int) -> int:
+    """A window count ``lam`` checked to be an integer >= 0, as a Python int."""
+    lam = _as_int(lam, "lam")
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    return lam
 
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:

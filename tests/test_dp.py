@@ -18,7 +18,7 @@ from sepsparse.dp import (
 from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 
-from util import unrestricted_cases, unrestricted_reference
+from util import table_row, unrestricted_cases, unrestricted_reference
 
 
 def random_instance(rng, n_max=14, delta_max=5):
@@ -195,8 +195,21 @@ def test_supports_built_on_demand(monkeypatch, solve, build, table_cls):
 class TestTableBuilder:
     @pytest.mark.parametrize("p", [0, 3])
     def test_rejects_unsupported_p(self, p):
-        with pytest.raises(ValueError, match=f"p={p}"):
+        # p goes through model.check_p first, so 0 is no spike count at all.
+        with pytest.raises(ValueError, match="p must be >= 1" if p < 1 else f"p={p}"):
             table_builder(p)
+
+    def test_takes_p_through_check_p(self):
+        for bad in (1.0, 2.0, np.float64(2.0), np.nan, np.True_, "1"):
+            for call in (
+                lambda: table_builder(bad),
+                lambda: dp.batch_rows(np.array([3, 4]), 2, bad),
+                lambda: dp.table_cells(4, 2, 2, bad),
+            ):
+                with pytest.raises(ValueError, match="p must be an integer"):
+                    call()
+        assert table_builder(np.uint64(2)) is build_table_2spike
+        assert table_builder(True) is build_table_1spike
 
     @pytest.mark.parametrize("p, solve", [(1, dp_solve), (2, dp_solve_2spike)])
     def test_tables_match_the_solvers(self, p, solve):
@@ -340,7 +353,7 @@ class TestRows:
             batch = table_builder(p)(rows, k, delta)
             assert len(batch) == batch.values.shape[1]
             for r, x in enumerate(rows):
-                alone, row = table_builder(p)(x, k, delta), batch.row(r)
+                alone, row = table_builder(p)(x, k, delta), table_row(batch, r)
                 assert type(row) is type(alone)
                 assert np.array_equal(row.values, alone.values) and np.array_equal(row.flags, alone.flags)
                 assert [row.support(j) for j in range(k + 1)] == [alone.support(j) for j in range(k + 1)]
@@ -387,10 +400,10 @@ def hostile_vectors(seed: int, count: int):
 
 
 def ordered(reverse: bool):
-    """A stand-in for ``dp._run_segments`` that runs a phase's segments on
+    """A stand-in for ``dp._run_segments`` that runs a level's segments on
     the calling thread, first to last or last to first.  Between the two
     every pair of segments runs in both orders, so a segment that reads
-    what another writes in the same phase gives a different table in one
+    what another writes in the same level gives a different table in one
     of them."""
 
     def run(pool, work, count):
@@ -410,9 +423,10 @@ class TestSplitForwardPass:
         for c, (x, budget, delta) in enumerate(hostile_vectors(1701, 3000)):
             monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
             whole = build_table_1spike(x, budget, delta)
-            batch = build_table_1spike(x[None, :], budget, delta).row(0)
-            # Segments of at least 8 or 16 columns, on two to four CPUs.
-            monkeypatch.setattr(dp, "_SPLIT_MIN", (8, 16)[c % 2])
+            batch = table_row(build_table_1spike(x[None, :], budget, delta), 0)
+            # Segments of at least 5 or 13 columns, so cuts fall inside a
+            # flag byte, on two to four CPUs.
+            monkeypatch.setattr(dp, "_SPLIT_MIN", (5, 13)[c % 2])
             monkeypatch.setattr(dp, "_usable_cpus", lambda c=c: 2 + c % 3)
             split += len(dp._segments(x.shape, dp._usable_cpus())) > 1
             # Every case in both orders on this thread, every tenth on threads.
@@ -428,6 +442,21 @@ class TestSplitForwardPass:
                         wrong.append((x, budget, delta, run))
         assert wrong == []
         assert split > 2000
+
+    def test_one_hand_off_per_level(self, monkeypatch):
+        x = make_rng(1702).random(4001)
+        run = dp._run_segments
+        calls = []
+
+        def counted(pool, work, count):
+            calls.append(count)
+            run(pool, work, count)
+
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(dp, "_run_segments", counted)
+        table = build_table_1spike(x, 40, 37)
+        assert len(table) == 40 and calls == [3] * 40
 
     def test_split_is_deterministic_and_leaves_no_thread(self, monkeypatch):
         x = make_rng(1703).random(4001)
@@ -449,21 +478,20 @@ class TestSplitForwardPass:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_segments_cut_at_whole_bytes(self):
-        n = 3 * dp._SPLIT_MIN + 5
-        segments = dp._segments((n,), 2)
-        assert len(segments) == 2
-        assert segments[0][:3] == (0, segments[1][0], 0)
-        assert segments[-1][1] == (n + 8) // 8 and segments[-1][3] == n
-        for (_, b1, _, hi), (b0, _, lo, _) in zip(segments, segments[1:]):
-            assert b1 == b0 and hi == lo == 8 * b0 - 1
-        # One segment per CPU, as far as each keeps _SPLIT_MIN columns.
-        assert len(dp._segments((n,), 8)) == 3
+    def test_segments_cover_every_column_in_order(self):
+        for n in (2 * dp._SPLIT_MIN, 3 * dp._SPLIT_MIN + 5, 8 * dp._SPLIT_MIN + 7):
+            for cpus in (2, 3, 8):
+                segments = dp._segments((n,), cpus)
+                assert len(segments) == min(cpus, n // dp._SPLIT_MIN)
+                assert segments[0][0] == 0 and segments[-1][1] == n
+                assert all(hi == lo for (_, hi), (lo, _) in zip(segments, segments[1:]))
+                # One segment per CPU, as far as each keeps _SPLIT_MIN columns.
+                assert all(hi - lo >= dp._SPLIT_MIN for lo, hi in segments)
         # Shorter vectors, batches and one CPU run one segment.
         m = 2 * dp._SPLIT_MIN - 1
-        assert dp._segments((m,), 2) == [(0, (m + 8) // 8, 0, m)]
-        assert len(dp._segments((2, n), 2)) == 1
-        assert len(dp._segments((n,), 1)) == 1
+        assert dp._segments((m,), 2) == [(0, m)]
+        assert dp._segments((2, 3 * m), 2) == [(0, 3 * m)]
+        assert dp._segments((3 * m,), 1) == [(0, 3 * m)]
 
     def test_real_minimum_splits_a_long_vector(self, monkeypatch):
         # At the private minimum itself, on two CPUs, with a zero run across
@@ -486,7 +514,7 @@ class TestSplitForwardPass:
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
-        assert dp._segments(x.shape, dp._usable_cpus()) == [(0, 501, 0, 4001)]
+        assert dp._segments(x.shape, dp._usable_cpus()) == [(0, 4001)]
         got = build_table_1spike(x, 10, 100)
         monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
         assert got.flags.tobytes() == build_table_1spike(x, 10, 100).flags.tobytes()

@@ -18,12 +18,13 @@ from sepsparse.dp import (
     dp_solve_unrestricted,
     table_cells,
 )
-from sepsparse.head import best_over_windows, block_decompose, head_project, slice_solve
+from sepsparse.head import best_over_windows, block_decompose, drop_phase, head_project, slice_solve
 from sepsparse.model import (
     _ascending_sum,
     brute_force_solve,
     check_budget,
     check_delta,
+    check_lam,
     check_p,
     is_feasible,
     max_support_size,
@@ -320,6 +321,52 @@ class TestCheckBudget:
         assert type(table.budget) is int and table.support(np.int8(3)) == table.support(3)
 
 
+# Every public function that takes a window count lam, on the weights x.
+LAM_TAKERS = {
+    "drop_phase": lambda x, lam: drop_phase(np.arange(1, x.size + 1), 2, lam),
+    "best_over_windows": lambda x, lam: best_over_windows(x, 3, 2, 1, lam),
+}
+
+
+class TestCheckLam:
+    def test_every_lam_taker_takes_integers_only(self):
+        # Each runs on normal input and on an empty vector, and each raises
+        # check_lam's one ValueError: no TypeError, no overflow warning (an
+        # error in these tests) and no float phase.
+        wrong = []
+        for name, call in LAM_TAKERS.items():
+            for x in (np.ones(7), np.zeros(0)):
+                for lam in (2.5, 2.0, np.float64(2.0), math.nan, math.inf, -math.inf, np.True_, "2", None):
+                    try:
+                        call(x, lam)
+                    except ValueError as err:
+                        if not str(err).startswith("lam must be an integer"):
+                            wrong.append((name, x.size, lam, str(err)))
+                    else:
+                        wrong.append((name, x.size, lam, "returned"))
+                for lam in (-1, np.int8(-1)):
+                    try:
+                        call(x, lam)
+                    except ValueError as err:
+                        if str(err) != "lam must be >= 0, got -1":
+                            wrong.append((name, x.size, lam, str(err)))
+                    else:
+                        wrong.append((name, x.size, lam, "returned"))
+        assert wrong == []
+
+    def test_numpy_integer_and_bool_lams_compute_as_python_ints(self):
+        x = make_rng(1801).random(9)
+        wrong = []
+        for name, call in LAM_TAKERS.items():
+            for lam, like in ((np.uint64(2), 2), (np.int8(2), 2), (np.int64(3), 3), (True, 1), (False, 0)):
+                got, want = call(x, lam), call(x, like)
+                if repr(got) != repr(want):
+                    wrong.append((name, lam, got, want))
+        assert wrong == []
+        assert type(check_lam(np.uint64(2))) is int and check_lam(True) == 1
+        assert drop_phase(np.arange(1, 8), 2, np.uint64(2)).dtype == drop_phase(np.arange(1, 8), 2, 2).dtype
+
+
 class TestCheckDelta:
     def test_clamps_to_n(self):
         assert check_delta(2, 5) == 2
@@ -386,11 +433,16 @@ class TestCheckDelta:
 
 def test_each_parameter_rule_has_one_home():
     # model.check_delta owns the delta check and clamp, model.check_p the
-    # spike count and head.window_count the precision; a second copy of a
-    # message is a second copy of its rule.  recovery only compares head's
-    # window count and cap.
+    # spike count, model.check_lam the window count and head.window_count
+    # the precision; a second copy of a message is a second copy of its
+    # rule.  recovery only compares head's window count and cap.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
-    homes = {"delta must be >= 1": [], "p must be >= 1": [], "epsilon must be finite and positive": []}
+    homes = {
+        "delta must be >= 1": [],
+        "p must be >= 1": [],
+        "lam must be >= 0, got ": [],
+        "epsilon must be finite and positive": [],
+    }
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Constant) and node.value in homes:
@@ -398,6 +450,7 @@ def test_each_parameter_rule_has_one_home():
     assert homes == {
         "delta must be >= 1": ["model.py"],
         "p must be >= 1": ["model.py"],
+        "lam must be >= 0, got ": ["model.py"],
         "epsilon must be finite and positive": ["head.py"],
     }
     assert not hasattr(recovery, "_reaches_cap")

@@ -16,7 +16,7 @@ from sepsparse.model import max_support_size
 from sepsparse.seeding import make_rng
 from sepsparse.tail import tail_project
 
-from util import slice_solve_reference
+from util import slice_solve_reference, table_row
 
 CASES = 3000
 
@@ -132,7 +132,7 @@ def test_batch_support_reads_each_row_at_its_budget():
         row, at = table.support(budgets)
         assert row.dtype == at.dtype == np.intp
         for r, b in enumerate(budgets.tolist()):
-            if tuple(at[row == r].tolist()) != table.row(r).support(b):
+            if tuple(at[row == r].tolist()) != table_row(table, r).support(b):
                 wrong.append((rows, budget, delta, p, budgets, r))
         assert np.all(np.diff(row) >= 0)
     assert wrong == []

@@ -225,6 +225,12 @@ def unrestricted_cases(seed: int, count: int):
         yield rng.random(n), int(rng.integers(1, n + 1)), int(rng.integers(1, 80))
 
 
+def table_row(table, r: int):
+    """Row ``r`` of a DP table built on rows, as a table of its own: the
+    table the same builder returns for that row alone."""
+    return type(table)(table.values[r], table.flags[..., r, :], table.budget, table.delta, table.n)
+
+
 def slice_solve_reference(keep, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
     """The slice solver with one exact table per block, each on a view of
     the masked weights and with the block's own budget capped at ``k``.
