@@ -23,7 +23,7 @@ import numpy as np
 from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
-from .model import objective
+from .model import check_count, objective
 from .seeding import derive_seed
 from .tail import tail_project
 
@@ -137,8 +137,7 @@ def bench_sweep(sweep: Sweep, seed: int = 0, repeats: int = 100) -> list[BenchRo
     repeat degenerates the column is left empty.  Two-spike sweeps report
     head ratios only.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = check_count(repeats, "repeats")
     build = dp.table_builder(sweep.p)
     rows: list[BenchRow] = []
     for cell, (n, k, delta) in enumerate(sweep.points):

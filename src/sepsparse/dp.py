@@ -2,28 +2,32 @@
 
 Three solvers live here:
 
-* :func:`dp_solve` -- the budgeted 1-spike solver, O(k n).
-* :func:`dp_solve_unrestricted` -- budget-free 1-spike solver, O(n) vector
-  work plus a Python loop over the nonzero weights.
-* :func:`dp_solve_2spike` -- the budgeted 2-spike solver, O(k delta n).
+* :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n).
+* :func:`build_table_2spike` -- the budgeted 2-spike recurrence,
+  O(k delta n).
+* :func:`dp_solve_unrestricted` -- the budget-free 1-spike solver, O(n)
+  vector work plus a Python loop over the nonzero weights.
 
-:func:`table_builder` is the one place that maps a spike count ``p`` to
-its budgeted recurrence; every caller that picks an exact solver by ``p``
-goes through it.  A ``delta`` of ``n`` or more is the same problem as
-``delta = n``; every solver checks and clamps it with
+:func:`dp_solve` and :func:`dp_solve_2spike` return a builder's table with
+its top support built.  :func:`table_builder` is the one place that maps a
+spike count ``p`` to its budgeted recurrence; every caller that picks an
+exact solver by ``p`` goes through it.  A ``delta`` of ``n`` or more is the
+same problem as ``delta = n``; every solver checks and clamps it with
 :func:`model.check_delta`, the one home of that rule.
 
-Each records take-flags during the forward pass, bit-packed with
-``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and reconstructs a
-support by walking them back.  The budgeted tables build a level's support
-only when it is asked for.  They run levels only up to the packing limit
-``max_support_size``: every budget past it has the limit's value and
-support.  A table is the sequence of the levels it ran, and
+The budgeted tables record take-flags during the forward pass, bit-packed
+with ``np.packbits`` (one bit per prefix, bit 0 a dummy 0), and each table
+kind reconstructs a support by walking its own flags back.  They build a
+level's support only when it is asked for.  They run levels only up to the
+packing limit ``max_support_size``: every budget past it has the limit's
+value and support.  A table is the sequence of the levels it ran, and
 ``table.support(k)`` reads an optimal support for any budget ``k`` up to
 the requested one, so no caller caps a budget.  :func:`table_cells` prices
 a table by the levels it runs; no other module works out a table's size.
-Ties in every max are broken toward *not* taking the current index, so
-reconstructed supports are deterministic and stable across runs.
+The budget-free solver keeps each nonzero's take and predecessor in
+Python lists and walks those back itself.  Ties in every max are broken
+toward *not* taking the current index, so reconstructed supports are
+deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -61,9 +65,8 @@ batches, shortest first, under a private cap on one level's cells.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -131,23 +134,6 @@ def _nearest_take(row: np.ndarray, i: int) -> int:
     return (b << 3) + 8 - (byte & -byte).bit_length()
 
 
-def _walk(rows: Iterable[np.ndarray], i: int, delta: int) -> tuple[int, ...]:
-    """The 1-spike support read back from prefix ``i``, one take row per pick.
-
-    After a pick the walk resumes ``delta`` before it in the next row.
-    """
-    sol: list[int] = []
-    for row in rows:
-        if i < 1:
-            break
-        i = _nearest_take(row, i)
-        if i == 0:
-            break
-        sol.append(i)
-        i -= delta
-    return tuple(reversed(sol))
-
-
 class _DpTable(Sequence):
     """Per-level optima and packed take-flags of a budgeted recurrence.
 
@@ -188,7 +174,8 @@ class _DpTable(Sequence):
         On a table built on a vector ``ell`` is an int and the support a
         tuple.  On a table built on rows ``ell`` holds one budget per row,
         0 for none, as an int array (object dtype for Python ints past
-        int64), and every row is read in one call.  The result is
+        int64, each entry checked like a scalar budget), and every row is
+        read in one call.  The result is
         ``(row, at)``, int arrays naming each picked index by its row and
         1-based position, in row order and ascending within a row: for
         each row ``r``, the support of budget ``ell[r]`` on the table built
@@ -210,19 +197,12 @@ class _DpTable(Sequence):
         ell = np.asarray(ell)
         if ell.dtype.kind not in "iuO" or ell.shape != self.values.shape[:1]:
             raise ValueError(f"expected {self.values.shape[0]} integer budgets, got {ell!r}")
+        if ell.dtype.kind == "O":
+            # An object array may hold anything; each entry must be a budget.
+            ell = np.array([check_budget(e) for e in ell.tolist()], dtype=object)
         if ell.size and not (ell.min() >= 0 and ell.max() <= self.budget):
             raise ValueError(f"levels {ell} outside [0, {self.budget}]")
         return np.minimum(ell, len(self)).astype(np.intp)
-
-    def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's support from its start level ``lev[r]``, one row at a time."""
-        row: list[int] = []
-        at: list[int] = []
-        for r in np.flatnonzero(lev).tolist():
-            sol = self._walk_row(self.flags[..., r, :], int(lev[r]))
-            row += [r] * len(sol)
-            at += sol
-        return np.array(row, dtype=np.intp), np.array(at, dtype=np.intp)
 
 
 # For each byte value, the offset in its byte of the last bit set (packbits
@@ -241,13 +221,24 @@ class DpTable1(_DpTable):
     """
 
     def _walk_row(self, flags: np.ndarray, lev: int) -> tuple[int, ...]:
-        """The support read back from level ``lev`` of one row's ``flags``."""
-        return _walk(flags[lev:0:-1], self.n, self.delta)
+        """The support read back from level ``lev`` of one row's ``flags``:
+        each pick is the nearest take at or before the walk's position, and
+        the walk resumes ``delta`` before it one level down."""
+        sol: list[int] = []
+        i = self.n
+        while lev >= 1 and i >= 1:
+            i = _nearest_take(flags[lev], i)
+            if i == 0:
+                break
+            sol.append(i)
+            lev -= 1
+            i -= self.delta
+        return tuple(reversed(sol))
 
     def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_walk` on every row at once: each step finds, for every
-        row still walking, the nearest take at or before its position in
-        its own level's flags, by :func:`_nearest_take`'s rule."""
+        """:meth:`_walk_row` on every row at once: each step finds, for
+        every row still walking, the nearest take at or before its position
+        in its own level's flags, by :func:`_nearest_take`'s rule."""
         nbytes = self.flags.shape[-1]
         cols = np.arange(nbytes)
         rows = np.flatnonzero(lev)
@@ -410,6 +401,16 @@ class DpTable2(_DpTable):
                 i -= 1
         return tuple(reversed(sol))
 
+    def _walk_rows(self, lev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's support from its start level ``lev[r]``, one row at a time."""
+        row: list[int] = []
+        at: list[int] = []
+        for r in np.flatnonzero(lev).tolist():
+            sol = self._walk_row(self.flags[..., r, :], int(lev[r]))
+            row += [r] * len(sol)
+            at += sol
+        return np.array(row, dtype=np.intp), np.array(at, dtype=np.intp)
+
 
 def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     """Run the budgeted 2-spike recurrence on ``x`` for all levels <= budget.
@@ -532,24 +533,32 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
     O(n) vector work plus a Python loop over the nonzero weights only: a
     zero is never taken and leaves the prefix optimum unchanged, so the
     recurrence steps from nonzero to nonzero.  Each one reads the optimum
-    at its predecessor, the last nonzero at or before ``i - delta``.
+    at its predecessor, the last nonzero at or before ``i - delta``.  The
+    support is read back from the same lists: from the last nonzero, a
+    take is picked and the walk jumps to its predecessor, a skip steps to
+    the nonzero before it.
     """
     x = as_weights(x)
-    n = x.size
-    delta = check_delta(delta, n)
+    delta = check_delta(delta, x.size)
     pos = np.flatnonzero(x) + 1
     # best[j] is the prefix optimum through the j-th nonzero (1-based), and
     # pred names each nonzero's predecessor by that j, 0 (best 0.0) for none.
-    pred = np.searchsorted(pos, pos - delta, side="right")
+    pred = np.searchsorted(pos, pos - delta, side="right").tolist()
     best = [0.0]
     took = []
-    for w, j in zip(x[pos - 1].tolist(), pred.tolist()):
+    for w, j in zip(x[pos - 1].tolist(), pred):
         cand = w + best[j]
         took.append(cand > best[-1])
         best.append(cand if took[-1] else best[-1])
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[pos[np.array(took, dtype=bool)]] = True
-    return best[-1], _walk(itertools.repeat(np.packbits(flags)), n, delta)
+    sol = []
+    j = len(took)
+    while j:
+        if took[j - 1]:
+            sol.append(int(pos[j - 1]))
+            j = pred[j - 1]
+        else:
+            j -= 1
+    return best[-1], tuple(reversed(sol))
 
 
 def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:

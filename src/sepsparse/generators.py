@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import check_count
 from .seeding import make_rng
 
 __all__ = ["gen_poisson", "gen_uniform"]
@@ -11,8 +12,7 @@ __all__ = ["gen_poisson", "gen_uniform"]
 
 def gen_uniform(n: int, seed: int) -> np.ndarray:
     """n i.i.d. values uniform in [0, 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count(n, "n")
     return make_rng(seed).random(n)
 
 
@@ -26,8 +26,7 @@ def gen_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tup
     else exactly 0.  Any gap past n ends the train, so gaps are clipped to
     n + 1, which keeps a huge or infinite ``expected_gap`` in int64 range.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count(n, "n")
     if not expected_gap >= 1:  # also rejects NaN
         raise ValueError(f"expected_gap must be >= 1, got {expected_gap}")
     rng = make_rng(seed)

@@ -143,25 +143,26 @@ def slice_solve(keep: np.ndarray, x, k: int, delta: int, p: int = 1) -> tuple[in
     los, his = dec.blocks.T
     lengths = his - los + 1
     batches = dp.batch_rows(lengths, delta, p)
+    # Row b holds block b's gain at each level over the level below, 0 past
+    # its batch's levels; a block's first level gains its whole value.  No
+    # table runs more levels than k or its longest block's budget.
+    width = min(k, int(dec.budgets.max()))
+    gains = np.zeros((lengths.size, width))
     tables = []
     for rows in batches:
         cols = np.arange(lengths[rows].max())
         # Padding columns read any in-range weight, then are zeroed.
         padded = x.take(los[rows, None] - 1 + cols, mode="clip")
         padded[cols >= lengths[rows, None]] = 0.0
-        tables.append(solve(padded, k, delta))
-    # Row b holds block b's gain at each level over the level below, 0 past
-    # its batch's levels; a block's first level gains its whole value.
-    top = max(len(table) for table in tables)
-    gains = np.zeros((lengths.size, top))
-    for rows, table in zip(batches, tables):
+        table = solve(padded, k, delta)
         gains[rows, : len(table)] = np.diff(table.values, axis=1, prepend=0.0)
+        tables.append(table)
     gains = gains.ravel()
     # A stable sort of the negated positive gains keeps equal gains in
     # block, then level order.
     positive = np.flatnonzero(gains > 0.0)
     picked = positive[(-gains[positive]).argsort(kind="stable")[:k]]
-    per_block = np.bincount(picked // top, minlength=lengths.size)
+    per_block = np.bincount(picked // width, minlength=lengths.size)
 
     # Each batch reads all its blocks' supports at their budgets in one
     # walk-back.  Blocks are disjoint and ordered, so the solution is the

@@ -12,7 +12,8 @@ Conventions used throughout the package:
   ``|i - j| >= delta`` for distinct chosen ``i, j``.
 * Each parameter rule has one home: :func:`check_delta` checks and clamps
   ``delta``, :func:`check_p` checks ``p``, :func:`check_budget` checks a
-  budget ``k``, :func:`check_lam` checks a window count ``lam``, and
+  budget ``k``, :func:`check_lam` checks a window count ``lam``,
+  :func:`check_count` checks every other count and every seed, and
   :func:`is_feasible` is the one feasibility test, which every other
   module calls.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "as_weights",
     "brute_force_solve",
     "check_budget",
+    "check_count",
     "check_delta",
     "check_lam",
     "check_p",
@@ -187,6 +189,16 @@ def check_lam(lam: int) -> int:
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     return lam
+
+
+def check_count(value: int, name: str, least: int = 1) -> int:
+    """A count or seed ``name`` checked to be an integer >= ``least``, as a
+    Python int: a numpy integer computes as the int it holds, and a float,
+    NaN or string raises ``ValueError``."""
+    value = _as_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:

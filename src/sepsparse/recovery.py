@@ -26,6 +26,7 @@ from .model import (
     InfeasibleParameters,
     as_signal,
     check_budget,
+    check_count,
     is_feasible,
     max_support_size,
     restrict,
@@ -78,14 +79,15 @@ class RecoveryTrace:
 
 def default_measurement_count(n: int, k: int) -> int:
     """Benchmark default m = ceil(6 k ln n), clamped to [1, n]."""
+    n = check_count(n, "n")
     k = check_budget(k)
     return min(max(1, math.ceil(6.0 * k * math.log(n))), n)
 
 
 def gen_sensing(m: int, n: int, seed: int) -> np.ndarray:
     """Gaussian ``(m, n)`` sensing matrix with entries N(0, 1/m), filled row-major."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    m = check_count(m, "m")
+    n = check_count(n, "n")
     return make_rng(seed).standard_normal((m, n)) * (1.0 / math.sqrt(m))
 
 
@@ -144,8 +146,7 @@ def am_iht(
         raise ValueError(f"x_true length {truth.size} != model width {n}")
     if truth is not None and not np.isfinite(truth).all():
         raise ValueError("x_true must be finite (no NaN or inf)")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = check_count(iterations, "iterations", 0)
     k = check_budget(k)
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -234,8 +235,7 @@ def empirical_rip(A: np.ndarray, k: int, delta: int, p: int, samples: int, seed:
     coefficients, and returns ``max |  ||A x||^2 - 1 |``.
     """
     k = check_budget(k)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = check_count(samples, "samples")
     n = A.shape[1]
     rng = make_rng(seed)
     worst = 0.0

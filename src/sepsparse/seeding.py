@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import check_count
+
 __all__ = ["derive_seed", "make_rng", "seed_sequence"]
 
 
 def seed_sequence(*entropy: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(tuple(int(e) for e in entropy))
+    """The seed sequence of an entropy tuple, each entry a seed >= 0."""
+    return np.random.SeedSequence(tuple(check_count(e, "seed", 0) for e in entropy))
 
 
 def make_rng(*entropy: int) -> np.random.Generator:

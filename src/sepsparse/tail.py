@@ -108,14 +108,10 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     k = check_budget(k)
     if k <= 0 or n == 0:
         return ()
-    if k >= n:
-        keep = np.ones(n, dtype=bool)
-    else:
-        threshold = np.partition(x, n - k)[n - k]
-        keep = x > threshold
-        need = k - int(np.count_nonzero(keep))
-        if need > 0:
-            keep[np.flatnonzero(x == threshold)[:need]] = True
+    k = min(k, n)
+    threshold = np.partition(x, n - k)[n - k]
+    keep = x > threshold
+    keep[np.flatnonzero(x == threshold)[: k - np.count_nonzero(keep)]] = True
     restricted = np.where(keep, x, 0.0)
     _, sol = dp.dp_solve_unrestricted(restricted, delta)
     return sol

@@ -173,6 +173,19 @@ class TestProject:
         for key in ("opt", "head_ratio", "tail_ratio"):
             assert results[1][key] == results[0][key] is not None
 
+    def test_ratios_skipped_past_the_cell_cap(self, capsys, vector_file, monkeypatch):
+        # The DP behind the ratios fills 12 cells here; past the cap the
+        # result has no optimum and no ratio at all.
+        monkeypatch.setattr(cli, "MAX_OPT_CELLS", 11)
+        code, out, _ = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",
+            "--algo", "head", "--epsilon", "0.5",
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert result["support"] == [2, 5]
+        assert {"opt", "head_ratio", "tail_ratio"} & set(result) == set()
+
     def test_delta_below_one_exits_2(self, capsys, vector_file):
         code, out, err = run_cli(
             capsys, "project", "--in", vector_file, "--k", "2", "--delta", "0", "--algo", "dp"
@@ -180,6 +193,14 @@ class TestProject:
         assert code == 2
         assert out == ""
         assert "delta must be >= 1" in err
+
+    def test_k_below_one_exits_2(self, capsys, vector_file):
+        code, out, err = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "0", "--delta", "2", "--algo", "dp"
+        )
+        assert code == 2
+        assert out == ""
+        assert "k must be >= 1" in err
 
     def test_ratio_reporting(self, capsys, vector_file):
         code, out, _ = run_cli(
@@ -308,6 +329,12 @@ class TestGen:
         assert out == ""
         assert "--gap" in err
 
+    def test_n_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert "--n must be >= 1" in err
+
     def test_stdout_output(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--n", "3", "--seed", "0")
         assert code == 0
@@ -368,6 +395,19 @@ class TestRecover:
         assert out == ""
         assert "delta must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--k", "0", "n and k must be >= 1"), ("--iters", "-1", "--iters must be >= 0"), ("--m", "0", "m must be >= 1")],
+    )
+    def test_counts_below_their_least_exit_2(self, capsys, monkeypatch, flag, value, message):
+        # The checks run before the sensing matrix is drawn.
+        monkeypatch.setattr(cli, "gen_sensing", None)
+        args = ["recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "1"]
+        code, out, err = run_cli(capsys, *args, flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_infeasible_parameters_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "recover", "--n", "10", "--k", "5", "--delta", "5", "--iters", "1"
@@ -403,6 +443,18 @@ def no_sweep(monkeypatch):
     monkeypatch.setattr(bench_mod, "run_preset", fail)
 
 
+@pytest.fixture
+def small_sweep(monkeypatch):
+    """Run any preset as one small quality sweep, so a test of the output
+    formats runs in a moment."""
+    sweep = bench_mod.Sweep([(40, 2, 3), (40, 4, 3)], [bench_mod.AlgoSpec("head", 2)], quality=True)
+
+    def run(name, seed=0, repeats=None):
+        return bench_mod.bench_sweep(sweep, seed, repeats)
+
+    monkeypatch.setattr(bench_mod, "run_preset", run)
+
+
 class TestBench:
     def test_preset_csv(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -413,6 +465,28 @@ class TestBench:
         rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert len(rows) == 10 * 5  # ten budgets, five algorithms
         assert all(row["bound_ok"] == "True" for row in rows)
+
+    def test_csv_to_stdout(self, capsys, small_sweep):
+        code, out, _ = run_cli(capsys, "bench", "--preset", "fig3", "--repeats", "2")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [(row["algo"], row["k"], row["repeats"], row["bound_ok"]) for row in rows] == [
+            ("head-lam2", "2", "2", "True"),
+            ("head-lam2", "4", "2", "True"),
+        ]
+
+    def test_dat_files(self, capsys, small_sweep, tmp_path):
+        prefix = str(tmp_path / "fig")
+        code, out, _ = run_cli(
+            capsys, "bench", "--preset", "fig3", "--repeats", "1", "--format", "dat", "--out", prefix
+        )
+        assert code == 0
+        written = out.splitlines()
+        assert [Path(path).name for path in written] == [
+            f"fig_uniform_head-lam2_{metric}.dat" for metric in ("ms", "head", "tail")
+        ]
+        for path in written:
+            assert [line.split()[0] for line in Path(path).read_text().splitlines()] == ["2", "4"]
 
     def test_dat_requires_out(self, capsys, no_sweep):
         code, _, err = run_cli(capsys, "bench", "--preset", "fig3", "--format", "dat")

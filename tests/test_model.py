@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepsparse import recovery
+from sepsparse import dp, recovery
+from sepsparse.bench import AlgoSpec, Sweep, bench_sweep
 from sepsparse.dp import (
     batch_rows,
     build_table_1spike,
@@ -18,11 +19,14 @@ from sepsparse.dp import (
     dp_solve_unrestricted,
     table_cells,
 )
+from sepsparse.generators import gen_poisson, gen_uniform
 from sepsparse.head import best_over_windows, block_decompose, drop_phase, head_project, slice_solve
 from sepsparse.model import (
     _ascending_sum,
+    as_signal,
     brute_force_solve,
     check_budget,
+    check_count,
     check_delta,
     check_lam,
     check_p,
@@ -32,7 +36,7 @@ from sepsparse.model import (
     restrict,
     squared_weights,
 )
-from sepsparse.seeding import make_rng
+from sepsparse.seeding import derive_seed, make_rng
 from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
 from util import pairwise_feasible, window_scan_feasible
@@ -126,6 +130,10 @@ class TestSquaredAndRestrict:
         assert np.array_equal(restrict([1, -2, 3], [2]), [0.0, -2.0, 0.0])
         assert np.array_equal(restrict([1, 2], [1, 2]), [1.0, 2.0])
         assert np.array_equal(restrict([1, 2], []), [0.0, 0.0])
+
+    def test_signals_must_be_vectors(self):
+        with pytest.raises(ValueError, match=r"expected a 1-D vector, got shape \(2, 2\)"):
+            as_signal(np.ones((2, 2)))
 
     def test_norm_identity(self):
         rng = make_rng(11)
@@ -273,6 +281,10 @@ BUDGET_TAKERS = {
     "dp_solve": lambda x, k: dp_solve(x, k, 2),
     "dp_solve_2spike": lambda x, k: dp_solve_2spike(x, k, 2),
     "table.support": lambda x, k: build_table_1spike(x, 3, 2).support(k),
+    # An object array is how a batch takes budgets past int64.
+    "batch table.support": lambda x, k: build_table_1spike(np.stack((x, x)), 3, 2).support(
+        np.array([k, 1], dtype=object)
+    ),
     "table_cells": lambda x, k: table_cells(x.size, k, 2, 1),
     "is_feasible": lambda x, k: is_feasible(range(1, x.size + 1, 2), x.size, k, 2, 1),
     "brute_force_solve": lambda x, k: brute_force_solve(x, k, 2, 1),
@@ -367,6 +379,76 @@ class TestCheckLam:
         assert drop_phase(np.arange(1, 8), 2, np.uint64(2)).dtype == drop_phase(np.arange(1, 8), 2, 2).dtype
 
 
+def _bench_rows(**kwargs):
+    """A one-point quality sweep's rows without their timings."""
+    sweep = Sweep([(30, 2, 3)], [AlgoSpec("head", 2)], quality=True)
+    return [(row.repeats, row.head_pct, row.bound_ok) for row in bench_sweep(sweep, **kwargs)]
+
+
+# Every public function that takes a count or a seed, called with one value
+# for it: the name its messages use, the least value it takes, the call.
+COUNT_TAKERS = {
+    "gen_uniform n": ("n", 1, lambda v: gen_uniform(v, 0)),
+    "gen_uniform seed": ("seed", 0, lambda v: gen_uniform(5, v)),
+    "gen_poisson n": ("n", 1, lambda v: gen_poisson(v, 2.0, 0)),
+    "gen_poisson seed": ("seed", 0, lambda v: gen_poisson(10, 2.0, v)),
+    "gen_sensing m": ("m", 1, lambda v: recovery.gen_sensing(v, 4, 0)),
+    "gen_sensing n": ("n", 1, lambda v: recovery.gen_sensing(2, v, 0)),
+    "gen_sensing seed": ("seed", 0, lambda v: recovery.gen_sensing(2, 4, v)),
+    "measure seed": ("seed", 0, lambda v: recovery.measure(np.ones((2, 3)), np.ones(3), 0.5, v)),
+    "am_iht iterations": (
+        "iterations", 0, lambda v: recovery.am_iht(np.ones(3), np.ones((3, 5)), 1, 2, v, 0.5, 0.5)
+    ),
+    "empirical_rip samples": (
+        "samples", 1, lambda v: recovery.empirical_rip(recovery.gen_sensing(3, 5, 1), 1, 2, 1, v, 0)
+    ),
+    "empirical_rip seed": (
+        "seed", 0, lambda v: recovery.empirical_rip(recovery.gen_sensing(3, 5, 1), 1, 2, 1, 2, v)
+    ),
+    "default_measurement_count n": ("n", 1, lambda v: recovery.default_measurement_count(v, 2)),
+    "bench_sweep repeats": ("repeats", 1, lambda v: _bench_rows(repeats=v)),
+    "bench_sweep seed": ("seed", 0, lambda v: _bench_rows(seed=v, repeats=1)),
+    "make_rng": ("seed", 0, lambda v: make_rng(v).random(2)),
+    "derive_seed": ("seed", 0, lambda v: derive_seed(3, v)),
+}
+
+
+class TestCheckCount:
+    def test_every_count_and_seed_taker_takes_integers_only(self):
+        # Truncating a float seed would give two seeds one instance, and a
+        # float count would fail inside numpy or range with a TypeError, so
+        # each raises check_count's one ValueError, as does a count below
+        # its least value.
+        wrong = []
+        for label, (name, least, call) in COUNT_TAKERS.items():
+            for value in (1.5, 2.0, np.float64(2.0), math.nan, math.inf, np.True_, "2", None):
+                try:
+                    call(value)
+                except ValueError as err:
+                    if not str(err).startswith(f"{name} must be an integer, got "):
+                        wrong.append((label, value, str(err)))
+                else:
+                    wrong.append((label, value, "returned"))
+            try:
+                call(least - 1)
+            except ValueError as err:
+                if str(err) != f"{name} must be >= {least}, got {least - 1}":
+                    wrong.append((label, least - 1, str(err)))
+            else:
+                wrong.append((label, least - 1, "returned"))
+        assert wrong == []
+
+    def test_numpy_integer_and_bool_counts_compute_as_python_ints(self):
+        wrong = []
+        for label, (_name, _least, call) in COUNT_TAKERS.items():
+            for value, like in ((np.uint64(2), 2), (np.int8(2), 2), (True, 1)):
+                got, want = repr(call(value)), repr(call(like))
+                if got != want:
+                    wrong.append((label, value, got, want))
+        assert wrong == []
+        assert type(check_count(np.uint64(7), "n")) is int
+
+
 class TestCheckDelta:
     def test_clamps_to_n(self):
         assert check_delta(2, 5) == 2
@@ -433,14 +515,18 @@ class TestCheckDelta:
 
 def test_each_parameter_rule_has_one_home():
     # model.check_delta owns the delta check and clamp, model.check_p the
-    # spike count, model.check_lam the window count and head.window_count
-    # the precision; a second copy of a message is a second copy of its
-    # rule.  recovery only compares head's window count and cap.
+    # spike count, model.check_lam the window count, model.check_count
+    # every other count and every seed, model._as_int the integer test
+    # behind them all, and head.window_count the precision; a second copy
+    # of a message is a second copy of its rule.  recovery only compares
+    # head's window count and cap.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
     homes = {
         "delta must be >= 1": [],
         "p must be >= 1": [],
         "lam must be >= 0, got ": [],
+        " must be >= ": [],
+        " must be an integer, got ": [],
         "epsilon must be finite and positive": [],
     }
     for path in sorted(package.rglob("*.py")):
@@ -451,6 +537,8 @@ def test_each_parameter_rule_has_one_home():
         "delta must be >= 1": ["model.py"],
         "p must be >= 1": ["model.py"],
         "lam must be >= 0, got ": ["model.py"],
+        " must be >= ": ["model.py"],
+        " must be an integer, got ": ["model.py"],
         "epsilon must be finite and positive": ["head.py"],
     }
     assert not hasattr(recovery, "_reaches_cap")
@@ -491,6 +579,26 @@ def test_only_dp_picks_an_exact_solver():
         or (isinstance(node, ast.Attribute) and node.attr in solvers)
     ]
     assert found == []
+
+
+def test_each_dp_result_is_read_where_it_is_made():
+    # The budgeted builders pack their take flags for their own table kind
+    # to walk back, and the budget-free solver walks its own lists, so no
+    # other code packs flags and the shared table base walks nothing.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            found += [
+                f"{path.name}:{getattr(top, 'name', 'module')}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Attribute) and node.attr == "packbits")
+                or (isinstance(node, ast.alias) and node.name == "packbits")
+            ]
+    assert found == ["dp.py:build_table_1spike", "dp.py:build_table_2spike"]
+    assert [name for name in vars(dp._DpTable) if "walk" in name] == []
+    for kind in (dp.DpTable1, dp.DpTable2):
+        assert {"_walk_row", "_walk_rows"} <= set(vars(kind))
 
 
 def test_only_dp_applies_the_packing_limit():

@@ -129,6 +129,10 @@ class TestRandomSupport:
         with pytest.raises(InfeasibleParameters):
             random_feasible_support(10, 4, 5, 1, make_rng(0))
 
+    def test_negative_k_raises(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            random_feasible_support(10, -1, 2, 1, make_rng(0))
+
     def test_delta_zero_raises(self):
         with pytest.raises(ValueError, match="delta must be >= 1"):
             random_feasible_support(5, 1, 0, 1, make_rng(0))
@@ -331,6 +335,12 @@ class TestAmIhtInputErrors:
         y, A, _ = ac9_instance(0)
         with pytest.raises(ValueError, match=f"x_true length {length} != model width 200"):
             am_iht(y, A, 5, 20, 1, other_eps, other_eps, x_true=np.zeros(length))
+
+    def test_y_of_the_wrong_length_raises(self, other_eps):
+        y, A, _ = ac9_instance(0)
+        m = A.shape[0]
+        with pytest.raises(ValueError, match=f"measurement length {m - 1} != model height {m}"):
+            am_iht(y[:-1], A, 5, 20, 1, other_eps, other_eps)
 
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
         y, A, _ = ac9_instance(0)
