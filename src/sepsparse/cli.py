@@ -100,11 +100,7 @@ def _cmd_recover(args) -> int:
     if args.n < 1 or args.k < 1:
         raise ConfigError("n and k must be >= 1")
     check_delta(args.delta, args.n)
-    if args.iters < 0:
-        raise ConfigError("--iters must be >= 0")
     m = args.m if args.m is not None else default_measurement_count(args.n, args.k)
-    if m < 1:
-        raise ConfigError("m must be >= 1")
 
     A = gen_sensing(m, args.n, derive_seed(args.seed, 0))
     support = random_feasible_support(
@@ -156,8 +152,6 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1")
     if args.gap is None:
         if args.spikes_out:
             raise ConfigError("--spikes-out needs --gap: uniform instances have no spikes")
@@ -178,8 +172,6 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     if args.format == "dat" and not args.out:
         raise ConfigError("--format dat needs --out as a filename prefix")
-    if args.repeats is not None and args.repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
     rows = bench_mod.run_preset(args.preset, seed=args.seed, repeats=args.repeats)
     if args.format == "dat":
         written = bench_mod.rows_to_dat(rows, args.out)

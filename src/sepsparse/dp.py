@@ -34,6 +34,18 @@ leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
 out of range, is a slice of that buffer and no per-level array is
 allocated.
 
+The 2-spike forward pass runs prefix-major, with the batch axis
+innermost: the weights are an ``(n, rows)`` array (a vector is one
+column) and a level is a ``(delta - 1, delta + n, rows)`` buffer, one row
+per window width.  So each width step is three calls on contiguous
+memory.  numpy buffers a ufunc call on 2-D strided operands whole, and on
+a batch's short rows that buffering set a width step's time (about twice
+its arithmetic at 8 rows of 126).  The take flags keep one packed row per
+batch row, as the walk-backs read them: a batch packs a row-major copy of
+each level's flags.  The 1-spike pass stays row-major: its running
+maximum runs along the row, and prefix-major 1-spike batches measured
+slower.
+
 The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
 (131,072) weights, in a process that may run on more than one CPU, uses a
 second thread (one per further usable CPU): each level runs in one column
@@ -54,7 +66,8 @@ and a batch's row ``r`` has the values and flags of the table built on
 that row alone.  On a batch, ``table.support(budgets)`` takes one budget
 per row and reads every row's support in one call: the 1-spike walk-back
 runs all rows in lockstep, one vector step per level, and the 2-spike one
-loops over the rows.  A table built on a vector keeps the scalar walk.  A block padded
+loops over the rows, reading each level's flags once as ``bytes``.  A
+table built on a vector keeps the scalar walk.  A block padded
 with trailing zeros has the same values and supports as the block alone
 on every level the block runs, and its levels past its own packing limit
 gain exactly 0, so a batch of blocks of different lengths needs no
@@ -71,7 +84,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import as_weights, check_budget, check_delta, check_p, max_support_size
+from .model import as_weights, check_budget, check_count, check_delta, check_p, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -375,8 +388,14 @@ class DpTable2(_DpTable):
     """
 
     def _walk_row(self, flags: np.ndarray, lev: int) -> tuple[int, ...]:
-        """The support read back from level ``lev`` of one row's ``flags``."""
+        """The support read back from level ``lev`` of one row's ``flags``.
+
+        Each level's flags are read once, as ``bytes``, when the walk
+        enters it: indexing those gives a Python int per step.  The walk
+        starts at width 1, which scans its row with :func:`_nearest_take`,
+        so the first bytes are read after the first take."""
         delta = self.delta
+        nbytes = flags.shape[-1]
         sol: list[int] = []
         r = self.n
         i = 1
@@ -391,11 +410,13 @@ class DpTable2(_DpTable):
                 lev -= 1
                 r -= 1
                 i = delta - 1
-            elif int(flags[lev, i, r >> 3]) >> (7 - (r & 7)) & 1:
+                level = flags[lev].tobytes()
+            elif level[i * nbytes + (r >> 3)] >> (7 - (r & 7)) & 1:
                 sol.append(r)
                 lev -= 1
                 r -= i
                 i = delta - i
+                level = flags[lev].tobytes()
             else:
                 r -= 1
                 i -= 1
@@ -419,6 +440,10 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     :func:`build_table_1spike`.  With ``delta == 1`` the window constraint
     is vacuous and the 1-spike recurrence at separation 1 solves the same
     problem, so we reuse it.
+
+    The pass runs prefix-major (see the module docstring): every width
+    step adds, compares and takes the maximum on contiguous memory, and
+    the flags keep one packed row per batch row.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     if delta == 1:
@@ -428,30 +453,45 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     top = _levels(n, budget, delta, 2)
     nbytes = (n + 8) // 8
     flags = np.zeros((top + 1, delta, *rows, nbytes), dtype=np.uint8)
-    values = np.zeros((top, *rows))
-    # Row i of a level lives at [i, ..., s:]; width i reads the previous
-    # level's row delta - i shifted by i, which starts at column delta - i.
-    P = np.zeros((delta, *rows, s + n + 1))
-    V = np.zeros((delta, *rows, s + n + 1))
-    cand = np.empty(x.shape)
-    # Whole bytes per row, so packing the flat array packs each row.
-    take = np.zeros((delta, *rows, 8 * nbytes), dtype=bool)
-    took = take[..., 1 : n + 1]
+    # Prefix-major: the batch axis is innermost, so every width's operands
+    # are contiguous (a vector is one column).
+    w = np.ascontiguousarray(np.atleast_2d(x).T)
+    R = w.shape[1]
+    values = np.zeros((top, R))
+    # Levels alternate between two buffers.  Width i's row of a level lives
+    # at [i - 1, s:, :], prefix j at s + j.  Indexed by buffer, then by
+    # width - 1: ``ahead`` is each row from its prefix 1, ``behind`` from
+    # its prefix 0, and ``shifted`` row q from its prefix q + 1 - s, so
+    # width i's take branch, the previous level's width-(delta - i) row at
+    # prefixes 1 - i to n - i, is ``shifted[..., s - i]``.
+    bufs = np.zeros((2, s, s + n + 1, R))
+    ahead, behind = bufs[:, :, s + 1 :], bufs[:, :, s : s + n]
+    level, width, prefix, batch = bufs.strides
+    shifted = np.lib.stride_tricks.as_strided(
+        bufs[0, 0, 1:], (2, s, n, R), (level, width + prefix, prefix, batch), writeable=False
+    )
+    take = np.zeros((s, 8 * nbytes, R), dtype=bool)
+    took = take[:, 1 : n + 1]
     for ell in range(1, top + 1):
+        P, V, before = shifted[ell % 2], ahead[1 - ell % 2], behind[1 - ell % 2]
         # Width 1: the skip branch references the same column one step back,
-        # which makes the column a running maximum.
-        np.add(x, P[delta - 1, ..., s : s + n], out=cand)
-        np.maximum.accumulate(cand, axis=-1, out=V[1, ..., s + 1 :])
-        np.greater(cand, V[1, ..., s : s + n], out=took[1])
+        # which makes the column a running maximum; a prefix takes where
+        # that maximum rises.
+        np.add(w, P[s - 1], out=V[0])
+        np.maximum.accumulate(V[0], axis=0, out=V[0])
+        np.greater(V[0], before[0], out=took[0])
         for i in range(2, delta):
-            lo = delta - i
-            np.add(x, P[delta - i, ..., lo : lo + n], out=cand)
-            np.maximum(cand, V[i - 1, ..., s : s + n], out=V[i, ..., s + 1 :])
-            np.greater(cand, V[i - 1, ..., s : s + n], out=took[i])
-        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
-        values[ell - 1] = V[1, ..., s + n]
-        P, V = V, P
-    return DpTable2(values.T, flags, budget, delta, n)
+            # Each width's candidates go straight into its row; a prefix
+            # takes where its candidate beats the skip branch.
+            row, skip = V[i - 1], before[i - 2]
+            np.add(w, P[s - i], out=row)
+            np.greater(row, skip, out=took[i - 1])
+            np.maximum(row, skip, out=row)
+        # Flags keep one packed row per batch row: packing the swapped
+        # staging packs a row-major copy of a batch's (a vector's is a view).
+        flags[ell, 1:] = np.packbits(take.swapaxes(1, 2)).reshape(s, *rows, nbytes)
+        values[ell - 1] = V[0, n - 1]
+    return DpTable2(values.reshape(top, *rows).T, flags, budget, delta, n)
 
 
 def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
@@ -504,6 +544,7 @@ def table_cells(n: int, k: int, delta: int, p: int) -> int:
     """The cells the budget-``k`` table for spike count ``p`` fills on ``n``
     weights: ``n`` per level it runs, times the clamped ``delta`` for ``p = 2``."""
     table_builder(p)  # raises for a p with no exact solver
+    n = check_count(n, "n", None)
     return _levels(n, check_budget(k), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
 
 

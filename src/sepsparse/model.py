@@ -191,18 +191,20 @@ def check_lam(lam: int) -> int:
     return lam
 
 
-def check_count(value: int, name: str, least: int = 1) -> int:
-    """A count or seed ``name`` checked to be an integer >= ``least``, as a
-    Python int: a numpy integer computes as the int it holds, and a float,
-    NaN or string raises ``ValueError``."""
+def check_count(value: int, name: str, least: int | None = 1) -> int:
+    """A count or seed ``name`` checked to be an integer >= ``least`` (any
+    integer for ``None``), as a Python int: a numpy integer computes as the
+    int it holds, and a float, NaN or string raises ``ValueError``."""
     value = _as_int(value, name)
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:
-    """Largest feasible support size on ``[n]`` for the given (delta, p)."""
+    """Largest feasible support size on ``[n]`` for the given (delta, p);
+    0 for a negative ``n``."""
+    n = check_count(n, "n", None)
     delta = check_delta(delta, n)
     p = check_p(p)
     if n < 0:

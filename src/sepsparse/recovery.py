@@ -206,6 +206,7 @@ def random_feasible_support(
     size-k subsets and reject infeasible ones, which is exactly uniform but
     only practical away from the packing limit.
     """
+    n = check_count(n, "n", None)
     k = check_budget(k)
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -333,7 +333,7 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--n", "0")
         assert code == 2
         assert out == ""
-        assert "--n must be >= 1" in err
+        assert "n must be >= 1, got 0" in err
 
     def test_stdout_output(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--n", "3", "--seed", "0")
@@ -397,11 +397,15 @@ class TestRecover:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--k", "0", "n and k must be >= 1"), ("--iters", "-1", "--iters must be >= 0"), ("--m", "0", "m must be >= 1")],
+        [
+            ("--k", "0", "n and k must be >= 1"),
+            ("--iters", "-1", "iterations must be >= 0, got -1"),
+            ("--m", "0", "m must be >= 1"),
+        ],
     )
-    def test_counts_below_their_least_exit_2(self, capsys, monkeypatch, flag, value, message):
-        # The checks run before the sensing matrix is drawn.
-        monkeypatch.setattr(cli, "gen_sensing", None)
+    def test_counts_below_their_least_exit_2(self, capsys, flag, value, message):
+        # The CLI checks n and k itself; gen_sensing checks m and am_iht the
+        # iterations, both before anything is written.
         args = ["recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "1"]
         code, out, err = run_cli(capsys, *args, flag, value)
         assert code == 2
@@ -494,11 +498,13 @@ class TestBench:
         assert "--out" in err
 
     @pytest.mark.parametrize("repeats", ["0", "-3"])
-    def test_repeats_must_be_positive(self, capsys, no_sweep, repeats):
-        # Zero repeats would report bound_ok=True from no samples at all.
-        code, _, err = run_cli(capsys, "bench", "--preset", "fig3", "--repeats", repeats)
+    def test_repeats_must_be_positive(self, capsys, small_sweep, repeats):
+        # Zero repeats would report bound_ok=True from no samples at all;
+        # bench_sweep rejects them before it runs a point.
+        code, out, err = run_cli(capsys, "bench", "--preset", "fig3", "--repeats", repeats)
         assert code == 2
-        assert "--repeats" in err
+        assert out == ""
+        assert f"repeats must be >= 1, got {repeats}" in err
 
     def test_bad_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,7 @@ from sepsparse.dp import (
 from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 
-from util import table_row, unrestricted_cases, unrestricted_reference
+from util import table2_reference, table_row, unrestricted_cases, unrestricted_reference, walk2_reference
 
 
 def random_instance(rng, n_max=14, delta_max=5):
@@ -158,6 +158,84 @@ class TestDp2Spike:
             assert np.all(np.diff(values) >= 0)
             gains = np.diff(values, prepend=0.0)
             assert np.all(np.diff(gains) <= 1e-12)
+
+
+def hostile_2spike_tables(seed: int, count: int):
+    """``count`` ``(x, budget, delta)`` cases for the 2-spike forward pass.
+
+    ``x`` is a vector or a batch of 1 to 8 rows of 1 to 40 weights, padded
+    with trailing zeros.  The weights cycle through integer ties with a
+    zero run, weights from 1e-300 to 1e300, sparse uniform weights, and
+    weights of 1e308 whose sums overflow to inf; ``delta`` is 1, 2, small,
+    or ``n`` or past it; and the budget is 0, small, the packing limit,
+    just past it, or ``10**23``.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        r, n = int(rng.integers(0, 9)), int(rng.integers(1, 41))
+        shape = (r, n) if r else (n,)
+        kind = c % 4
+        if kind == 0:
+            x = rng.integers(0, 3, shape).astype(float)
+            start = int(rng.integers(0, n))
+            x[..., start : start + int(rng.integers(0, 12))] = 0.0
+        elif kind == 1:
+            x = 10.0 ** rng.uniform(-300, 300, shape) * (rng.random(shape) < 0.7)
+        elif kind == 2:
+            x = rng.random(shape) * (rng.random(shape) < 0.25)
+        else:
+            x = np.where(rng.random(shape) < 0.5, 1e308, rng.random(shape))
+        if r:
+            x[np.arange(n) >= rng.integers(1, n + 1, (r, 1))] = 0.0
+        delta = (1, 2, int(rng.integers(3, 10)), n + int(rng.integers(0, 10**6)))[int(rng.integers(0, 4))]
+        limit = max_support_size(n, delta, 2)
+        budget = (0, int(rng.integers(1, 6)), limit, limit + int(rng.integers(1, 3)), 10**23)[c % 5]
+        yield x, budget, delta
+
+
+class TestPrefixMajor2Spike:
+    """The 2-spike forward pass runs with the batch axis innermost; its
+    tables are the row-major pass's bit for bit, and the walk that reads
+    each level's flags as bytes gives the scalar walk's supports."""
+
+    def test_tables_match_the_row_major_pass(self):
+        wrong = []
+        # Sums of 1e308 overflow to inf in both passes alike.
+        with np.errstate(over="ignore"):
+            for x, budget, delta in hostile_2spike_tables(1901, 3000):
+                got, want = build_table_2spike(x, budget, delta), table2_reference(x, budget, delta)
+                if not (
+                    type(got) is type(want)
+                    and got.values.shape == want.values.shape
+                    and got.values.tobytes() == want.values.tobytes()
+                    and got.flags.shape == want.flags.shape
+                    and got.flags.tobytes() == want.flags.tobytes()
+                ):
+                    wrong.append((x, budget, delta))
+        assert wrong == []
+
+    def test_walk_matches_the_scalar_walk_at_every_budget(self):
+        wrong, walks = [], 0
+        with np.errstate(over="ignore"):
+            for x, budget, delta in hostile_2spike_tables(1902, 3000):
+                table = build_table_2spike(x, budget, delta)
+                if not isinstance(table, DpTable2):
+                    continue
+                flags = table2_reference(x, budget, delta).flags
+                for b in range(min(budget, len(table) + 2) + 1):
+                    lev = min(b, len(table))
+                    if x.ndim == 1:
+                        got = {0: table.support(b)}
+                        want = {0: walk2_reference(flags, lev, table.n, table.delta)}
+                    else:
+                        row, at = table.support(np.full(x.shape[0], b))
+                        got = {r: tuple(at[row == r].tolist()) for r in range(x.shape[0])}
+                        want = {r: walk2_reference(flags[..., r, :], lev, table.n, table.delta) for r in got}
+                    walks += len(want)
+                    if got != want:
+                        wrong.append((x, budget, delta, b))
+        assert wrong == []
+        assert walks > 20_000
 
 
 @pytest.mark.parametrize(

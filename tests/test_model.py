@@ -386,7 +386,8 @@ def _bench_rows(**kwargs):
 
 
 # Every public function that takes a count or a seed, called with one value
-# for it: the name its messages use, the least value it takes, the call.
+# for it: the name its messages use, the least value it takes (None where
+# every integer is taken: a negative ground set holds no support), the call.
 COUNT_TAKERS = {
     "gen_uniform n": ("n", 1, lambda v: gen_uniform(v, 0)),
     "gen_uniform seed": ("seed", 0, lambda v: gen_uniform(5, v)),
@@ -410,6 +411,11 @@ COUNT_TAKERS = {
     "bench_sweep seed": ("seed", 0, lambda v: _bench_rows(seed=v, repeats=1)),
     "make_rng": ("seed", 0, lambda v: make_rng(v).random(2)),
     "derive_seed": ("seed", 0, lambda v: derive_seed(3, v)),
+    "max_support_size n": ("n", None, lambda v: max_support_size(v, 2, 2)),
+    "table_cells n": ("n", None, lambda v: dp.table_cells(v, 3, 2, 2)),
+    "random_feasible_support n": (
+        "n", None, lambda v: recovery.random_feasible_support(v, 1, 2, 1, make_rng(0))
+    ),
 }
 
 
@@ -429,6 +435,8 @@ class TestCheckCount:
                         wrong.append((label, value, str(err)))
                 else:
                     wrong.append((label, value, "returned"))
+            if least is None:
+                continue
             try:
                 call(least - 1)
             except ValueError as err:
@@ -437,6 +445,11 @@ class TestCheckCount:
             else:
                 wrong.append((label, least - 1, "returned"))
         assert wrong == []
+
+    def test_a_negative_ground_set_holds_no_support(self):
+        assert max_support_size(-3, 2, 2) == 0
+        assert dp.table_cells(-3, 3, 2, 2) == 0
+        assert recovery.random_feasible_support(-3, 0, 2, 1, make_rng(0)) == ()
 
     def test_numpy_integer_and_bool_counts_compute_as_python_ints(self):
         wrong = []

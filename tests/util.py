@@ -17,7 +17,7 @@ import numpy as np
 
 from sepsparse import dp
 from sepsparse.head import block_decompose, drop_phase
-from sepsparse.model import check_delta
+from sepsparse.model import as_weights, check_budget, check_delta, max_support_size
 from sepsparse.seeding import make_rng
 
 
@@ -229,6 +229,78 @@ def table_row(table, r: int):
     """Row ``r`` of a DP table built on rows, as a table of its own: the
     table the same builder returns for that row alone."""
     return type(table)(table.values[r], table.flags[..., r, :], table.budget, table.delta, table.n)
+
+
+def table2_reference(x, budget: int, delta: int):
+    """The budgeted 2-spike table from its row-major forward pass.
+
+    This is ``build_table_2spike`` before it ran prefix-major: every
+    width step runs on rows of ``n`` prefixes, one per batch row, through
+    a candidate buffer.  The prefix-major pass must give the same values
+    and flags bit for bit.
+    """
+    arr = np.asarray(x)
+    x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
+    n = x.shape[-1]
+    delta = check_delta(delta, n)
+    budget = check_budget(budget)
+    if delta == 1:
+        return dp.build_table_1spike(x, budget, 1)
+    rows = x.shape[:-1]
+    s = delta - 1
+    top = min(budget, max_support_size(n, delta, 2))
+    nbytes = (n + 8) // 8
+    flags = np.zeros((top + 1, delta, *rows, nbytes), dtype=np.uint8)
+    values = np.zeros((top, *rows))
+    P = np.zeros((delta, *rows, s + n + 1))
+    V = np.zeros((delta, *rows, s + n + 1))
+    cand = np.empty(x.shape)
+    take = np.zeros((delta, *rows, 8 * nbytes), dtype=bool)
+    took = take[..., 1 : n + 1]
+    for ell in range(1, top + 1):
+        np.add(x, P[delta - 1, ..., s : s + n], out=cand)
+        np.maximum.accumulate(cand, axis=-1, out=V[1, ..., s + 1 :])
+        np.greater(cand, V[1, ..., s : s + n], out=took[1])
+        for i in range(2, delta):
+            lo = delta - i
+            np.add(x, P[delta - i, ..., lo : lo + n], out=cand)
+            np.maximum(cand, V[i - 1, ..., s : s + n], out=V[i, ..., s + 1 :])
+            np.greater(cand, V[i - 1, ..., s : s + n], out=took[i])
+        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
+        values[ell - 1] = V[1, ..., s + n]
+        P, V = V, P
+    return dp.DpTable2(values.T, flags, budget, delta, n)
+
+
+def walk2_reference(flags, lev: int, n: int, delta: int) -> tuple[int, ...]:
+    """The 2-spike walk-back with one numpy scalar read per step.
+
+    This is ``DpTable2._walk_row`` before it read each level's flags as
+    ``bytes``: ``flags`` are one row's packed take-flags and the walk
+    starts at level ``lev`` and prefix ``n``.  The byte-reading walk must
+    give the same support at every budget.
+    """
+    sol: list[int] = []
+    r = n
+    i = 1
+    while lev >= 1 and r >= 1:
+        if i <= 1:
+            r = dp._nearest_take(flags[lev, 1], r)
+            if r == 0:
+                break
+            sol.append(r)
+            lev -= 1
+            r -= 1
+            i = delta - 1
+        elif int(flags[lev, i, r >> 3]) >> (7 - (r & 7)) & 1:
+            sol.append(r)
+            lev -= 1
+            r -= i
+            i = delta - i
+        else:
+            r -= 1
+            i -= 1
+    return tuple(reversed(sol))
 
 
 def slice_solve_reference(keep, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
