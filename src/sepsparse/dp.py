@@ -32,7 +32,16 @@ deterministic and stable across runs.
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
 out of range, is a slice of that buffer and no per-level array is
-allocated.
+allocated.  Both passes take their running maximum with
+``np.fmax.accumulate``, which runs faster than ``np.maximum``'s and
+gives the same bits here (see :func:`build_table_1spike`).
+
+A 1-spike level runs only the prefixes where it can differ from the
+level below: level ``ell`` runs prefixes ``lo + 1`` to ``n``, ``lo =
+(ell - 1) * delta``, from a carry, the level below at prefix ``lo``, in
+a leading slot of its candidates (see :func:`build_table_1spike`).  The
+2-spike pass runs every level on every prefix: skipping measured slower
+there on the short tables that recovery and ``head(p=2)`` build.
 
 The 2-spike forward pass runs prefix-major, with the batch axis
 innermost: the weights are an ``(n, rows)`` array (a vector is one
@@ -48,17 +57,20 @@ slower.
 
 The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
 (131,072) weights, in a process that may run on more than one CPU, uses a
-second thread (one per further usable CPU): each level runs in one column
-segment per usable CPU, as far as each keeps ``_SPLIT_MIN`` columns.  The
-CPU count is read once per table.  The calling thread runs the first
-segment and a worker of a pool that lives for the one call runs each
-other one: each adds its candidates, takes its running maximum from 0 and
-sets its take flags against it.  The calling thread then raises each
-later segment, in order, to the row's maximum before it, mends the flags
-that maximum changes and packs the whole level once.  ``max`` is exact,
-so the values and flags are the one-segment ones bit for bit.  Batches,
-shorter vectors and one-CPU processes run one segment on the calling
-thread, and nothing else here starts a thread.
+second thread (one per further usable CPU): each level's columns ``lo``
+to ``n - 1`` run in one segment per usable CPU, as far as each keeps
+``_SPLIT_MIN`` columns.  Only such a vector reads the CPU count, once per
+table.  The calling thread runs the first segment and a worker of a pool
+that lives for the one call runs each other one: each adds its
+candidates and takes its running maximum, the first from the carry and
+each later one from its own first candidate, and sets its take flags
+against it.  The calling thread then raises each later segment, in
+order, to the row's maximum before it, mends the flags that maximum
+changes and packs the level once.  ``max`` is exact, so the values and
+flags are the one-segment ones bit for bit.  Batches, shorter vectors,
+levels whose ``n - lo`` is below ``2 * _SPLIT_MIN`` and one-CPU
+processes run one segment on the calling thread, and nothing else here
+starts a thread.
 
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
@@ -289,19 +301,19 @@ def _usable_cpus() -> int:
 _SPLIT_MIN = 1 << 16
 
 
-def _segments(shape: tuple[int, ...], cpus: int) -> list[tuple[int, int]]:
-    """The column segments ``(lo, hi)`` of a 1-spike forward pass on
-    weights of ``shape`` in a process that may run on ``cpus`` CPUs.
+def _segments(lo: int, n: int, cpus: int) -> list[tuple[int, int]]:
+    """The column segments ``(a, b)`` of one level of a vector's 1-spike
+    forward pass that runs columns ``lo`` to ``n - 1``, in a process that
+    may run on ``cpus`` CPUs.
 
-    A vector is cut into one segment per CPU, as far as each keeps
-    ``_SPLIT_MIN`` columns; a batch is one segment.  Segment ``(lo, hi)``
-    holds columns ``lo`` to ``hi - 1``, prefixes ``lo + 1`` to ``hi``.
+    The columns are cut into one segment per CPU, as far as each keeps
+    ``_SPLIT_MIN`` columns.  Segment ``(a, b)`` holds columns ``a`` to
+    ``b - 1``, prefixes ``a + 1`` to ``b``.
     """
-    n = shape[-1]
-    count = min(cpus, n // _SPLIT_MIN)
-    if len(shape) > 1 or count < 2:
-        return [(0, n)]
-    cuts = [n * j // count for j in range(count + 1)]
+    count = min(cpus, (n - lo) // _SPLIT_MIN)
+    if count < 2:
+        return [(lo, n)]
+    cuts = [lo + (n - lo) * j // count for j in range(count + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
@@ -322,11 +334,27 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget.
 
     ``x`` is a vector or a 2-D array of rows; every level runs once for
-    all rows, each row on its own along the last axis.  A long vector's
-    levels run split into column segments (see :func:`_segments`), one on
-    this thread and each other one on a worker of a pool that lives for
-    this call; this thread then raises each later segment to the row's
-    maximum before it.
+    all rows, each row on its own along the last axis.
+
+    A prefix of ``i <= (ell - 1) * delta`` weights holds fewer than ``ell``
+    picks, so there level ``ell`` is level ``ell - 1``, values and take
+    flags alike.  Level ``ell`` therefore runs only prefixes ``lo + 1`` to
+    ``n``, ``lo = (ell - 1) * delta``: the level below at prefix ``lo``,
+    the carry, goes into a leading slot of the candidates, and the
+    running maximum starts from it.  The next level reads this one's row
+    from prefix ``lo + 1`` on only, so the frozen prefixes are neither
+    filled nor copied.  The take staging below prefix ``lo + 1`` still
+    holds the level below's flags, so the level packs it whole.
+
+    The running maximum is ``np.fmax.accumulate``.  The weights hold no
+    NaN, and every candidate is a weight plus a value that starts at
+    +0.0, so no -0.0 arises and a sum can only overflow to +inf.  Without
+    NaN or signed zeros ``fmax`` and ``maximum`` agree bit for bit.
+
+    A long vector's levels run split into column segments over
+    ``[lo, n)`` (see :func:`_segments`), one on this thread and each other
+    one on a worker of a pool that lives for this call; this thread then
+    raises each later segment to the row's maximum before it.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     rows = x.shape[:-1]
@@ -338,40 +366,49 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     # Level rows live at [..., s:]; [..., 1 : n + 1] is prev[i - delta] for i = 1..n.
     prev = np.zeros((*rows, s + n + 1))
     row = np.zeros((*rows, s + n + 1))
-    cand = np.empty(x.shape)
-    # Whole bytes per row, so packing the flat array packs each row.
+    # cand[..., i] is prefix i's candidate; a level that runs from column
+    # lo holds its carry, the level below at prefix lo, in cand[..., lo].
+    cand = np.empty((*rows, n + 1))
+    # Whole bytes per row, so packing the flat array packs each row.  Below
+    # lo + 1 it still holds the level below's flags, which are this level's.
     take = np.zeros((*rows, 8 * nbytes), dtype=bool)
     took = take[..., 1 : n + 1]
-    segments = _segments(x.shape, _usable_cpus())
+    # Only a vector long enough to split reads the CPU count.
+    cpus = _usable_cpus() if not rows and n >= 2 * _SPLIT_MIN else 1
+    segments = _segments(0, n, cpus)
 
     def extend(j: int) -> None:
-        """Segment ``j``'s candidates, their running maximum from 0 and
-        their take flags against it.  A later segment's first flag is left
-        to the calling thread: it reads the row entry the segment before
+        """Segment ``j``'s candidates, their running maximum and their take
+        flags against it.  Segment 0 runs from the carry, a later one from
+        its own first candidate; a later segment's first flag is left to
+        the calling thread: it reads the row entry the segment before
         writes."""
         lo, hi = segments[j]
-        np.add(x[..., lo:hi], prev[..., 1 + lo : 1 + hi], out=cand[..., lo:hi])
-        np.maximum.accumulate(cand[..., lo:hi], axis=-1, out=row[..., s + 1 + lo : s + 1 + hi])
         first = lo + (j > 0)
-        np.greater(cand[..., first:hi], row[..., s + first : s + hi], out=took[..., first:hi])
+        np.add(x[..., lo:hi], prev[..., 1 + lo : 1 + hi], out=cand[..., 1 + lo : 1 + hi])
+        np.fmax.accumulate(cand[..., first : 1 + hi], axis=-1, out=row[..., s + first : s + 1 + hi])
+        np.greater(cand[..., 1 + first : 1 + hi], row[..., s + first : s + hi], out=took[..., first:hi])
 
     # One segment runs on this thread alone: a pool for it would cost a
     # short table (n = 200, k = 5) about a fifth of its time.
     workers = len(segments) - 1
     with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
         for ell in range(1, top + 1):
+            lo = (ell - 1) * delta
+            segments = _segments(lo, n, cpus)
+            cand[..., lo] = prev[..., s + lo]
             _run_segments(pool, extend, len(segments))
             # A later segment is a vector's.  max is exact, so raising it to
             # the row's maximum before it makes the split row the whole one.
-            for lo, hi in segments[1:]:
-                carry = row[s + lo]
-                seg = row[s + 1 + lo : s + 1 + hi]
+            for a, b in segments[1:]:
+                carry = row[s + a]
+                seg = row[s + 1 + a : s + 1 + b]
                 below = np.searchsorted(seg, carry, side="right")
                 seg[:below] = carry
-                took[lo] = cand[lo] > carry
+                took[a] = cand[1 + a] > carry
                 # Up to the last raised entry cand <= the segment's own
                 # maximum <= carry, so none of those prefixes takes.
-                took[lo + 1 : lo + below] = False
+                took[a + 1 : a + below] = False
             flags[ell] = np.packbits(take).reshape(flags.shape[1:])
             values[ell - 1] = row[..., s + n]
             prev, row = row, prev
@@ -478,7 +515,7 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
         # which makes the column a running maximum; a prefix takes where
         # that maximum rises.
         np.add(w, P[s - 1], out=V[0])
-        np.maximum.accumulate(V[0], axis=0, out=V[0])
+        np.fmax.accumulate(V[0], axis=0, out=V[0])
         np.greater(V[0], before[0], out=took[0])
         for i in range(2, delta):
             # Each width's candidates go straight into its row; a prefix

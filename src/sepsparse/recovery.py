@@ -147,9 +147,7 @@ def am_iht(
     if truth is not None and not np.isfinite(truth).all():
         raise ValueError("x_true must be finite (no NaN or inf)")
     iterations = check_count(iterations, "iterations", 0)
-    k = check_budget(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = check_count(k, "k", 0)
     cap = window_cap(n, delta)
     head_exact = window_count(n, delta, eps_head) == cap
     tail_exact = window_count(n, delta, eps_tail, 2.0) == cap
@@ -207,9 +205,7 @@ def random_feasible_support(
     only practical away from the packing limit.
     """
     n = check_count(n, "n", None)
-    k = check_budget(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = check_count(k, "k", 0)
     if k > max_support_size(n, delta, p):
         raise InfeasibleParameters(
             f"no (delta={delta}, p={p})-feasible support of size {k} exists in [1, {n}]"

@@ -1,5 +1,7 @@
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from sepsparse.dp import (
 from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 
-from util import table2_reference, table_row, unrestricted_cases, unrestricted_reference, walk2_reference
+from util import (
+    table1_reference,
+    table2_reference,
+    table_row,
+    unrestricted_cases,
+    unrestricted_reference,
+    walk2_reference,
+)
 
 
 def random_instance(rng, n_max=14, delta_max=5):
@@ -165,7 +174,7 @@ def hostile_2spike_tables(seed: int, count: int):
 
     ``x`` is a vector or a batch of 1 to 8 rows of 1 to 40 weights, padded
     with trailing zeros.  The weights cycle through integer ties with a
-    zero run, weights from 1e-300 to 1e300, sparse uniform weights, and
+    run of -0.0, weights from 1e-300 to 1e300, sparse uniform weights, and
     weights of 1e308 whose sums overflow to inf; ``delta`` is 1, 2, small,
     or ``n`` or past it; and the budget is 0, small, the packing limit,
     just past it, or ``10**23``.
@@ -178,7 +187,7 @@ def hostile_2spike_tables(seed: int, count: int):
         if kind == 0:
             x = rng.integers(0, 3, shape).astype(float)
             start = int(rng.integers(0, n))
-            x[..., start : start + int(rng.integers(0, 12))] = 0.0
+            x[..., start : start + int(rng.integers(0, 12))] = -0.0
         elif kind == 1:
             x = 10.0 ** rng.uniform(-300, 300, shape) * (rng.random(shape) < 0.7)
         elif kind == 2:
@@ -491,6 +500,107 @@ def ordered(reverse: bool):
     return run
 
 
+def hostile_1spike_tables(seed: int, count: int):
+    """``count`` ``(x, budget, delta)`` cases for the 1-spike forward pass.
+
+    ``x`` alternates between a vector of 1 to 95 weights and a batch of 1
+    to 8 rows of 1 to 40 weights, padded with trailing zeros.  The weights
+    cycle through integer ties with a zero run, weights from 1e-300 to
+    1e300, sparse uniform weights, weights of 1e308 whose sums overflow to
+    inf, and -0.0 among small integers; ``delta`` is 1, small, past half
+    of ``n`` or past ``n``; and the budget is 0 to 5, the packing limit or
+    just past it, up to ``n + 2``, or ``10**23``.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        if c % 2:
+            r, n = 0, int(rng.integers(1, 96))
+        else:
+            r, n = int(rng.integers(1, 9)), int(rng.integers(1, 41))
+        shape = (r, n) if r else (n,)
+        kind = c % 5
+        if kind == 0:
+            x = rng.integers(0, 3, shape).astype(float)
+            start = int(rng.integers(0, n))
+            x[..., start : start + int(rng.integers(0, 20))] = 0.0
+        elif kind == 1:
+            x = 10.0 ** rng.uniform(-300, 300, shape) * (rng.random(shape) < 0.7)
+        elif kind == 2:
+            x = rng.random(shape) * (rng.random(shape) < 0.25)
+        elif kind == 3:
+            x = np.where(rng.random(shape) < 0.5, 1e308, rng.random(shape))
+        else:
+            x = np.where(rng.random(shape) < 0.5, -0.0, rng.integers(0, 3, shape).astype(float))
+        if r:
+            x[np.arange(n) >= rng.integers(1, n + 1, (r, 1))] = 0.0
+        past_half = n // 2 + 1 + int(rng.integers(0, n // 2 + 1))
+        delta = (1, int(rng.integers(2, 9)), past_half, n + int(rng.integers(1, 10**6)))[int(rng.integers(0, 4))]
+        limit = max_support_size(n, delta, 1)
+        budget = (
+            int(rng.integers(0, 6)),
+            limit + int(rng.integers(0, 3)),
+            int(rng.integers(0, n + 3)),
+            10**23,
+        )[int(rng.integers(0, 4))]
+        yield x, budget, delta
+
+
+class TestLevelSkipping:
+    """Level ell of the 1-spike pass runs only the prefixes past
+    (ell - 1) * delta, from a carry, with an ``fmax`` running maximum; its
+    tables are those of the pass that runs every level on every prefix,
+    bit for bit."""
+
+    def test_tables_match_the_full_level_pass(self, monkeypatch):
+        wrong, cases, inner_cuts = [], 0, 0
+        # Sums of 1e308 overflow to inf in both passes alike.  The forced
+        # splits run on this thread, where that error state holds.
+        with np.errstate(over="ignore"):
+            for c, (x, budget, delta) in enumerate(hostile_1spike_tables(2101, 3400)):
+                want = table1_reference(x, budget, delta)
+                runs = [None]
+                if x.ndim == 1:
+                    # Segments of at least 3, 5 or 13 columns on two to four
+                    # CPUs, so a level's cuts fall inside flag bytes.
+                    runs += [((3, 5, 13)[c % 3], 2 + c % 3, ordered(c % 4 < 2))]
+                for split in runs:
+                    if split is not None:
+                        least, cpus, run = split
+                        monkeypatch.setattr(dp, "_SPLIT_MIN", least)
+                        monkeypatch.setattr(dp, "_usable_cpus", lambda cpus=cpus: cpus)
+                        monkeypatch.setattr(dp, "_run_segments", run)
+                    got = build_table_1spike(x, budget, delta)
+                    if split is not None:
+                        # Split levels past the first with a cut inside a
+                        # flag byte.
+                        for ell in range(2, len(got) + 1):
+                            cuts = [a for a, _ in dp._segments((ell - 1) * got.delta, x.size, cpus)[1:]]
+                            inner_cuts += any((a + 1) % 8 for a in cuts)
+                        monkeypatch.undo()
+                    cases += 1
+                    if not (
+                        got.values.shape == want.values.shape
+                        and got.values.tobytes() == want.values.tobytes()
+                        and got.flags.shape == want.flags.shape
+                        and got.flags.tobytes() == want.flags.tobytes()
+                    ):
+                        wrong.append((x, budget, delta, split))
+        assert wrong == []
+        assert cases >= 5000
+        assert inner_cuts > 5000
+
+
+def test_one_running_max_kernel():
+    # Both forward passes take their running maximum with np.fmax.accumulate.
+    tree = ast.parse(Path(dp.__file__).read_text())
+    kernels = {
+        node.value.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "accumulate" and isinstance(node.value, ast.Attribute)
+    }
+    assert kernels == {"fmax"}
+
+
 class TestSplitForwardPass:
     """A long vector's 1-spike levels run in column segments on threads;
     the table is the one-segment table, bit for bit."""
@@ -506,7 +616,7 @@ class TestSplitForwardPass:
             # flag byte, on two to four CPUs.
             monkeypatch.setattr(dp, "_SPLIT_MIN", (5, 13)[c % 2])
             monkeypatch.setattr(dp, "_usable_cpus", lambda c=c: 2 + c % 3)
-            split += len(dp._segments(x.shape, dp._usable_cpus())) > 1
+            split += len(dp._segments(0, x.size, dp._usable_cpus())) > 1
             # Every case in both orders on this thread, every tenth on threads.
             for run in [ordered(False), ordered(True)] + [run_on_threads] * (c % 10 == 0):
                 monkeypatch.setattr(dp, "_run_segments", run)
@@ -533,8 +643,18 @@ class TestSplitForwardPass:
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(dp, "_run_segments", counted)
-        table = build_table_1spike(x, 40, 37)
-        assert len(table) == 40 and calls == [3] * 40
+        table = build_table_1spike(x, 40, 97)
+        # Level ell runs columns (ell - 1) * 97 to 4000, in one segment per
+        # CPU as far as each keeps 500 columns: three, then two, then one.
+        want = [min(3, (4001 - (ell - 1) * 97) // 500) for ell in range(1, 41)]
+        want = [count if count > 1 else 1 for count in want]
+        assert len(table) == 40 and calls == want
+        assert set(want) == {1, 2, 3}
+        assert table.flags.tobytes() == table1_reference(x, 40, 97).flags.tobytes()
+        # A batch runs one segment a level, whatever the CPU count.
+        calls.clear()
+        assert len(build_table_1spike(np.stack([x, x]), 40, 97)) == 40
+        assert calls == [1] * 40
 
     def test_split_is_deterministic_and_leaves_no_thread(self, monkeypatch):
         x = make_rng(1703).random(4001)
@@ -542,7 +662,7 @@ class TestSplitForwardPass:
         whole = build_table_1spike(x, 40, 37)
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp, "_usable_cpus", lambda: 4)
-        assert len(dp._segments(x.shape, 4)) == 4
+        assert len(dp._segments(0, x.size, 4)) == 4
         threads = threading.active_count()
         # Four segments on four threads that switch as often as they can.
         interval = sys.getswitchinterval()
@@ -558,18 +678,20 @@ class TestSplitForwardPass:
 
     def test_segments_cover_every_column_in_order(self):
         for n in (2 * dp._SPLIT_MIN, 3 * dp._SPLIT_MIN + 5, 8 * dp._SPLIT_MIN + 7):
-            for cpus in (2, 3, 8):
-                segments = dp._segments((n,), cpus)
-                assert len(segments) == min(cpus, n // dp._SPLIT_MIN)
-                assert segments[0][0] == 0 and segments[-1][1] == n
-                assert all(hi == lo for (_, hi), (lo, _) in zip(segments, segments[1:]))
-                # One segment per CPU, as far as each keeps _SPLIT_MIN columns.
-                assert all(hi - lo >= dp._SPLIT_MIN for lo, hi in segments)
-        # Shorter vectors, batches and one CPU run one segment.
+            for start in (0, 7, n - 2 * dp._SPLIT_MIN):
+                for cpus in (2, 3, 8):
+                    segments = dp._segments(start, n, cpus)
+                    assert len(segments) == min(cpus, (n - start) // dp._SPLIT_MIN)
+                    assert segments[0][0] == start and segments[-1][1] == n
+                    assert all(hi == lo for (_, hi), (lo, _) in zip(segments, segments[1:]))
+                    # One segment per CPU, as far as each keeps _SPLIT_MIN columns.
+                    assert all(hi - lo >= dp._SPLIT_MIN for lo, hi in segments)
+        # Shorter spans and one CPU run one segment; a batch passes one CPU
+        # (test_one_hand_off_per_level).
         m = 2 * dp._SPLIT_MIN - 1
-        assert dp._segments((m,), 2) == [(0, m)]
-        assert dp._segments((2, 3 * m), 2) == [(0, 3 * m)]
-        assert dp._segments((3 * m,), 1) == [(0, 3 * m)]
+        assert dp._segments(0, m, 2) == [(0, m)]
+        assert dp._segments(5, m + 5, 8) == [(5, m + 5)]
+        assert dp._segments(0, 3 * m, 1) == [(0, 3 * m)]
 
     def test_real_minimum_splits_a_long_vector(self, monkeypatch):
         # At the private minimum itself, on two CPUs, with a zero run across
@@ -592,7 +714,7 @@ class TestSplitForwardPass:
         monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
         monkeypatch.setattr(dp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
-        assert dp._segments(x.shape, dp._usable_cpus()) == [(0, 4001)]
+        assert dp._segments(0, x.size, dp._usable_cpus()) == [(0, 4001)]
         got = build_table_1spike(x, 10, 100)
         monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
         assert got.flags.tobytes() == build_table_1spike(x, 10, 100).flags.tobytes()
@@ -615,6 +737,11 @@ class TestSplitForwardPass:
         assert len(reads) == 1
         assert got.values.tobytes() == whole.values.tobytes()
         assert got.flags.tobytes() == whole.flags.tobytes()
+        # A batch and a vector too short to split never read it.
+        reads.clear()
+        build_table_1spike(np.stack([x, x]), 10, 100)
+        build_table_1spike(x[: 2 * 500 - 1], 10, 100)
+        assert reads == []
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_segment_raises_and_leaves_no_thread(self, monkeypatch, failing):

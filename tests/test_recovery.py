@@ -130,7 +130,7 @@ class TestRandomSupport:
             random_feasible_support(10, 4, 5, 1, make_rng(0))
 
     def test_negative_k_raises(self):
-        with pytest.raises(ValueError, match="k must be >= 0"):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             random_feasible_support(10, -1, 2, 1, make_rng(0))
 
     def test_delta_zero_raises(self):
@@ -316,7 +316,7 @@ class TestAmIhtInputErrors:
 
     def test_negative_k_raises(self, other_eps):
         y, A, _ = ac9_instance(0)
-        with pytest.raises(ValueError, match="k must be >= 0"):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             am_iht(y, A, -1, 20, 1, other_eps, other_eps)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -231,6 +231,43 @@ def table_row(table, r: int):
     return type(table)(table.values[r], table.flags[..., r, :], table.budget, table.delta, table.n)
 
 
+def table1_reference(x, budget: int, delta: int):
+    """The budgeted 1-spike table from a pass that runs every level on all
+    ``n`` prefixes.
+
+    This is ``build_table_1spike`` on one segment before each level ran
+    only the prefixes where it can differ from the level below, and
+    before its running maximum was ``fmax``: every level adds all ``n``
+    candidates, takes their running maximum from 0 and packs its whole
+    staging.  The builder must give the same values and flags bit for
+    bit.
+    """
+    arr = np.asarray(x)
+    x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
+    n = x.shape[-1]
+    delta = check_delta(delta, n)
+    budget = check_budget(budget)
+    rows = x.shape[:-1]
+    s = min(delta, n)
+    top = min(budget, max_support_size(n, delta, 1))
+    nbytes = (n + 8) // 8
+    flags = np.zeros((top + 1, *rows, nbytes), dtype=np.uint8)
+    values = np.zeros((top, *rows))
+    prev = np.zeros((*rows, s + n + 1))
+    row = np.zeros((*rows, s + n + 1))
+    cand = np.empty(x.shape)
+    take = np.zeros((*rows, 8 * nbytes), dtype=bool)
+    took = take[..., 1 : n + 1]
+    for ell in range(1, top + 1):
+        np.add(x, prev[..., 1 : n + 1], out=cand)
+        np.maximum.accumulate(cand, axis=-1, out=row[..., s + 1 :])
+        np.greater(cand, row[..., s : s + n], out=took)
+        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
+        values[ell - 1] = row[..., s + n]
+        prev, row = row, prev
+    return dp.DpTable1(values.T, flags, budget, delta, n)
+
+
 def table2_reference(x, budget: int, delta: int):
     """The budgeted 2-spike table from its row-major forward pass.
 
@@ -245,7 +282,7 @@ def table2_reference(x, budget: int, delta: int):
     delta = check_delta(delta, n)
     budget = check_budget(budget)
     if delta == 1:
-        return dp.build_table_1spike(x, budget, 1)
+        return table1_reference(x, budget, 1)
     rows = x.shape[:-1]
     s = delta - 1
     top = min(budget, max_support_size(n, delta, 2))
