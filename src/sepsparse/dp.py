@@ -45,15 +45,18 @@ there on the short tables that recovery and ``head(p=2)`` build.
 
 The 2-spike forward pass runs prefix-major, with the batch axis
 innermost: the weights are an ``(n, rows)`` array (a vector is one
-column) and a level is a ``(delta - 1, delta + n, rows)`` buffer, one row
-per window width.  So each width step is three calls on contiguous
-memory.  numpy buffers a ufunc call on 2-D strided operands whole, and on
-a batch's short rows that buffering set a width step's time (about twice
-its arithmetic at 8 rows of 126).  The take flags keep one packed row per
-batch row, as the walk-backs read them: a batch packs a row-major copy of
-each level's flags.  The 1-spike pass stays row-major: its running
-maximum runs along the row, and prefix-major 1-spike batches measured
-slower.
+column) and a level is a ``(delta - 1, L, rows)`` buffer, one row per
+window width, ``L`` being ``delta + n`` rounded up to whole bytes.  So
+each width step from width 2 up is two calls on contiguous memory, an
+add and a maximum.  The take staging has the buffer's layout, and the
+flags of every width come after the width loop from two contiguous
+compares.  numpy buffers a ufunc call on 2-D strided operands whole, and
+on a batch's short rows that buffering set a width step's time (about
+twice its arithmetic at 8 rows of 126).  The take flags keep one packed
+row per batch row, as the walk-backs read them: a batch packs a
+row-major copy of each level's flags.  The 1-spike pass stays row-major:
+its running maximum runs along the row, and prefix-major 1-spike batches
+measured slower.
 
 The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
 (131,072) weights, in a process that may run on more than one CPU, uses a
@@ -90,6 +93,7 @@ batches, shortest first, under a private cap on one level's cells.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -320,11 +324,12 @@ def _segments(lo: int, n: int, cpus: int) -> list[tuple[int, int]]:
 def _run_segments(pool: ThreadPoolExecutor | None, work: Callable[[int], None], count: int) -> None:
     """``work(j)`` for ``j`` in ``range(count)``: segment 0 on this thread,
     each later one on a worker of ``pool`` (``None`` when ``count`` is 1).
-    All have finished, or one has raised here, on return; ``pool``'s
-    shutdown waits out the rest."""
+    A worker runs in a copy of this thread's context, so under its numpy
+    error state.  All have finished, or one has raised here, on return;
+    ``pool``'s shutdown waits out the rest."""
     futures = []
     for j in range(1, count):
-        futures.append(pool.submit(work, j))
+        futures.append(pool.submit(contextvars.copy_context().run, work, j))
     work(0)
     for future in futures:
         future.result()
@@ -479,8 +484,14 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     problem, so we reuse it.
 
     The pass runs prefix-major (see the module docstring): every width
-    step adds, compares and takes the maximum on contiguous memory, and
-    the flags keep one packed row per batch row.
+    step from width 2 up is two calls on contiguous memory, an add into
+    the width's row and its maximum with the skip branch.  The take flags
+    are set after the width loop, two compares for all widths: a prefix
+    takes where its value beats the skip branch, and ``max(c, k) > k``
+    exactly when ``c > k`` (the weights hold no NaN).  The take staging
+    has the level buffer's layout, so the skip branch of every width from
+    2 up is a constant offset in the flat buffer and one contiguous
+    compare covers them all.  The flags keep one packed row per batch row.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     if delta == 1:
@@ -495,38 +506,51 @@ def build_table_2spike(x, budget: int, delta: int) -> DpTable1 | DpTable2:
     w = np.ascontiguousarray(np.atleast_2d(x).T)
     R = w.shape[1]
     values = np.zeros((top, R))
-    # Levels alternate between two buffers.  Width i's row of a level lives
-    # at [i - 1, s:, :], prefix j at s + j.  Indexed by buffer, then by
-    # width - 1: ``ahead`` is each row from its prefix 1, ``behind`` from
-    # its prefix 0, and ``shifted`` row q from its prefix q + 1 - s, so
-    # width i's take branch, the previous level's width-(delta - i) row at
-    # prefixes 1 - i to n - i, is ``shifted[..., s - i]``.
-    bufs = np.zeros((2, s, s + n + 1, R))
-    ahead, behind = bufs[:, :, s + 1 :], bufs[:, :, s : s + n]
+    # Levels alternate between two buffers.  A row is L cells, s + n + 1
+    # rounded up to whole bytes of flags.  Width i's row of a level lives
+    # at [i - 1, s:, :], prefix j at s + j; every other cell stays 0.  A
+    # level reads each width's row from its prefix 1 and from its prefix
+    # 0, and ``shifted[prev]`` row q from its prefix q + 1 - s, so width i's
+    # take branch, the previous level's width-(delta - i) row at prefixes
+    # 1 - i to n - i, is ``shifted[..., s - i]``.  Views are made per
+    # level where that keeps fewer alive, and ``shifted`` is a plain
+    # ndarray on the buffer (``as_strided`` keeps about 1 KB more): the
+    # recovery tables are small enough for a view's few hundred bytes to
+    # count.
+    L = -(-(s + n + 1) // 8) * 8
+    bufs = np.zeros((2, s, L, R))
     level, width, prefix, batch = bufs.strides
-    shifted = np.lib.stride_tricks.as_strided(
-        bufs[0, 0, 1:], (2, s, n, R), (level, width + prefix, prefix, batch), writeable=False
-    )
-    take = np.zeros((s, 8 * nbytes, R), dtype=bool)
-    took = take[:, 1 : n + 1]
+    shifted = np.ndarray((2, s, n, R), bufs.dtype, bufs, prefix, (level, width + prefix, prefix, batch))
+    shifted.flags.writeable = False
+    # take[i, j] is width i + 1's flag at prefix j, whose value is at
+    # bufs[:, i, s + j].  From width 2 up its skip branch, width i at
+    # prefix j - 1, is L + 1 cells before that in the flat buffer, so one
+    # compare runs over take[1:], up to the buffer's end.  Cells at prefix
+    # 0, past n and in the next row's leading s hold 0, which beats no
+    # value, so every bit outside prefixes 1 to n stays 0.
+    take = np.zeros((s, L, R), dtype=bool)
+    took = take[0, 1 : n + 1]
+    flat = bufs.reshape(2, -1)
+    cells = max(0, ((s - 1) * L - s) * R)
+    taken = take.reshape(-1)[L * R : L * R + cells]
+    beat, beaten = (L + s) * R, (s - 1) * R
     for ell in range(1, top + 1):
-        P, V, before = shifted[ell % 2], ahead[1 - ell % 2], behind[1 - ell % 2]
+        prev, cur = ell % 2, 1 - ell % 2
+        P, V, before = shifted[prev], bufs[cur, :, s + 1 : s + n + 1], bufs[cur, :, s : s + n]
         # Width 1: the skip branch references the same column one step back,
         # which makes the column a running maximum; a prefix takes where
         # that maximum rises.
         np.add(w, P[s - 1], out=V[0])
         np.fmax.accumulate(V[0], axis=0, out=V[0])
-        np.greater(V[0], before[0], out=took[0])
-        for i in range(2, delta):
-            # Each width's candidates go straight into its row; a prefix
-            # takes where its candidate beats the skip branch.
-            row, skip = V[i - 1], before[i - 2]
-            np.add(w, P[s - i], out=row)
-            np.greater(row, skip, out=took[i - 1])
+        for row, term, skip in zip(V[1:], P[s - 2 :: -1], before):
+            # Each width's candidates go straight into its row.
+            np.add(w, term, out=row)
             np.maximum(row, skip, out=row)
+        np.greater(V[0], before[0], out=took)
+        np.greater(flat[cur, beat:], flat[cur, beaten : beaten + cells], out=taken)
         # Flags keep one packed row per batch row: packing the swapped
         # staging packs a row-major copy of a batch's (a vector's is a view).
-        flags[ell, 1:] = np.packbits(take.swapaxes(1, 2)).reshape(s, *rows, nbytes)
+        flags[ell, 1:] = np.packbits(take.swapaxes(1, 2)).reshape(s, *rows, L // 8)[..., :nbytes]
         values[ell - 1] = V[0, n - 1]
     return DpTable2(values.reshape(top, *rows).T, flags, budget, delta, n)
 

@@ -11,8 +11,6 @@ from .model import as_signal, as_support
 
 __all__ = [
     "format_support",
-    "parse_support",
-    "read_support",
     "read_vector",
     "write_support",
     "write_vector",
@@ -41,16 +39,5 @@ def format_support(support) -> str:
     return ",".join(str(i) for i in as_support(support))
 
 
-def parse_support(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return as_support(int(part) for part in text.split(","))
-
-
 def write_support(path, support) -> None:
     Path(path).write_text(format_support(support) + "\n")
-
-
-def read_support(path) -> tuple[int, ...]:
-    return parse_support(Path(path).read_text())

@@ -62,12 +62,11 @@ def tail_vector(x, delta: int) -> np.ndarray:
 class TailProfile:
     """Neighbourhood analysis of a weight vector at one separation.
 
-    ``t`` is the tail vector, ``strong`` the indices with x_i > t_i, and
-    ``r`` the reduced vector: x with every other index within distance
-    < delta of a strong index zeroed out.
+    ``strong`` holds the indices with x_i > t_i, where t is
+    :func:`tail_vector`, and ``r`` is the reduced vector: x with every
+    other index within distance < delta of a strong index zeroed out.
     """
 
-    t: np.ndarray
     strong: np.ndarray
     r: np.ndarray
 
@@ -90,7 +89,7 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
         hi = min(int(s) + delta - 1, n)
         r[lo:hi] = 0.0
         r[s - 1] = x[s - 1]
-    return TailProfile(t=t, strong=strong, r=r)
+    return TailProfile(strong=strong, r=r)
 
 
 def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 import ast
+import gc
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,24 +184,60 @@ def hostile_2spike_tables(seed: int, count: int):
     rng = make_rng(seed)
     for c in range(count):
         r, n = int(rng.integers(0, 9)), int(rng.integers(1, 41))
-        shape = (r, n) if r else (n,)
-        kind = c % 4
-        if kind == 0:
-            x = rng.integers(0, 3, shape).astype(float)
-            start = int(rng.integers(0, n))
-            x[..., start : start + int(rng.integers(0, 12))] = -0.0
-        elif kind == 1:
-            x = 10.0 ** rng.uniform(-300, 300, shape) * (rng.random(shape) < 0.7)
-        elif kind == 2:
-            x = rng.random(shape) * (rng.random(shape) < 0.25)
-        else:
-            x = np.where(rng.random(shape) < 0.5, 1e308, rng.random(shape))
-        if r:
-            x[np.arange(n) >= rng.integers(1, n + 1, (r, 1))] = 0.0
+        x = hostile_weights(rng, r, n, c % 4)
         delta = (1, 2, int(rng.integers(3, 10)), n + int(rng.integers(0, 10**6)))[int(rng.integers(0, 4))]
         limit = max_support_size(n, delta, 2)
         budget = (0, int(rng.integers(1, 6)), limit, limit + int(rng.integers(1, 3)), 10**23)[c % 5]
         yield x, budget, delta
+
+
+def hostile_weights(rng, r: int, n: int, kind: int) -> np.ndarray:
+    """A vector of ``n`` weights (``r`` 0) or a batch of ``r`` rows of
+    ``n``, padded with trailing zeros, of one of four kinds: integer ties
+    with a run of -0.0, weights from 1e-300 to 1e300, sparse uniform
+    weights, and weights of 1e308 whose sums overflow to inf."""
+    shape = (r, n) if r else (n,)
+    if kind == 0:
+        x = rng.integers(0, 3, shape).astype(float)
+        start = int(rng.integers(0, n))
+        x[..., start : start + int(rng.integers(0, 12))] = -0.0
+    elif kind == 1:
+        x = 10.0 ** rng.uniform(-300, 300, shape) * (rng.random(shape) < 0.7)
+    elif kind == 2:
+        x = rng.random(shape) * (rng.random(shape) < 0.25)
+    else:
+        x = np.where(rng.random(shape) < 0.5, 1e308, rng.random(shape))
+    if r:
+        x[np.arange(n) >= rng.integers(1, n + 1, (r, 1))] = 0.0
+    return x
+
+
+def long_2spike_tables(seed: int, count: int):
+    """``count`` ``(x, budget, delta)`` cases for the 2-spike forward pass
+    on longer rows: a vector or a batch of 1 to 8 rows of up to 300 of
+    :func:`hostile_weights`, with ``delta`` from 2 to 9 or from 10 to 70.
+    So the level buffer's row, ``delta + n`` cells, falls both on and off
+    whole bytes, with ``delta - 1`` below 8 and past it.  The budget is
+    small, the packing limit or ``10**23``.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        r, n = int(rng.integers(0, 9)), int(rng.integers(1, 301))
+        x = hostile_weights(rng, r, n, c % 4)
+        delta = int(rng.integers(2, 10)) if c % 2 else int(rng.integers(10, 71))
+        budget = (int(rng.integers(1, 6)), max_support_size(n, delta, 2), 10**23)[c % 3]
+        yield x, budget, delta
+
+
+def same_table(got, want) -> bool:
+    """Whether two tables are of one type with the same values and flags, bit for bit."""
+    return (
+        type(got) is type(want)
+        and got.values.shape == want.values.shape
+        and got.values.tobytes() == want.values.tobytes()
+        and got.flags.shape == want.flags.shape
+        and got.flags.tobytes() == want.flags.tobytes()
+    )
 
 
 class TestPrefixMajor2Spike:
@@ -212,16 +250,30 @@ class TestPrefixMajor2Spike:
         # Sums of 1e308 overflow to inf in both passes alike.
         with np.errstate(over="ignore"):
             for x, budget, delta in hostile_2spike_tables(1901, 3000):
-                got, want = build_table_2spike(x, budget, delta), table2_reference(x, budget, delta)
-                if not (
-                    type(got) is type(want)
-                    and got.values.shape == want.values.shape
-                    and got.values.tobytes() == want.values.tobytes()
-                    and got.flags.shape == want.flags.shape
-                    and got.flags.tobytes() == want.flags.tobytes()
-                ):
+                if not same_table(build_table_2spike(x, budget, delta), table2_reference(x, budget, delta)):
                     wrong.append((x, budget, delta))
         assert wrong == []
+
+    def test_long_rows_match_the_row_major_pass(self):
+        wrong, whole_bytes, short_skip = [], set(), set()
+        with np.errstate(over="ignore"):
+            for x, budget, delta in long_2spike_tables(2201, 400):
+                whole_bytes.add((delta + x.shape[-1]) % 8 == 0)
+                short_skip.add(delta - 1 < 8)
+                if not same_table(build_table_2spike(x, budget, delta), table2_reference(x, budget, delta)):
+                    wrong.append((x, budget, delta))
+        assert wrong == []
+        assert whole_bytes == short_skip == {False, True}
+
+    @pytest.mark.parametrize("rows, n, budget, delta", [(0, 200, 10, 20), (8, 126, 4, 63)])
+    def test_workload_shapes_match_the_row_major_pass(self, rows, n, budget, delta):
+        # A recovery table and a batch of blocks that head(p=2) solves.
+        rng = make_rng(2202)
+        for kind in range(4):
+            x = hostile_weights(rng, rows, n, kind)
+            with np.errstate(over="ignore"):
+                got, want = build_table_2spike(x, budget, delta), table2_reference(x, budget, delta)
+            assert same_table(got, want)
 
     def test_walk_matches_the_scalar_walk_at_every_budget(self):
         wrong, walks = [], 0
@@ -245,6 +297,33 @@ class TestPrefixMajor2Spike:
                         wrong.append((x, budget, delta, b))
         assert wrong == []
         assert walks > 20_000
+
+
+def test_2spike_table_allocates_little_past_its_own_arrays():
+    # The recovery table: numpy's iterator buffers for a strided ufunc call,
+    # or a list of views per table, would each cost a large share of it.
+    n, budget, delta = 200, 10, 20
+    x = make_rng(2203).random(n)
+    build_table_2spike(x, budget, delta)
+    peaks = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # np.packbits allocates a fixed iterator of about 5 KB a call,
+        # whatever the size of its input; the table packs a level at a time.
+        for call in (lambda: np.packbits(np.zeros(8, dtype=bool)), lambda: build_table_2spike(x, budget, delta)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            table = call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    pack, peak = peaks
+    s = delta - 1
+    row = -(-(s + n + 1) // 8) * 8
+    # Two level buffers of float rows, the bool take staging, the flags and the values.
+    own = 2 * s * row * 8 + s * row + table.flags.nbytes + table.values.nbytes
+    assert peak - pack <= 1.1 * own, (peak, pack, own)
 
 
 @pytest.mark.parametrize(
@@ -771,3 +850,18 @@ class TestSplitForwardPass:
             build_table_1spike(make_rng(1713).random(4001), 10, 100)
         assert started.is_set()
         assert threading.active_count() == threads
+
+    def test_the_worker_runs_under_the_callers_error_state(self, monkeypatch):
+        # Sums of 1e308 overflow to inf.  np.errstate is a context variable,
+        # so the worker's segment must run in the caller's context to
+        # ignore the overflow as the caller asked.
+        x = np.where(make_rng(1714).random(40) < 0.5, 1e308, 1.0)
+        monkeypatch.setattr(dp, "_SPLIT_MIN", 5)
+        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
+        assert len(dp._segments(0, x.size, 2)) == 2
+        with np.errstate(over="ignore"):
+            got = build_table_1spike(x, 6, 3)
+            want = table1_reference(x, 6, 3)
+        assert np.isinf(got.values).any()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.flags.tobytes() == want.flags.tobytes()

@@ -4,8 +4,6 @@ import pytest
 from sepsparse.seeding import make_rng
 from sepsparse.serialize import (
     format_support,
-    parse_support,
-    read_support,
     read_vector,
     write_support,
     write_vector,
@@ -29,15 +27,13 @@ def test_support_roundtrip(tmp_path):
     path = tmp_path / "sup.txt"
     write_support(path, (2, 7, 11))
     assert path.read_text() == "2,7,11\n"
-    assert read_support(path) == (2, 7, 11)
 
 
 def test_empty_support(tmp_path):
     path = tmp_path / "sup.txt"
     write_support(path, ())
-    assert read_support(path) == ()
+    assert path.read_text() == "\n"
     assert format_support(()) == ""
-    assert parse_support("  ") == ()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -69,8 +69,8 @@ class TestStrongAndReduced:
         prof = strong_and_reduced([0.0, 5, 1, 0], 2)
         assert list(prof.strong) == [2]
         assert np.array_equal(prof.r, [0.0, 5.0, 0.0, 0.0])
+        assert np.array_equal(tail_vector([1.0, 1, 1], 2), [1.0, 2.0, 1.0])
         prof = strong_and_reduced([1.0, 1, 1], 2)
-        assert np.array_equal(prof.t, [1.0, 2.0, 1.0])
         assert prof.strong.size == 0
         assert np.array_equal(prof.r, [1.0, 1.0, 1.0])
         prof = strong_and_reduced(np.zeros(4), 3)
