@@ -1,7 +1,9 @@
 """Command-line interface: project / recover / gen / bench.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when the requested
-parameters admit no feasible support.
+parameters admit no feasible support.  A configuration error is any
+``ValueError`` or ``OSError``: the library checks every parameter and input
+vector itself, so the commands check only what their flags add.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
 from .head import head_project
-from .model import InfeasibleParameters, brute_force_solve, check_delta, objective
+from .model import InfeasibleParameters, brute_force_solve, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
 from .serialize import read_vector, write_support, write_vector
@@ -33,10 +35,6 @@ EXIT_INFEASIBLE = 3
 MAX_OPT_CELLS = 5e7
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _project_opt(x, k, delta, spikes):
     """Exact optimum for ratio reporting, skipped when a DP would be too big."""
     if dp.table_cells(x.size, k, delta, spikes) > MAX_OPT_CELLS:
@@ -47,18 +45,15 @@ def _project_opt(x, k, delta, spikes):
 def _cmd_project(args) -> int:
     x = read_vector(args.infile)
     if x.size == 0:
-        raise ConfigError(f"{args.infile} contains no values")
-    if float(x.min()) < 0:
-        raise ConfigError("input vector has negative entries; square it first")
+        raise ValueError(f"{args.infile} contains no values")
     if args.k < 1:
-        raise ConfigError("k must be >= 1")
-    check_delta(args.delta, x.size)
+        raise ValueError("k must be >= 1")
     spikes = args.spikes
     if args.algo in ("tail", "topk") and spikes != 1:
-        raise ConfigError(f"--algo {args.algo} supports --spikes 1 only, got {spikes}")
+        raise ValueError(f"--algo {args.algo} supports --spikes 1 only, got {spikes}")
     needs_eps = args.algo in ("head", "tail")
     if needs_eps and args.epsilon is None:
-        raise ConfigError(f"--epsilon is required for --algo {args.algo}")
+        raise ValueError(f"--epsilon is required for --algo {args.algo}")
 
     start = time.perf_counter()
     if args.algo == "dp":
@@ -98,14 +93,14 @@ def _cmd_project(args) -> int:
 
 def _cmd_recover(args) -> int:
     if args.n < 1 or args.k < 1:
-        raise ConfigError("n and k must be >= 1")
-    check_delta(args.delta, args.n)
+        raise ValueError("n and k must be >= 1")
     m = args.m if args.m is not None else default_measurement_count(args.n, args.k)
 
-    A = gen_sensing(m, args.n, derive_seed(args.seed, 0))
+    # The support checks delta and k, so a bad one fails before the m x n draw.
     support = random_feasible_support(
         args.n, args.k, args.delta, 1, make_rng(args.seed, 1)
     )
+    A = gen_sensing(m, args.n, derive_seed(args.seed, 0))
     coeffs = make_rng(args.seed, 2).standard_normal(args.k)
     x_true = np.zeros(args.n)
     x_true[np.asarray(support, dtype=np.intp) - 1] = coeffs
@@ -154,11 +149,9 @@ def _cmd_recover(args) -> int:
 def _cmd_gen(args) -> int:
     if args.gap is None:
         if args.spikes_out:
-            raise ConfigError("--spikes-out needs --gap: uniform instances have no spikes")
+            raise ValueError("--spikes-out needs --gap: uniform instances have no spikes")
         x = gen_uniform(args.n, args.seed)
     else:
-        if not args.gap >= 1:  # also rejects NaN
-            raise ConfigError(f"--gap must be >= 1, got {args.gap}")
         x, spikes = gen_poisson(args.n, args.gap, args.seed)
         if args.spikes_out:
             write_support(args.spikes_out, spikes)
@@ -171,7 +164,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.format == "dat" and not args.out:
-        raise ConfigError("--format dat needs --out as a filename prefix")
+        raise ValueError("--format dat needs --out as a filename prefix")
     rows = bench_mod.run_preset(args.preset, seed=args.seed, repeats=args.repeats)
     if args.format == "dat":
         written = bench_mod.rows_to_dat(rows, args.out)
@@ -254,7 +247,7 @@ def main(argv=None) -> int:
     except InfeasibleParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

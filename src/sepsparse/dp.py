@@ -141,25 +141,18 @@ def _nearest_take(row: np.ndarray, i: int) -> int:
     """Largest index i' <= i whose bit is set in the packed row, or 0 if none.
 
     Bit 0 is a dummy 0, so 0 doubles as the "no take" sentinel.  The byte
-    holding bit i is tested first; earlier bytes are searched backwards in
-    chunks that double in size, so the cost follows the distance scanned,
-    not the row length.
+    holding bit i is tested first; when it holds no take at or before i,
+    the last nonzero byte before it is found in one C-speed scan, the
+    length of the preceding bytes with their trailing zero bytes stripped.
     """
     b = i >> 3
     # packbits is big-endian within a byte: bit j of the row is value bit 7 - j % 8.
     byte = int(row[b]) & (0xFF00 >> ((i & 7) + 1))
-    chunk = 64
-    while not byte:
-        if b == 0:
+    if not byte:
+        b = len(row[:b].tobytes().rstrip(b"\0")) - 1
+        if b < 0:
             return 0
-        lo = max(0, b - chunk)
-        nz = np.flatnonzero(row[lo:b])
-        if nz.size:
-            b = lo + int(nz[-1])
-            byte = int(row[b])
-        else:
-            b = lo
-            chunk *= 2
+        byte = int(row[b])
     return (b << 3) + 8 - (byte & -byte).bit_length()
 
 

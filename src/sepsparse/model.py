@@ -13,9 +13,9 @@ Conventions used throughout the package:
 * Each parameter rule has one home: :func:`check_delta` checks and clamps
   ``delta``, :func:`check_p` checks ``p``, :func:`check_budget` checks a
   budget ``k``, :func:`check_lam` checks a window count ``lam``,
-  :func:`check_count` checks every other count and every seed, and
-  :func:`is_feasible` is the one feasibility test, which every other
-  module calls.
+  :func:`check_count` checks every other count and every seed,
+  :func:`as_weights` checks every weight vector, and :func:`is_feasible`
+  is the one feasibility test, which every other module calls.
 """
 
 from __future__ import annotations
@@ -53,7 +53,11 @@ class InfeasibleParameters(ValueError):
 
 
 def as_weights(x) -> np.ndarray:
-    """Coerce ``x`` to a contiguous float64 vector of finite non-negative weights."""
+    """Coerce ``x`` to a contiguous float64 vector of finite non-negative weights.
+
+    Every projection runs its input through this before any other work, so
+    it is the one home of the weight rule; the CLI relies on it too.
+    """
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
@@ -64,7 +68,7 @@ def as_weights(x) -> np.ndarray:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weight vectors must be finite (no NaN or inf)")
         if lo < 0.0:
-            raise ValueError("weight vectors must be entrywise non-negative")
+            raise ValueError("weight vectors must be entrywise non-negative; square a signed signal first")
     return arr
 
 

@@ -91,17 +91,24 @@ def gen_sensing(m: int, n: int, seed: int) -> np.ndarray:
     return make_rng(seed).standard_normal((m, n)) * (1.0 / math.sqrt(m))
 
 
+def _model_signal(v, name: str, A: np.ndarray, axis: int) -> np.ndarray:
+    """``v`` as a finite signal as long as axis ``axis`` of the model ``A``:
+    its height (0) for measurements, its width (1) for signals."""
+    arr = as_signal(v)
+    if arr.size != A.shape[axis]:
+        side = ("height", "width")[axis]
+        raise ValueError(f"{name} length {arr.size} != model {side} {A.shape[axis]}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    return arr
+
+
 def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     """Observe ``y = A x + e`` with i.i.d. Gaussian noise of the given sigma."""
-    m, n = A.shape
-    x = as_signal(x)
-    if x.size != n:
-        raise ValueError(f"signal length {x.size} != model width {n}")
-    if not np.isfinite(x).all():
-        raise ValueError("signal x must be finite (no NaN or inf)")
+    x = _model_signal(x, "signal x", A, 1)
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    e = make_rng(seed).standard_normal(m) * noise_sigma
+    e = make_rng(seed).standard_normal(A.shape[0]) * noise_sigma
     return Measurement(y=A @ x + e, e=e)
 
 
@@ -135,17 +142,9 @@ def am_iht(
     ``head_path`` and ``tail_path`` say which ran.  The counts check
     ``delta`` and the epsilons up front, whichever path runs.
     """
-    m, n = A.shape
-    y = as_signal(y)
-    if y.size != m:
-        raise ValueError(f"measurement length {y.size} != model height {m}")
-    if not np.isfinite(y).all():
-        raise ValueError("measurements y must be finite (no NaN or inf)")
-    truth = None if x_true is None else as_signal(x_true)
-    if truth is not None and truth.size != n:
-        raise ValueError(f"x_true length {truth.size} != model width {n}")
-    if truth is not None and not np.isfinite(truth).all():
-        raise ValueError("x_true must be finite (no NaN or inf)")
+    n = A.shape[1]
+    y = _model_signal(y, "measurements y", A, 0)
+    truth = None if x_true is None else _model_signal(x_true, "x_true", A, 1)
     iterations = check_count(iterations, "iterations", 0)
     k = check_count(k, "k", 0)
     cap = window_cap(n, delta)

@@ -246,6 +246,24 @@ class TestProject:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("algo", ["dp", "head", "tail", "topk", "oracle"])
+    def test_every_algo_rejects_what_the_library_rejects(self, capsys, tmp_path, algo):
+        # project checks neither the sign nor delta itself: each algorithm does.
+        eps = ["--epsilon", "0.5"] if algo in ("head", "tail") else []
+        path = tmp_path / "neg.txt"
+        write_vector(path, [1.0, -2.0])
+        code, out, err = run_cli(
+            capsys, "project", "--in", str(path), "--k", "1", "--delta", "1", "--algo", algo, *eps
+        )
+        assert (code, out) == (2, "")
+        assert "non-negative; square a signed signal first" in err
+        path.write_text("1.0\n2.0\n")
+        code, out, err = run_cli(
+            capsys, "project", "--in", str(path), "--k", "1", "--delta", "0", "--algo", algo, *eps
+        )
+        assert (code, out) == (2, "")
+        assert "delta must be >= 1" in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_vector_rejected(self, capsys, tmp_path, bad):
         path = tmp_path / "bad.txt"
@@ -315,7 +333,7 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--n", "10", "--gap", "0.5")
         assert code == 2
         assert out == ""
-        assert "--gap" in err
+        assert "expected_gap must be >= 1, got 0.5" in err
 
     @pytest.mark.parametrize("gap", ["1e300", "inf"])
     def test_gap_past_int64_returns(self, capsys, gap):
@@ -327,7 +345,7 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--n", "5", "--gap", "nan")
         assert code == 2
         assert out == ""
-        assert "--gap" in err
+        assert "expected_gap must be >= 1, got nan" in err
 
     def test_n_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--n", "0")
@@ -386,6 +404,16 @@ class TestRecover:
         assert code == 2
         assert out == ""
         assert "sigma" in err
+
+    def test_infeasible_k_exits_3_before_the_sensing_draw(self, capsys, monkeypatch):
+        draws = []
+        real = cli.gen_sensing
+        monkeypatch.setattr(cli, "gen_sensing", lambda m, n, seed: draws.append((m, n)) or real(m, n, seed))
+        code, out, err = run_cli(capsys, "recover", "--n", "10", "--k", "5", "--delta", "5")
+        assert code == 3
+        assert out == ""
+        assert "no (delta=5, p=1)-feasible support of size 5 exists in [1, 10]" in err
+        assert draws == []
 
     def test_delta_below_one_exits_2(self, capsys, monkeypatch):
         # The check runs before the sensing matrix is drawn.

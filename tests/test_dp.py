@@ -488,6 +488,28 @@ class TestTableBuilder:
         assert table_builder(2) is build_table_2spike
 
 
+def nearest_take_reference(row: np.ndarray, i: int) -> int:
+    """Largest set bit at or before ``i`` of the packed ``row``, or 0."""
+    hits = np.flatnonzero(np.unpackbits(row)[: i + 1])
+    return int(hits[-1]) if hits.size else 0
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 9, 70])
+def test_nearest_take_matches_an_unpackbits_scan(nbytes):
+    # Bit 0 is the walks' dummy 0, so it is never set.  Every i is asked,
+    # which covers i = 0 and both sides of each byte boundary.
+    rng = make_rng(nbytes)
+    rows = [np.zeros(nbytes, dtype=np.uint8)]
+    for density in (0.01, 0.1, 0.5):
+        rows.append(np.packbits(rng.random(8 * nbytes) < density))
+    for bit in {1, 7, 8, 9, 15, 16, 8 * nbytes - 1} & set(range(1, 8 * nbytes)):
+        rows.append(np.packbits(np.arange(8 * nbytes) == bit))
+    for row in rows:
+        row[0] &= 0x7F
+        for i in range(8 * nbytes):
+            assert dp._nearest_take(row, i) == nearest_take_reference(row, i), (row.tolist(), i)
+
+
 class TestRows:
     """A builder runs a 2-D array of rows; a row padded with trailing zeros
     keeps the table of the row alone, which batched slices rest on."""

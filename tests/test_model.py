@@ -566,6 +566,24 @@ def test_each_parameter_rule_has_one_home():
     assert arithmetic == []
 
 
+def test_the_cli_and_recovery_keep_no_copy_of_a_library_rule():
+    # The CLI raises the library's ValueError and leaves the sign, delta and
+    # gap rules to the library; recovery checks every signal in one helper.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+
+    def strings(tree):
+        return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    assert [n.name for n in ast.walk(cli_tree) if isinstance(n, ast.ClassDef)] == []
+    imported = {a.name for n in ast.walk(cli_tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "check_delta" not in imported
+    assert [s for s in strings(cli_tree) if "negative entries" in s or "--gap must be" in s] == []
+    recovery_tree = ast.parse((package / "recovery.py").read_text())
+    finite = [s for s in strings(recovery_tree) if "must be finite (no NaN or inf)" in s]
+    assert len(finite) == 1
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so the package must not rely on them.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"

@@ -339,7 +339,7 @@ class TestAmIhtInputErrors:
     def test_y_of_the_wrong_length_raises(self, other_eps):
         y, A, _ = ac9_instance(0)
         m = A.shape[0]
-        with pytest.raises(ValueError, match=f"measurement length {m - 1} != model height {m}"):
+        with pytest.raises(ValueError, match=f"measurements y length {m - 1} != model height {m}"):
             am_iht(y[:-1], A, 5, 20, 1, other_eps, other_eps)
 
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
