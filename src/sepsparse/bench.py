@@ -1,4 +1,10 @@
-"""Benchmark harness: runtime and quality sweeps over random instances.
+"""Benchmark harness, and the rules ``project`` shares with it.
+
+:func:`solve` is the one table from an algorithm name (``ALGOS``) to its
+projector, with the one check that ``tail`` and ``topk`` take single-spike
+models only; :func:`ratios` is the one quality rule, the captured-mass and
+leftover ratios against the exact optimum.  Both the sweeps below and the
+CLI's ``project`` go through them.
 
 A sweep lists ``(n, k, delta)`` points, the algorithms to run at each and
 the spike count ``p`` they all share.  Every repeat of a point draws one
@@ -20,31 +26,69 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import dp
+from . import dp, head, tail
 from .generators import gen_poisson, gen_uniform
-from .head import head_project
-from .model import check_count, objective
+from .model import brute_force_solve, check_count, objective
 from .seeding import derive_seed
-from .tail import tail_project
 
 __all__ = [
+    "ALGOS",
     "AlgoSpec",
     "BenchRow",
     "PRESETS",
     "Sweep",
     "bench_sweep",
+    "ratios",
     "rows_to_csv",
     "rows_to_dat",
     "rows_to_json",
     "run_preset",
+    "solve",
 ]
 
 GUARANTEE_SLACK = 1e-9
 
+ALGOS = ("dp", "head", "tail", "topk", "oracle")
+
+
+def solve(
+    algo: str, x: np.ndarray, k: int, delta: int, p: int, epsilon: float | None = None
+) -> tuple[int, ...]:
+    """The support that algorithm ``algo`` (one of ``ALGOS``) picks.
+
+    ``dp`` is the exact ``p``-spike table, ``oracle`` the exhaustive search
+    (``n <= 25``); ``head`` and ``tail`` take ``epsilon``.  The projectors
+    are looked up on their modules at call time, where
+    ``perfbench/tracing.py`` patches them.
+    """
+    if algo in ("tail", "topk") and p != 1:
+        raise ValueError(f"{algo} supports single-spike models only (spikes p = 1), got p={p}")
+    if algo == "dp":
+        return dp.table_builder(p)(x, k, delta).support(k)
+    if algo == "head":
+        return head.head_project(x, k, delta, p, epsilon)
+    if algo == "tail":
+        return tail.tail_project(x, k, delta, epsilon)
+    if algo == "topk":
+        return tail.topk_tail_project(x, k, delta)
+    if algo == "oracle":
+        return brute_force_solve(x, k, delta, p)[0]
+    raise ValueError(f"unknown algo {algo!r}")
+
+
+def ratios(value: float, opt: float, total: float, unit: float) -> tuple[float | None, float | None]:
+    """``(head, tail)``: ``unit * value / opt`` and ``unit * leftover /
+    optimal leftover``, each ``None`` where its denominator is not positive
+    (an optimal leftover of at most ``GUARANTEE_SLACK`` counts as zero)."""
+    head_ratio = unit * value / opt if opt > 0.0 else None
+    opt_leftover = total - opt
+    tail_ratio = unit * (total - value) / opt_leftover if opt_leftover > GUARANTEE_SLACK else None
+    return head_ratio, tail_ratio
+
 
 @dataclass(frozen=True)
 class AlgoSpec:
-    """One benchmarked algorithm: 'dp', 'head', or 'tail'.
+    """One benchmarked algorithm of ``ALGOS``, run through :func:`solve`.
 
     ``lam`` is the precision knob of the approximate algorithms: head and
     tail each solve ``lam + 1`` keep-sets, at an epsilon well inside the
@@ -62,15 +106,9 @@ class AlgoSpec:
         return f"{name}{suffix}{spikes}"
 
     def run(self, x: np.ndarray, k: int, delta: int, p: int) -> tuple[int, ...]:
-        if self.algo == "dp":
-            return dp.table_builder(p)(x, k, delta).support(k)
-        if self.algo == "head":
-            return head_project(x, k, delta, p, 1.0 / (self.lam - 0.5))
-        if self.algo == "tail":
-            if p != 1:
-                raise ValueError(f"tail supports p = 1 only, got p={p}")
-            return tail_project(x, k, delta, 2.0 / (self.lam - 0.5))
-        raise ValueError(f"unknown algo {self.algo!r}")
+        scale = 2.0 if self.algo == "tail" else 1.0
+        epsilon = None if self.lam is None else scale / (self.lam - 0.5)
+        return solve(self.algo, x, k, delta, p, epsilon)
 
 
 @dataclass(frozen=True)
@@ -133,9 +171,9 @@ def bench_sweep(sweep: Sweep, seed: int = 0, repeats: int = 100) -> list[BenchRo
     """One row per (point, algorithm): mean wall time, plus ratios for quality.
 
     Instance generation and the exact optimum are not timed.  Tail ratios
-    average only the repeats whose optimal leftover is nonzero; if every
-    repeat degenerates the column is left empty.  Two-spike sweeps report
-    head ratios only.
+    average only the repeats whose optimal leftover is above
+    ``GUARANTEE_SLACK``; if every repeat degenerates the column is left
+    empty.  Two-spike sweeps report head ratios only.
     """
     repeats = check_count(repeats, "repeats")
     build = dp.table_builder(sweep.p)
@@ -180,17 +218,17 @@ def _score(
     tail_ratios: list[float] = []
     ok = True
     for val, (opt, total) in zip(values, optima):
-        if opt > 0.0:
-            head_ratios.append(100.0 * val / opt)
+        head_ratio, tail_ratio = ratios(val, opt, total, 100.0)
+        if head_ratio is not None:
+            head_ratios.append(head_ratio)
         if spec.algo == "head" and val < (spec.lam / (spec.lam + 1)) * opt - GUARANTEE_SLACK:
             ok = False
         if row.p == 1:
-            leftover, opt_leftover = total - val, total - opt
-            if opt_leftover > GUARANTEE_SLACK:
-                tail_ratios.append(100.0 * leftover / opt_leftover)
+            if tail_ratio is not None:
+                tail_ratios.append(tail_ratio)
             if spec.algo == "tail":
                 bound = 1.0 + 2.0 / (spec.lam + 1)
-                if leftover > bound * opt_leftover + GUARANTEE_SLACK:
+                if total - val > bound * (total - opt) + GUARANTEE_SLACK:
                     ok = False
     row.head_pct = float(np.mean(head_ratios)) if head_ratios else None
     row.tail_pct = float(np.mean(tail_ratios)) if tail_ratios else None

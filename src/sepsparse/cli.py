@@ -4,11 +4,17 @@ Exit codes: 0 on success, 2 on configuration errors, 3 when the requested
 parameters admit no feasible support.  A configuration error is any
 ``ValueError`` or ``OSError``: the library checks every parameter and input
 vector itself, so the commands check only what their flags add.
+
+``project`` runs its algorithm through ``bench.solve`` and scores it with
+``bench.ratios``, the rules the benchmark sweeps use.  Every command writes
+its main output through :func:`_emit`: to the ``--out`` file, or to stdout
+without one.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -18,12 +24,13 @@ import numpy as np
 from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
-from .head import head_project
-from .model import InfeasibleParameters, brute_force_solve, objective
+from .model import InfeasibleParameters, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
-from .serialize import read_vector, write_support, write_vector
-from .tail import tail_project, topk_tail_project
+from .serialize import format_vector, read_vector, write_support
+
+# perfbench/tracing.py patches this name here; keep it importable.
+from .head import head_project  # noqa: F401
 
 __all__ = ["main", "run"]
 
@@ -49,23 +56,11 @@ def _cmd_project(args) -> int:
     if args.k < 1:
         raise ValueError("k must be >= 1")
     spikes = args.spikes
-    if args.algo in ("tail", "topk") and spikes != 1:
-        raise ValueError(f"--algo {args.algo} supports --spikes 1 only, got {spikes}")
-    needs_eps = args.algo in ("head", "tail")
-    if needs_eps and args.epsilon is None:
+    if args.algo in ("head", "tail") and args.epsilon is None:
         raise ValueError(f"--epsilon is required for --algo {args.algo}")
 
     start = time.perf_counter()
-    if args.algo == "dp":
-        support = dp.table_builder(spikes)(x, args.k, args.delta).support(args.k)
-    elif args.algo == "head":
-        support = head_project(x, args.k, args.delta, spikes, args.epsilon)
-    elif args.algo == "tail":
-        support = tail_project(x, args.k, args.delta, args.epsilon)
-    elif args.algo == "topk":
-        support = topk_tail_project(x, args.k, args.delta)
-    else:  # oracle
-        support, _ = brute_force_solve(x, args.k, args.delta, spikes)
+    support = bench_mod.solve(args.algo, x, args.k, args.delta, spikes, args.epsilon)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
 
     value = objective(x, support)
@@ -83,11 +78,8 @@ def _cmd_project(args) -> int:
         opt = _project_opt(x, args.k, args.delta, spikes)
         if opt is not None:
             result["opt"] = opt
-            result["head_ratio"] = value / opt if opt > 0 else None
-            total = float(x.sum())
-            opt_leftover = total - opt
-            result["tail_ratio"] = (total - value) / opt_leftover if opt_leftover > 1e-12 else None
-    _emit_json(result, args.out)
+            result["head_ratio"], result["tail_ratio"] = bench_mod.ratios(value, opt, float(x.sum()), 1)
+    _emit(json.dumps(result, indent=2) + "\n", args.out)
     return 0
 
 
@@ -136,11 +128,7 @@ def _cmd_recover(args) -> int:
         "head_path": trace.head_path,
         "tail_path": trace.tail_path,
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(csv_text, args.out)
     # The summary takes whichever stream the trace CSV left free, in one format.
     (sys.stdout if args.out else sys.stderr).write(json.dumps(summary, indent=2) + "\n")
     return 0
@@ -155,10 +143,7 @@ def _cmd_gen(args) -> int:
         x, spikes = gen_poisson(args.n, args.gap, args.seed)
         if args.spikes_out:
             write_support(args.spikes_out, spikes)
-    if args.out:
-        write_vector(args.out, x)
-    else:
-        sys.stdout.write("".join(f"{v!r}\n" for v in x.tolist()))
+    _emit(format_vector(x), args.out)
     return 0
 
 
@@ -171,18 +156,16 @@ def _cmd_bench(args) -> int:
         print("\n".join(written))
         return 0
     writer = bench_mod.rows_to_csv if args.format == "csv" else bench_mod.rows_to_json
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer(rows, fh)
-    else:
-        writer(rows, sys.stdout)
+    text = io.StringIO()
+    writer(rows, text)
+    _emit(text.getvalue(), args.out)
     return 0
 
 
-def _emit_json(payload, out) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(text: str, out) -> None:
+    """Write ``text`` to the ``--out`` file as it is, or to stdout without one."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -201,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--delta", type=int, required=True)
     proj.add_argument("--spikes", type=int, default=1,
                       help="spike count p of the model (tail and topk take only 1)")
-    proj.add_argument("--algo", required=True, choices=["dp", "head", "tail", "topk", "oracle"])
+    proj.add_argument("--algo", required=True, choices=bench_mod.ALGOS)
     proj.add_argument("--epsilon", type=float, default=None)
     proj.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     proj.set_defaults(func=_cmd_project)

@@ -132,9 +132,7 @@ def _prepare(x, budget: int, delta: int) -> tuple[np.ndarray, int, int, int]:
 
 def _levels(n: int, budget: int, delta: int, p: int) -> int:
     """The levels a budget-``budget`` table runs: the budget, >= 0, capped at the packing limit."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return min(budget, max_support_size(n, delta, p))
+    return min(check_count(budget, "budget", 0), max_support_size(n, delta, p))
 
 
 def _nearest_take(row: np.ndarray, i: int) -> int:

@@ -11,15 +11,20 @@ from .model import as_signal, as_support
 
 __all__ = [
     "format_support",
+    "format_vector",
     "read_vector",
     "write_support",
     "write_vector",
 ]
 
 
+def format_vector(v) -> str:
+    """One number per line, each the shortest text that reads back exactly."""
+    return "".join(f"{value!r}\n" for value in as_signal(v).tolist())
+
+
 def write_vector(path, v) -> None:
-    arr = as_signal(v)
-    Path(path).write_text("".join(f"{value!r}\n" for value in arr.tolist()))
+    Path(path).write_text(format_vector(v))
 
 
 def read_vector(path) -> np.ndarray:

@@ -246,6 +246,26 @@ class TestProject:
         )
         assert code == 2
 
+    def test_ratios_agree_with_bench_on_a_near_zero_leftover(self, capsys, tmp_path, monkeypatch):
+        # The optimal leftover is 5e-10, inside bench.GUARANTEE_SLACK: project
+        # and a bench quality row on the same values both leave the tail
+        # ratio out.
+        x = [1.0, 0.0, 5e-10]
+        path = tmp_path / "x.txt"
+        write_vector(path, x)
+        code, out, _ = run_cli(
+            capsys, "project", "--in", str(path), "--k", "1", "--delta", "2",
+            "--algo", "head", "--epsilon", "0.5",
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert (result["head_ratio"], result["tail_ratio"]) == (1.0, None)
+
+        monkeypatch.setattr(bench_mod, "_instance", lambda sweep, n, seed: np.array(x))
+        sweep = bench_mod.Sweep([(3, 1, 2)], [bench_mod.AlgoSpec("head", 2)], quality=True)
+        [row] = bench_mod.bench_sweep(sweep, repeats=1)
+        assert (row.head_pct, row.tail_pct) == (100.0, None)
+
     @pytest.mark.parametrize("algo", ["dp", "head", "tail", "topk", "oracle"])
     def test_every_algo_rejects_what_the_library_rejects(self, capsys, tmp_path, algo):
         # project checks neither the sign nor delta itself: each algorithm does.
@@ -538,6 +558,40 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--preset", "nope"])
         assert exc.value.code == 2
+
+
+# bench's CSV holds mean_ms in one column; blank it on every line.
+_MEAN_MS_COLUMN = re.compile(
+    r"^((?:[^,\r\n]*,){%d})[^,\r\n]*" % bench_mod.CSV_FIELDS.index("mean_ms"), re.M
+)
+_TIMING_FIELD = re.compile(r'("(?:runtime_ms|mean_ms)": )[^,\n]+')
+
+
+@pytest.mark.parametrize(
+    "argv, timed",
+    [
+        (["gen", "--n", "6", "--gap", "2", "--seed", "1"], False),
+        (["recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "3", "--seed", "1"], False),
+        (["project", "--k", "2", "--delta", "2", "--algo", "head", "--epsilon", "0.5"], True),
+        (["bench", "--preset", "fig3", "--repeats", "1"], True),
+        (["bench", "--preset", "fig3", "--repeats", "1", "--format", "json"], True),
+    ],
+    ids=["gen", "recover", "project", "bench-csv", "bench-json"],
+)
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, vector_file, small_sweep, argv, timed):
+    # Every command writes its main output through one path: the --out file
+    # gets the very bytes that stdout gets without it, timings aside.
+    if argv[0] == "project":
+        argv = [*argv, "--in", vector_file]
+    out_path = tmp_path / "out"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    written = out_path.read_bytes().decode()
+    if timed:
+        written, out = (_TIMING_FIELD.sub(r"\1_", _MEAN_MS_COLUMN.sub(r"\1_", text)) for text in (written, out))
+    assert written == out
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -566,22 +567,46 @@ def test_each_parameter_rule_has_one_home():
     assert arithmetic == []
 
 
+def _strings(tree):
+    return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
 def test_the_cli_and_recovery_keep_no_copy_of_a_library_rule():
     # The CLI raises the library's ValueError and leaves the sign, delta and
     # gap rules to the library; recovery checks every signal in one helper.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
-
-    def strings(tree):
-        return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
-
     cli_tree = ast.parse((package / "cli.py").read_text())
     assert [n.name for n in ast.walk(cli_tree) if isinstance(n, ast.ClassDef)] == []
     imported = {a.name for n in ast.walk(cli_tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert "check_delta" not in imported
-    assert [s for s in strings(cli_tree) if "negative entries" in s or "--gap must be" in s] == []
+    assert [s for s in _strings(cli_tree) if "negative entries" in s or "--gap must be" in s] == []
     recovery_tree = ast.parse((package / "recovery.py").read_text())
-    finite = [s for s in strings(recovery_tree) if "must be finite (no NaN or inf)" in s]
+    finite = [s for s in _strings(recovery_tree) if "must be finite (no NaN or inf)" in s]
     assert len(finite) == 1
+
+
+def test_project_keeps_no_copy_of_the_bench_rules():
+    # bench.solve is the one algorithm table, with the one single-spike
+    # check, and bench.ratios the one ratio rule: project calls them and
+    # no projector of its own.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    cli_text = (package / "cli.py").read_text()
+    cli_tree = ast.parse(cli_text)
+    called = {
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(cli_tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+    assert called & {"head_project", "tail_project", "topk_tail_project", "brute_force_solve"} == set()
+    assert "1e-12" not in cli_text
+    assert [n for n in ast.walk(cli_tree) if isinstance(n, ast.Constant) and n.value == 1e-12] == []
+    single_spike = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        for s in _strings(ast.parse(path.read_text()))
+        if re.search(r"\bsupports\b.*\bonly\b", s)
+    ]
+    assert single_spike == ["bench.py"]
 
 
 def test_package_has_no_assert_statements():

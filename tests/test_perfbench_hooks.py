@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepsparse import dp, head, tail
+from sepsparse import cli, dp, head, tail
+from sepsparse.serialize import write_vector
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -103,3 +104,23 @@ def test_traced_block_figures_match_block_decompose():
     assert metrics["head.block_len_max"] == len_max
     assert metrics["head.gains_used_ratio"] == gains_picked / gains_computed
     json.dumps(metrics)
+
+
+def test_traced_project_command_opens_one_head_span(tmp_path):
+    # project runs head through bench.solve, which calls head.head_project
+    # by its module: the traced command opens exactly one head span, and
+    # opens it under the command's own span.
+    path = tmp_path / "x.txt"
+    write_vector(path, [0.0, 5.0, 1.0, 0.0, 3.0, 0.5, 2.0, 0.0])
+    argv = ["project", "--in", str(path), "--k", "2", "--delta", "2", "--algo", "head",
+            "--epsilon", "0.5", "--out", str(tmp_path / "result.json")]
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    heads = [span for span in tracer.spans if span[0] == "head.project"]
+    assert len(heads) == 1
+    assert names[heads[0][3]] == "cli.project"
