@@ -76,13 +76,18 @@ def solve(
     raise ValueError(f"unknown algo {algo!r}")
 
 
-def ratios(value: float, opt: float, total: float, unit: float) -> tuple[float | None, float | None]:
+def ratios(
+    value: float, opt: float, total: float, p: int, unit: float
+) -> tuple[float | None, float | None]:
     """``(head, tail)``: ``unit * value / opt`` and ``unit * leftover /
     optimal leftover``, each ``None`` where its denominator is not positive
-    (an optimal leftover of at most ``GUARANTEE_SLACK`` counts as zero)."""
+    (an optimal leftover of at most ``GUARANTEE_SLACK`` counts as zero).
+    The tail ratio is reported for single-spike runs (``p == 1``) only."""
     head_ratio = unit * value / opt if opt > 0.0 else None
     opt_leftover = total - opt
-    tail_ratio = unit * (total - value) / opt_leftover if opt_leftover > GUARANTEE_SLACK else None
+    tail_ratio = None
+    if p == 1 and opt_leftover > GUARANTEE_SLACK:
+        tail_ratio = unit * (total - value) / opt_leftover
     return head_ratio, tail_ratio
 
 
@@ -218,18 +223,18 @@ def _score(
     tail_ratios: list[float] = []
     ok = True
     for val, (opt, total) in zip(values, optima):
-        head_ratio, tail_ratio = ratios(val, opt, total, 100.0)
+        head_ratio, tail_ratio = ratios(val, opt, total, row.p, 100.0)
         if head_ratio is not None:
             head_ratios.append(head_ratio)
+        if tail_ratio is not None:
+            tail_ratios.append(tail_ratio)
         if spec.algo == "head" and val < (spec.lam / (spec.lam + 1)) * opt - GUARANTEE_SLACK:
             ok = False
-        if row.p == 1:
-            if tail_ratio is not None:
-                tail_ratios.append(tail_ratio)
-            if spec.algo == "tail":
-                bound = 1.0 + 2.0 / (spec.lam + 1)
-                if total - val > bound * (total - opt) + GUARANTEE_SLACK:
-                    ok = False
+        # solve() runs tail rows at p = 1 only.
+        if spec.algo == "tail":
+            bound = 1.0 + 2.0 / (spec.lam + 1)
+            if total - val > bound * (total - opt) + GUARANTEE_SLACK:
+                ok = False
     row.head_pct = float(np.mean(head_ratios)) if head_ratios else None
     row.tail_pct = float(np.mean(tail_ratios)) if tail_ratios else None
     row.bound_ok = ok if spec.algo in ("head", "tail") else None

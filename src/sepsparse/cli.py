@@ -78,7 +78,9 @@ def _cmd_project(args) -> int:
         opt = _project_opt(x, args.k, args.delta, spikes)
         if opt is not None:
             result["opt"] = opt
-            result["head_ratio"], result["tail_ratio"] = bench_mod.ratios(value, opt, float(x.sum()), 1)
+            result["head_ratio"], result["tail_ratio"] = bench_mod.ratios(
+                value, opt, float(x.sum()), spikes, 1
+            )
     _emit(json.dumps(result, indent=2) + "\n", args.out)
     return 0
 

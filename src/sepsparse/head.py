@@ -63,8 +63,14 @@ def window_cap(n: int, delta: int) -> int:
 
 def window_count(n: int, delta: int, epsilon: float, scale: float = 1.0) -> int:
     """The ``lam`` of a projection at precision ``epsilon``: ``ceil(scale /
-    epsilon)`` capped at :func:`window_cap`, ``scale`` 1 for head and 2 for tail."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    epsilon)`` capped at :func:`window_cap`, ``scale`` 1 for head and 2 for
+    tail.  An ``epsilon`` that is not a finite positive real, ``None`` or a
+    string included, raises ``ValueError``."""
+    try:
+        ok = math.isfinite(epsilon) and epsilon > 0
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError("epsilon must be finite and positive")
     # scale/epsilon overflows to inf below ~1e-308; min() keeps it at n.
     return min(math.ceil(min(scale / epsilon, n)), window_cap(n, delta))
@@ -182,8 +188,9 @@ def best_over_windows(
     ``x`` is a weight vector, checked by :func:`as_weights`, and ``forced``
     an optional boolean mask over ``[n]`` of indices kept by every slice;
     any other ``forced`` raises ``ValueError``.  ``lam`` goes through
-    :func:`model.check_lam` and is capped at :func:`window_cap`.  Ties keep
-    the earliest keep-set.
+    :func:`model.check_lam` and is capped at :func:`window_cap`.  Every
+    slice checks ``p``, and at least one runs, so a bad ``p`` raises on an
+    empty ``x`` and at ``k <= 0`` too.  Ties keep the earliest keep-set.
     """
     x = as_weights(x)
     n = x.size
@@ -211,15 +218,12 @@ def head_project(x, k: int, delta: int, p: int, epsilon: float) -> tuple[int, ..
     """Projection capturing at least ``1 - 1/(lam+1)`` of the optimal mass.
 
     Runs the exact slice solver on each of the ``lam + 1`` keep-sets with
-    ``lam = ceil(1/epsilon)`` (see :func:`window_count`) and returns the
-    best solution found.  An invalid ``epsilon`` or ``delta`` or a ``p``
-    with no exact solver raises ``ValueError`` even when there is nothing
-    to project.
+    ``lam = ceil(1/epsilon)`` and returns the best solution found.  This
+    wrapper only maps ``epsilon`` to ``lam``: :func:`window_count` checks
+    ``epsilon``, then ``delta``; :func:`best_over_windows` checks ``x`` and
+    ``k``; and each slice checks ``p``, so a ``p`` with no exact solver
+    raises ``ValueError`` even on an empty ``x`` or at ``k <= 0``.  Of
+    several bad arguments, ``epsilon`` is reported first, then ``delta``,
+    ``x``, ``k`` and ``p``.
     """
-    x = as_weights(x)
-    lam = window_count(x.size, delta, epsilon)
-    dp.table_builder(p)  # raises for a p with no exact solver
-    k = check_budget(k)
-    if x.size == 0 or k <= 0:
-        return ()
-    return best_over_windows(x, k, delta, p, lam)
+    return best_over_windows(x, k, delta, p, window_count(np.size(x), delta, epsilon))

@@ -76,10 +76,11 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
 
     Strength is the strict comparison ``x_i > t_i``; entries equal to their
     neighbourhood mass count as weak.  Any two strong indices are at least
-    ``delta`` apart.
+    ``delta`` apart.  :func:`tail_vector` runs first and checks ``x`` and
+    ``delta``, so ``x`` is only converted after it.
     """
-    x = as_weights(x)
     t = tail_vector(x, delta)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     strong_mask = x > t
     strong = np.flatnonzero(strong_mask) + 1
     r = x.copy()
@@ -124,15 +125,14 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     the strong set merged into every slice; strong indices always land in
     singleton blocks of the reduced vector, so block sizes stay bounded.
     Returns the slice solution with maximal reduced-vector mass.
-    Single-spike model only.
+    Single-spike model only.  This wrapper checks nothing itself:
+    :func:`window_count` checks ``epsilon``, then ``delta``;
+    :func:`strong_and_reduced` checks ``x``; and :func:`best_over_windows`
+    checks ``k``, so of several bad arguments they are reported in that
+    order.
     """
-    x = as_weights(x)
-    n = x.size
-    lam = window_count(n, delta, epsilon, 2.0)
-    k = check_budget(k)
-    if n == 0 or k <= 0:
-        return ()
+    lam = window_count(np.size(x), delta, epsilon, 2.0)
     profile = strong_and_reduced(x, delta)
-    forced = np.zeros(n, dtype=bool)
+    forced = np.zeros(profile.r.size, dtype=bool)
     forced[profile.strong - 1] = True
     return best_over_windows(profile.r, k, delta, 1, lam, forced)

@@ -266,6 +266,22 @@ class TestProject:
         [row] = bench_mod.bench_sweep(sweep, repeats=1)
         assert (row.head_pct, row.tail_pct) == (100.0, None)
 
+    def test_two_spike_runs_report_no_tail_ratio(self, capsys, vector_file):
+        # The tail ratio is a single-spike figure: project leaves it null at
+        # p = 2, as bench leaves a two-spike row's tail_pct empty, although
+        # the optimal leftover (9.5 - 8.0) is positive.
+        code, out, _ = run_cli(
+            capsys, "project", "--in", vector_file, "--k", "2", "--delta", "2",
+            "--algo", "head", "--spikes", "2", "--epsilon", "0.5",
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert result["opt"] == 8.0
+        assert result["head_ratio"] == result["value"] / 8.0
+        assert result["tail_ratio"] is None
+        assert bench_mod.ratios(8.0, 8.0, 9.5, 2, 100.0) == (100.0, None)
+        assert bench_mod.ratios(8.0, 8.0, 9.5, 1, 100.0) == (100.0, 100.0)
+
     @pytest.mark.parametrize("algo", ["dp", "head", "tail", "topk", "oracle"])
     def test_every_algo_rejects_what_the_library_rejects(self, capsys, tmp_path, algo):
         # project checks neither the sign nor delta itself: each algorithm does.

@@ -272,8 +272,8 @@ class TestHeadProject:
             head_project(np.ones(3), 1, 1, 1, 0.0)
 
     def test_non_finite_epsilon_rejected(self):
-        for eps in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError):
+        for eps in (float("inf"), float("-inf"), float("nan"), None, "0.5"):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
                 head_project(np.ones(3), 1, 1, 1, eps)
 
     def test_tiny_epsilon_solves_the_largest_useful_lam(self):

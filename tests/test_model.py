@@ -163,20 +163,23 @@ class TestOracleValidation:
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_projector_rejects(self, bad):
+        # At k = 0 too: no projector returns an empty support before it
+        # has checked x.
         x = [1.0, bad, 2.0, 0.5]
-        calls = [
-            lambda: dp_solve(x, 2, 2),
-            lambda: dp_solve_2spike(x, 2, 2),
-            lambda: head_project(x, 2, 2, 1, 0.5),
-            lambda: best_over_windows(x, 2, 2, 1, 1),
-            lambda: tail_project(x, 2, 2, 0.5),
-            lambda: topk_tail_project(x, 2, 2),
-            lambda: objective(x, [1]),
-            lambda: brute_force_solve(x, 1, 1),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="finite"):
-                call()
+        for k in (0, 2):
+            calls = [
+                lambda: dp_solve(x, k, 2),
+                lambda: dp_solve_2spike(x, k, 2),
+                lambda: head_project(x, k, 2, 1, 0.5),
+                lambda: best_over_windows(x, k, 2, 1, 1),
+                lambda: tail_project(x, k, 2, 0.5),
+                lambda: topk_tail_project(x, k, 2),
+                lambda: objective(x, [1]),
+                lambda: brute_force_solve(x, k, 1),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="finite"):
+                    call()
 
 
 class TestMaxSupportSize:
@@ -569,6 +572,26 @@ def test_each_parameter_rule_has_one_home():
 
 def _strings(tree):
     return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_head_and_tail_wrappers_leave_the_checks_to_the_window_loop():
+    # head_project and tail_project map epsilon to a window count and pass
+    # the rest on: best_over_windows and tail_vector check x and k, so a
+    # wrapper that checks them again makes one more pass over x.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    wrappers = {"head.py": ["head_project"], "tail.py": ["tail_project", "strong_and_reduced"]}
+    seen, found = [], []
+    for module, names in wrappers.items():
+        tree = ast.parse((package / module).read_text())
+        for func in (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names):
+            seen.append(func.name)
+            found += [
+                f"{func.name}:{node.id}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Name) and node.id in ("as_weights", "check_budget")
+            ]
+    assert seen == ["head_project", "strong_and_reduced", "tail_project"]
+    assert found == []
 
 
 def test_the_cli_and_recovery_keep_no_copy_of_a_library_rule():

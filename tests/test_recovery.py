@@ -301,7 +301,7 @@ class TestProjectionPath:
 
 @pytest.mark.parametrize("other_eps", [0.01, 0.5], ids=["exact", "windowed"])
 class TestAmIhtInputErrors:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, None, "0.5"])
     def test_bad_epsilon_raises(self, other_eps, bad):
         y, A, _ = ac9_instance(0)
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):

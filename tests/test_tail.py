@@ -158,8 +158,8 @@ class TestTailProject:
             tail_project(np.ones(3), 1, 2, 0.0)
 
     def test_non_finite_epsilon_rejected(self):
-        for eps in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError):
+        for eps in (float("inf"), float("-inf"), float("nan"), None, "0.5"):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
                 tail_project(np.ones(3), 1, 2, eps)
 
     def test_tiny_epsilon_solves_the_largest_useful_lam(self):
