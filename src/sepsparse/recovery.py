@@ -91,11 +91,19 @@ def gen_sensing(m: int, n: int, seed: int) -> np.ndarray:
     return make_rng(seed).standard_normal((m, n)) * (1.0 / math.sqrt(m))
 
 
+def _model_shape(A: np.ndarray) -> tuple[int, int]:
+    """The ``(m, n)`` shape of the sensing model ``A``; a model that is not
+    a 2-D matrix raises ``ValueError``."""
+    if np.ndim(A) != 2:
+        raise ValueError(f"the sensing model must be a 2-D (m, n) matrix, got shape {np.shape(A)}")
+    return np.shape(A)
+
+
 def _model_signal(v, name: str, A: np.ndarray, axis: int) -> np.ndarray:
     """``v`` as a finite signal as long as axis ``axis`` of the model ``A``:
     its height (0) for measurements, its width (1) for signals."""
     arr = as_signal(v)
-    if arr.size != A.shape[axis]:
+    if arr.size != _model_shape(A)[axis]:
         side = ("height", "width")[axis]
         raise ValueError(f"{name} length {arr.size} != model {side} {A.shape[axis]}")
     if not np.isfinite(arr).all():
@@ -142,7 +150,7 @@ def am_iht(
     ``head_path`` and ``tail_path`` say which ran.  The counts check
     ``delta`` and the epsilons up front, whichever path runs.
     """
-    n = A.shape[1]
+    n = _model_shape(A)[1]
     y = _model_signal(y, "measurements y", A, 0)
     truth = None if x_true is None else _model_signal(x_true, "x_true", A, 1)
     iterations = check_count(iterations, "iterations", 0)
@@ -232,7 +240,7 @@ def empirical_rip(A: np.ndarray, k: int, delta: int, p: int, samples: int, seed:
     """
     k = check_budget(k)
     samples = check_count(samples, "samples")
-    n = A.shape[1]
+    n = _model_shape(A)[1]
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -77,10 +77,13 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
     Strength is the strict comparison ``x_i > t_i``; entries equal to their
     neighbourhood mass count as weak.  Any two strong indices are at least
     ``delta`` apart.  :func:`tail_vector` runs first and checks ``x`` and
-    ``delta``, so ``x`` is only converted after it.
+    ``delta``, so ``x`` is only converted after it, and ``delta`` is only
+    clamped to ``n``: a numpy integer ``delta`` then computes as a Python
+    int.
     """
     t = tail_vector(x, delta)
     x = np.ascontiguousarray(x, dtype=np.float64)
+    delta = check_delta(delta, x.size)
     strong_mask = x > t
     strong = np.flatnonzero(strong_mask) + 1
     r = x.copy()

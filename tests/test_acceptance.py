@@ -157,7 +157,7 @@ def test_ac6_slice_optimality_and_margins():
         members = sorted(
             int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1
         )
-        sol = slice_solve(keep_only(n, members), x, k, delta, p)
+        sol = slice_solve(np.array(members, dtype=int), x, k, delta, p)
         best = restricted_optimum(members, x, k, delta, p)
         if abs(objective(x, sol) - best) > TOL:
             value_ok = False
@@ -165,7 +165,7 @@ def test_ac6_slice_optimality_and_margins():
 
         build = build_table_1spike if p == 1 else build_table_2spike
         kept = np.where(keep_only(n, members), x, 0.0)
-        dec = block_decompose(kept, delta, p)
+        dec = block_decompose(np.flatnonzero(kept) + 1, delta, p)
         for (lo, hi), budget in zip(dec.blocks, dec.budgets):
             gains = np.diff(build(kept[lo - 1 : hi], budget, delta).values, prepend=0.0)
             if np.any(np.diff(gains) > 1e-12):

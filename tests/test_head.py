@@ -14,7 +14,7 @@ from sepsparse.head import (
 from sepsparse.model import brute_force_solve, is_feasible, objective
 from sepsparse.seeding import make_rng
 
-from util import coverage_best_window, keep_only, restricted_optimum, window_members
+from util import coverage_best_window, keep_only, restricted_optimum, slice_solve_reference, window_members
 
 
 class TestWindows:
@@ -53,15 +53,15 @@ class TestWindows:
         assert list(drop_phase(np.arange(1, 5), 2**62, 1)) == [0, 0, 0, 0]
 
     def test_best_over_windows_tiles_the_phases_of_drop_phase(self, monkeypatch):
-        # best_over_windows tiles one period of phases over [n]; its keep
-        # masks must be those of drop_phase over all of [n], with the forced
-        # indices kept by every slice.
+        # best_over_windows reads the phases of the nonzero positions once;
+        # each slice's kept positions must be those drop_phase keeps over
+        # all of [n], with the forced indices kept by every slice.
         import sepsparse.head as head_mod
 
         masks = []
 
-        def record(keep, x, k, delta, p=1):
-            masks.append(keep.copy())
+        def record(kept, x, k, delta, p=1):
+            masks.append(keep_only(x.size, kept))
             return ()
 
         monkeypatch.setattr(head_mod, "slice_solve", record)
@@ -101,7 +101,7 @@ class TestWindows:
             phase = drop_phase(np.arange(1, x.size + 1), delta, lam)
             best, best_val = (), 0.0
             for nu in range(lam + 1):
-                sol = slice_solve(phase != nu, x, k, delta, p)
+                sol = slice_solve(np.flatnonzero(phase != nu) + 1, x, k, delta, p)
                 if objective(x, sol) > best_val:
                     best, best_val = sol, objective(x, sol)
             want.append(best)
@@ -111,6 +111,24 @@ class TestWindows:
 
         monkeypatch.setattr(head_mod, "objective", unused)
         assert [best_over_windows(*case) for case in cases] == want
+
+    def test_degenerate_input_runs_no_slice(self, monkeypatch):
+        # k <= 0 and a vector without a nonzero weight return () before any
+        # slice runs; p and forced are still checked first.
+        import sepsparse.head as head_mod
+
+        def unused(*args):
+            raise AssertionError("slice_solve called")
+
+        monkeypatch.setattr(head_mod, "slice_solve", unused)
+        for x, k in ((np.ones(5), 0), (np.ones(5), -2), (np.zeros(5), 3), (np.array([0.0, -0.0]), 3), (np.zeros(0), 3)):
+            for p in (1, 2):
+                assert best_over_windows(x, k, 2, p, 2) == ()
+                assert best_over_windows(x, k, 2, p, 2, np.ones(x.size, dtype=bool)) == ()
+            with pytest.raises(ValueError, match="p=3"):
+                best_over_windows(x, k, 2, 3, 2)
+            with pytest.raises(ValueError, match="forced must be a boolean mask"):
+                best_over_windows(x, k, 2, 1, 2, np.ones(x.size + 1, dtype=bool))
 
     def test_window_count_reaches_the_cap(self):
         # best_over_windows caps lam at ceil(n / min(delta, n)).
@@ -129,7 +147,7 @@ class TestWindows:
             x = rng.random(n)
             for nu in range(lam + 1):
                 kept = np.where(keep_only(n, window_members(n, delta, lam, nu)), x, 0.0)
-                dec = block_decompose(kept, delta)
+                dec = block_decompose(np.flatnonzero(kept) + 1, delta)
                 for lo, hi in dec.blocks:
                     assert hi - lo + 1 <= lam * delta
 
@@ -159,17 +177,48 @@ class TestCoverage:
 class TestBlocks:
     def test_spec_examples(self):
         x = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
-        dec = block_decompose(x, 2)
+        dec = block_decompose(np.flatnonzero(x) + 1, 2)
         assert dec.blocks.tolist() == [[3, 4], [7, 8]]
         assert dec.budgets.tolist() == [1, 1]
-        dec = block_decompose(np.zeros(6), 2)
+        dec = block_decompose(np.flatnonzero(np.zeros(6)) + 1, 2)
         assert dec.blocks.shape == (0, 2) and dec.budgets.shape == (0,)
-        dec = block_decompose(np.array([1.0, 0, 0, 0, 1]), 3, 2)
+        dec = block_decompose(np.flatnonzero(np.array([1.0, 0, 0, 0, 1])) + 1, 3, 2)
         assert dec.blocks.tolist() == [[1, 1], [5, 5]]
         assert dec.budgets.tolist() == [2, 2]
         # The blocks iterate as (lo, hi) pairs of ints.
         assert [(int(lo), int(hi)) for lo, hi in dec.blocks] == [(1, 1), (5, 5)]
         assert dec.blocks.dtype.kind == dec.budgets.dtype.kind == "i"
+
+    def test_kept_must_be_increasing_integer_positions_from_one(self):
+        # A compare, not a difference, finds a step down, so neither an
+        # unsigned nor a narrow array wraps past the check.
+        bad = (
+            np.array([0, 2]),
+            np.array([2, 2]),
+            np.array([3, 1]),
+            np.array([3, 2], dtype=np.uint64),
+            np.array([100, -100, 1], dtype=np.int8),
+            np.array([1.0, 2.0]),
+            np.array([True, False]),
+            np.ones((2, 2), dtype=int),
+            np.int64(3),
+            [],
+        )
+        for kept in bad:
+            with pytest.raises(ValueError, match=r"kept must be a strictly increasing integer array in \[1, inf\]"):
+                block_decompose(kept, 2)
+            with pytest.raises(ValueError, match=r"kept must be a strictly increasing integer array in \[1, 3\]"):
+                slice_solve(kept, np.ones(3), 1, 2)
+        with pytest.raises(ValueError, match=r"in \[1, 3\]"):
+            slice_solve(np.array([2, 4]), np.ones(3), 1, 2)
+        # Any integer type, a list included, gives int blocks and budgets.
+        for kept in ([1, 2, 5], np.array([1, 2, 5], dtype=np.uint64), np.array([1, 2, 5], dtype=np.int8)):
+            dec = block_decompose(kept, 3, 2)
+            assert dec.blocks.tolist() == [[1, 2], [5, 5]] and dec.budgets.tolist() == [2, 2]
+            assert dec.blocks.dtype == dec.budgets.dtype == np.intp
+        # A delta past the last position cuts nothing.
+        dec = block_decompose(np.array([1, 2, 5], dtype=np.int32), np.uint64(2**63))
+        assert dec.blocks.tolist() == [[1, 5]] and dec.budgets.tolist() == [1]
 
     def test_blocks_are_delta_apart_and_budgeted(self):
         rng = make_rng(61)
@@ -180,7 +229,7 @@ class TestBlocks:
             x = np.where(rng.random(n) < 0.35, 0.0, rng.random(n))
             members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1)
             kept = np.where(keep_only(n, members), x, 0.0)
-            dec = block_decompose(kept, delta, p)
+            dec = block_decompose(np.flatnonzero(kept) + 1, delta, p)
             for (l1, h1), (l2, h2) in zip(dec.blocks, dec.blocks[1:]):
                 assert l2 - h1 >= delta
             covered = []
@@ -197,9 +246,9 @@ class TestSliceSolve:
     def test_spec_examples(self):
         x = np.zeros(8)
         x[2], x[3], x[6], x[7] = 5.0, 1.0, 4.0, 2.0
-        assert slice_solve(keep_only(8, [3, 4, 7, 8]), x, 2, 2, 1) == (3, 7)
-        assert slice_solve(keep_only(3, []), np.ones(3), 2, 2, 1) == ()
-        assert slice_solve(np.ones(3, dtype=bool), np.ones(3), 2, 2, 1) == (1, 3)
+        assert slice_solve(np.array([3, 4, 7, 8]), x, 2, 2, 1) == (3, 7)
+        assert slice_solve(np.array([], dtype=int), np.ones(3), 2, 2, 1) == ()
+        assert slice_solve(np.arange(1, 4), np.ones(3), 2, 2, 1) == (1, 3)
 
     def test_optimal_on_random_slices(self):
         rng = make_rng(67)
@@ -210,18 +259,60 @@ class TestSliceSolve:
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
             members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) + 1)
-            sol = slice_solve(keep_only(n, members), x, k, delta, p)
+            sol = slice_solve(np.array(members, dtype=int), x, k, delta, p)
             assert set(sol) <= set(members)
             assert is_feasible(sol, n, k, delta, p)
             best = restricted_optimum(members, x, k, delta, p)
             assert objective(x, sol) == pytest.approx(best, abs=1e-9)
 
+    def test_zero_weights_join_no_block(self, monkeypatch):
+        # Kept positions of zero weight, -0.0 included, are dropped before
+        # the cut: here 3 and 5 would chain 1 to 7 into one block.
+        import sepsparse.head as head_mod
+
+        x = np.array([1.0, 0.0, 0.0, 0.0, -0.0, 0.0, 2.0])
+        seen = []
+        monkeypatch.setattr(head_mod, "block_decompose", lambda kept, *a: seen.append(kept) or block_decompose(kept, *a))
+        assert slice_solve(np.array([1, 3, 5, 7]), x, 2, 3, 1) == (1, 7)
+        assert [v.tolist() for v in seen] == [[1, 7]]
+
+    def test_reads_only_the_kept_weights(self):
+        # A span can hold weights the slice leaves out: a forced index 5 in
+        # a slice that drops 4 to 6 chains 3, 5 and 7 into one block.  The
+        # slice reads 4 and 6 as zeros and never checks them, while a kept
+        # weight goes through the builder's weight check.
+        kept = np.array([1, 2, 3, 5, 7, 8, 9])
+        masked = np.where(keep_only(9, kept), 1.0, 0.0)
+        for k in range(1, 6):
+            for p in (1, 2):
+                want = slice_solve_reference(kept, masked, k, 3, p)
+                assert slice_solve(kept, np.ones(9), k, 3, p) == want
+                for bad in (np.nan, np.inf, -1.0):
+                    x = np.ones(9)
+                    x[[3, 5]] = bad
+                    assert slice_solve(kept, x, k, 3, p) == want
+                    x[4] = bad
+                    with pytest.raises(ValueError, match="weight vectors must be"):
+                        slice_solve(kept, x, k, 3, p)
+        forced = keep_only(9, [5])
+        assert best_over_windows(np.ones(9), 3, 3, 1, 1, forced) == best_over_windows(masked, 3, 3, 1, 1, forced)
+        # Any integer type of positions reads the same, up to the largest
+        # an int8 holds.
+        x = np.ones(130)
+        kept = np.array([1, 3, 4, 6, 125, 127])
+        for dtype in (np.uint64, np.int8, np.int32):
+            for k in (2, 4, 8):
+                assert slice_solve(kept.astype(dtype), x, k, 3) == slice_solve(kept, x, k, 3)
+
     def test_mask_must_be_boolean_of_x_length(self):
+        # kept holds positions, not a mask: a boolean or float array is
+        # refused, and [1, 3] keeps positions 1 and 3.
         x = np.ones(3)
-        for mask in (np.array([True]), np.ones(3), np.array([1, 3]), [True, True, True]):
+        for mask in (np.array([True]), np.ones(3), np.array([1, 4]), [True, True, True]):
             for k in (2, 0):
-                with pytest.raises(ValueError, match="keep must be a boolean mask of length 3"):
+                with pytest.raises(ValueError, match=r"kept must be a strictly increasing integer array in \[1, 3\]"):
                     slice_solve(mask, x, k, 2, 1)
+        assert slice_solve(np.array([1, 3]), x, 2, 2, 1) == (1, 3)
         # forced names positions by a mask, never by index: support (2, 5)
         # as a mask gives (3,), but np.array([2, 5]) would force (3, 6).
         w = np.array([0.0, 1, 4, 0, 0, 1, 0, 0])
@@ -234,12 +325,12 @@ class TestSliceSolve:
 
     def test_rejects_p3_without_solver(self):
         with pytest.raises(ValueError):
-            slice_solve(np.ones(2, dtype=bool), np.ones(2), 1, 2, 3)
+            slice_solve(np.arange(1, 3), np.ones(2), 1, 2, 3)
         with pytest.raises(ValueError):
             head_project(np.ones(2), 1, 2, 3, 0.5)
         # A vector with no blocks still names the p it has no solver for.
         with pytest.raises(ValueError, match="p=3"):
-            slice_solve(np.ones(4, dtype=bool), np.zeros(4), 1, 2, 3)
+            slice_solve(np.arange(1, 5), np.zeros(4), 1, 2, 3)
         with pytest.raises(ValueError, match="p=3"):
             head_project(np.zeros(4), 1, 2, 3, 0.5)
         # Nor does an empty x or a k <= 0 skip the check.
@@ -248,7 +339,7 @@ class TestSliceSolve:
                 head_project(x, k, 2, 3, 0.5)
         for k in (0, -1):
             with pytest.raises(ValueError, match="p=3"):
-                slice_solve(np.ones(4, dtype=bool), np.ones(4), k, 2, 3)
+                slice_solve(np.arange(1, 5), np.ones(4), k, 2, 3)
             with pytest.raises(ValueError, match="p=3"):
                 best_over_windows(np.ones(4), k, 2, 3, 2)
 
@@ -356,7 +447,7 @@ class TestHeadProject:
             delta = int(rng.integers(1, 5))
             p = int(rng.integers(1, 3))
             x = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
-            dec = block_decompose(x, delta, p)
+            dec = block_decompose(np.flatnonzero(x) + 1, delta, p)
             build = build_table_1spike if p == 1 else build_table_2spike
             for (lo, hi), budget in zip(dec.blocks, dec.budgets):
                 gains = np.diff(build(x[lo - 1 : hi], budget, delta).values, prepend=0.0)

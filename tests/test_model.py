@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepsparse import dp, recovery
+from sepsparse import dp, head, model, recovery, tail
 from sepsparse.bench import AlgoSpec, Sweep, bench_sweep
 from sepsparse.dp import (
     batch_rows,
@@ -203,7 +203,7 @@ class TestMaxSupportSize:
         with pytest.raises(ValueError, match="p must be >= 1"):
             is_feasible((1, 2), 10, 2, 2, p)
         with pytest.raises(ValueError, match="p must be >= 1"):
-            block_decompose(np.ones(4), 2, p)
+            block_decompose(np.arange(1, 5), 2, p)
         with pytest.raises(ValueError, match="p must be >= 1"):
             brute_force_solve(np.ones(4), 2, 2, p)
 
@@ -257,9 +257,9 @@ DELTA_TAKERS = {
     "head_project": lambda x, k, d: head_project(x, k, d, 2, 0.5),
     "tail_project": lambda x, k, d: tail_project(x, k, d, 0.5),
     "topk_tail_project": lambda x, k, d: topk_tail_project(x, k, d),
-    "slice_solve": lambda x, k, d: slice_solve(np.ones(x.size, dtype=bool), x, k, d, 1),
+    "slice_solve": lambda x, k, d: slice_solve(np.arange(1, x.size + 1), x, k, d, 1),
     "best_over_windows": lambda x, k, d: best_over_windows(x, k, d, 1, 2),
-    "block_decompose": lambda x, k, d: block_decompose(x, d, 1),
+    "block_decompose": lambda x, k, d: block_decompose(np.flatnonzero(x) + 1, d, 1),
     "tail_vector": lambda x, k, d: tail_vector(x, d),
     "strong_and_reduced": lambda x, k, d: strong_and_reduced(x, d),
     "build_table_1spike": lambda x, k, d: build_table_1spike(x, k, d),
@@ -278,7 +278,7 @@ BUDGET_TAKERS = {
     "head_project": lambda x, k: head_project(x, k, 2, 2, 0.5),
     "tail_project": lambda x, k: tail_project(x, k, 2, 0.5),
     "topk_tail_project": lambda x, k: topk_tail_project(x, k, 2),
-    "slice_solve": lambda x, k: slice_solve(np.ones(x.size, dtype=bool), x, k, 2, 1),
+    "slice_solve": lambda x, k: slice_solve(np.arange(1, x.size + 1), x, k, 2, 1),
     "best_over_windows": lambda x, k: best_over_windows(x, k, 2, 1, 2),
     "build_table_1spike": lambda x, k: build_table_1spike(x, k, 2),
     "build_table_2spike": lambda x, k: build_table_2spike(x, k, 2),
@@ -592,6 +592,43 @@ def test_head_and_tail_wrappers_leave_the_checks_to_the_window_loop():
             ]
     assert seen == ["head_project", "strong_and_reduced", "tail_project"]
     assert found == []
+    # slice_solve and block_decompose work on the positions the window loop
+    # found once: neither checks all of x again nor masks a copy of it.
+    tree = ast.parse((package / "head.py").read_text())
+    slices = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in ("slice_solve", "block_decompose")]
+    assert len(slices) == 2
+    named = [
+        f"{func.name}:{ast.unparse(node)}"
+        for func in slices
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Name) and node.id == "as_weights")
+        or (isinstance(node, ast.Attribute) and node.attr == "where")
+    ]
+    assert named == []
+
+
+@pytest.mark.parametrize("lam", [1, 2, 4])
+def test_head_and_tail_check_the_input_vector_once_per_pass(monkeypatch, lam):
+    # At n = 4e5 every block is at most lam * delta long, so an as_weights
+    # call on n weights is a pass over the whole input: a head projection
+    # makes one, in the window loop, and a tail projection two, in the
+    # neighbourhood pass and the window loop, whatever lam is.
+    n, k, delta = 400_000, 316, 316
+    x = gen_uniform(n, 1733)
+    passes = []
+
+    def counting(arr, original=model.as_weights):
+        if np.size(arr) == n:
+            passes.append(1)
+        return original(arr)
+
+    for module in (head, tail, dp, model):
+        monkeypatch.setattr(module, "as_weights", counting)
+    head_project(x, k, delta, 1, 1.0 / lam)
+    assert len(passes) == 1
+    passes.clear()
+    tail_project(x, k, delta, 2.0 / lam)
+    assert len(passes) == 2
 
 
 def test_the_cli_and_recovery_keep_no_copy_of_a_library_rule():

@@ -86,11 +86,12 @@ def test_traced_block_figures_match_block_decompose():
     blocks, gains_computed, gains_picked, len_max = 0, 0, 0, 0
     phase = head.drop_phase(np.arange(1, x.size + 1), delta, lam)
     for nu in range(lam + 1):
-        dec = head.block_decompose(np.where(phase != nu, x, 0.0), delta, 1)
+        kept = np.flatnonzero((phase != nu) & (x != 0.0)) + 1
+        dec = head.block_decompose(kept, delta, 1)
         blocks += len(dec.blocks)
         len_max = max([len_max] + [int(hi - lo + 1) for lo, hi in dec.blocks])
         gains_computed += sum(min(int(b), k) for b in dec.budgets)
-        gains_picked += len(head.slice_solve(phase != nu, x, k, delta, 1))
+        gains_picked += len(head.slice_solve(kept, x, k, delta, 1))
 
     tracer = load_tracer()
     tracer.install()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestSensing:
         A = gen_sensing(3, 4, 0)
         with pytest.raises(ValueError):
             measure(A, np.zeros(5), 0.0, 0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_a_model_that_is_not_a_matrix_raises(self, shape):
+        # measure, am_iht and empirical_rip read (m, n) off the model's shape
+        # through one check, which names the shape it expects.
+        model = np.ones(shape)
+        message = rf"sensing model must be a 2-D \(m, n\) matrix, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            measure(model, np.zeros(4), 0.0, 0)
+        with pytest.raises(ValueError, match=message):
+            empirical_rip(model, 1, 2, 1, 2, 0)
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
     def test_bad_noise_sigma_raises(self, sigma):
@@ -341,6 +353,12 @@ class TestAmIhtInputErrors:
         m = A.shape[0]
         with pytest.raises(ValueError, match=f"measurements y length {m - 1} != model height {m}"):
             am_iht(y[:-1], A, 5, 20, 1, other_eps, other_eps)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3, 3)])
+    def test_a_model_that_is_not_a_matrix_raises(self, other_eps, shape):
+        message = rf"sensing model must be a 2-D \(m, n\) matrix, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            am_iht(np.zeros(3), np.ones(shape), 1, 2, 2, other_eps, other_eps)
 
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
         y, A, _ = ac9_instance(0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sepsparse import dp, head
-from sepsparse.head import head_project, slice_solve
+from sepsparse.head import head_project
 from sepsparse.model import max_support_size
 from sepsparse.seeding import make_rng
 from sepsparse.tail import tail_project
@@ -22,13 +22,15 @@ CASES = 3000
 
 
 def hostile_slices(seed: int, count: int):
-    """``count`` small ``(x, keep, k, delta, p, epsilon)`` cases.
+    """``count`` small ``(x, kept, k, delta, p, epsilon)`` cases.
 
     The weights cycle through integer ties with a zero run, weights from
     1e-300 to 1e300, sparse vectors whose blocks are shorter than
     ``delta``, a ``delta`` past ``n`` and dense uniform weights; ``p``
     alternates between 1 and 2, and ``k`` between a small budget, the
-    packing limit or just past it, and ``10**23``.
+    packing limit or just past it, and ``10**23``.  ``kept`` holds sorted
+    1-based positions, zero weights and gaps shorter than ``delta``
+    included, so spans hold weights the slice leaves out.
     """
     rng = make_rng(seed)
     for c in range(count):
@@ -54,15 +56,19 @@ def hostile_slices(seed: int, count: int):
             max_support_size(n, delta, p) + int(rng.integers(0, 3)),
             10**23,
         )[c % 3]
-        keep = rng.random(n) < rng.uniform(0.3, 1.0)
+        kept = np.flatnonzero(rng.random(n) < rng.uniform(0.3, 1.0)) + 1
         epsilon = (0.5, 1.0, 0.3, 2.0)[c % 4]
-        yield x, keep, k, delta, p, epsilon
+        yield x, kept, k, delta, p, epsilon
 
 
-def solve_all(x, keep, k, delta, p, epsilon):
-    """The slice, head and (for p = 1) tail solutions of one case."""
+def solve_all(x, kept, k, delta, p, epsilon):
+    """The slice, head and (for p = 1) tail solutions of one case.
+
+    The slice is looked up on ``head``, so the fixture's patch reaches it
+    as it reaches the projectors.
+    """
     return (
-        slice_solve(keep, x, k, delta, p),
+        head.slice_solve(kept, x, k, delta, p),
         head_project(x, k, delta, p, epsilon),
         tail_project(x, k, delta, epsilon) if p == 1 else None,
     )
@@ -86,6 +92,21 @@ def test_batched_slices_match_the_per_block_solver(monkeypatch, per_block_soluti
         monkeypatch.setattr(dp, "_BATCH_CELLS", cap)
     wrong = [(case, got, want) for case, want in per_block_solutions if (got := solve_all(*case)) != want]
     assert wrong == []
+
+
+def test_forced_windows_match_the_per_block_solver(monkeypatch):
+    # A forced index inside a dropped run chains the kept positions on its
+    # two sides into one block, whose span holds weights the slice drops:
+    # the window loop must read them as zeros, as the per-block solver on
+    # the masked copy does.
+    rng = make_rng(1523)
+    cases = []
+    for c, (x, _kept, k, delta, p, _epsilon) in enumerate(hostile_slices(1523, CASES)):
+        forced = rng.random(x.size) < (0.05, 0.2, 0.5, 1.0)[c % 4]
+        cases.append((x, k, delta, p, int(rng.integers(0, 5)), forced))
+    got = [head.best_over_windows(*case) for case in cases]
+    monkeypatch.setattr(head, "slice_solve", slice_solve_reference)
+    assert got == [head.best_over_windows(*case) for case in cases]
 
 
 def hostile_batches(seed: int, count: int):

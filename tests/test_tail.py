@@ -241,6 +241,19 @@ class TestTailProject:
             sol = tail_project(x, k, delta, 0.5)
             assert objective(x, sol) == pytest.approx(objective(prof.r, sol), abs=1e-12)
 
+    def test_numpy_integer_delta_zeroes_the_same_neighbours(self):
+        # The neighbourhood loop computes with the checked delta, a Python
+        # int: a numpy unsigned delta neither wraps below index 1 nor
+        # leaves a strong index's neighbours unzeroed.
+        x = np.array([5.0, 1, 1, 1, 1, 1, 1, 1, 1, 1])
+        want = strong_and_reduced(x, 3)
+        assert want.strong.tolist() == [1] and want.r.tolist() == [5.0, 0, 0] + [1.0] * 7
+        for delta in (np.uint64(3), np.int8(3)):
+            got = strong_and_reduced(x, delta)
+            assert got.strong.tolist() == [1] and got.r.tolist() == want.r.tolist()
+            assert tail_project(x, 2, delta, 0.5) == tail_project(x, 2, 3, 0.5)
+        assert strong_and_reduced(x, 2**63).r.tolist() == strong_and_reduced(x, 10).r.tolist()
+
     def test_block_sizes_bounded_with_strong_merge(self):
         rng = make_rng(113)
         import math
@@ -254,7 +267,8 @@ class TestTailProject:
                 lam = math.ceil(2.0 / eps)
                 for nu in range(min(lam, (n - 1) // delta) + 1):
                     members = np.union1d(window_members(n, delta, lam, nu), prof.strong)
-                    dec = block_decompose(np.where(keep_only(n, members), prof.r, 0.0), delta)
+                    kept = np.where(keep_only(n, members), prof.r, 0.0)
+                    dec = block_decompose(np.flatnonzero(kept) + 1, delta)
                     for lo, hi in dec.blocks:
                         assert hi - lo + 1 <= lam * delta
 

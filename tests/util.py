@@ -340,21 +340,23 @@ def walk2_reference(flags, lev: int, n: int, delta: int) -> tuple[int, ...]:
     return tuple(reversed(sol))
 
 
-def slice_solve_reference(keep, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
+def slice_solve_reference(kept, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
     """The slice solver with one exact table per block, each on a view of
     the masked weights and with the block's own budget capped at ``k``.
 
     This is ``slice_solve`` before it stacked a slice's blocks into
-    batches; the batched solver must match it bit for bit.  Gains are
-    picked globally, ties by ascending block id, then level, and zero gains
-    are dropped after selection.
+    batches and before it read the kept positions straight from ``x``: it
+    zeroes every position outside ``kept`` in a copy of ``x`` and cuts the
+    copy's nonzero positions into blocks.  The batched solver must match
+    it bit for bit.  Gains are picked globally, ties by ascending block id,
+    then level, and zero gains are dropped after selection.
     """
     x = np.asarray(x, dtype=float)
     if k <= 0:
         return ()
-    x = np.where(keep, x, 0.0)
+    x = np.where(keep_only(x.size, kept), x, 0.0)
     delta = check_delta(delta, x.size)
-    dec = block_decompose(x, delta, p)
+    dec = block_decompose(np.flatnonzero(x) + 1, delta, p)
     if not len(dec.blocks):
         return ()
     solve = dp.table_builder(p)
