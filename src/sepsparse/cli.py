@@ -24,7 +24,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import dp
 from .generators import gen_poisson, gen_uniform
-from .model import InfeasibleParameters, objective
+from .model import InfeasibleParameters, check_count, objective
 from .recovery import am_iht, default_measurement_count, gen_sensing, measure, random_feasible_support
 from .seeding import derive_seed, make_rng
 from .serialize import format_vector, read_vector, write_support
@@ -53,8 +53,7 @@ def _cmd_project(args) -> int:
     x = read_vector(args.infile)
     if x.size == 0:
         raise ValueError(f"{args.infile} contains no values")
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
+    check_count(args.k, "k")
     spikes = args.spikes
     if args.algo in ("head", "tail") and args.epsilon is None:
         raise ValueError(f"--epsilon is required for --algo {args.algo}")
@@ -86,8 +85,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    if args.n < 1 or args.k < 1:
-        raise ValueError("n and k must be >= 1")
+    check_count(args.n, "n")
+    check_count(args.k, "k")
     m = args.m if args.m is not None else default_measurement_count(args.n, args.k)
 
     # The support checks delta and k, so a bad one fails before the m x n draw.

@@ -100,7 +100,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import as_weights, check_budget, check_count, check_delta, check_p, max_support_size
+from .model import as_weights, check_count, check_delta, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -118,8 +118,8 @@ __all__ = [
 
 def _prepare(x, budget: int, delta: int) -> tuple[np.ndarray, int, int, int]:
     """Validated weights, a vector or a 2-D array of rows, the row length
-    ``n``, ``budget`` through :func:`check_budget` and ``delta`` through
-    :func:`check_delta`.
+    ``n``, ``budget`` through :func:`check_count` (any integer) and
+    ``delta`` through :func:`check_delta`.
 
     Every row of a 2-D ``x`` is checked like a vector by :func:`as_weights`.
     """
@@ -127,7 +127,7 @@ def _prepare(x, budget: int, delta: int) -> tuple[np.ndarray, int, int, int]:
     x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
     n = x.shape[-1]
     delta = check_delta(delta, n)
-    return x, n, check_budget(budget), delta
+    return x, n, check_count(budget, "k", None), delta
 
 
 def _levels(n: int, budget: int, delta: int, p: int) -> int:
@@ -207,7 +207,7 @@ class _DpTable(Sequence):
 
     def _start_level(self, ell: int) -> int:
         """The flag level a budget-``ell`` walk starts at."""
-        ell = check_budget(ell)
+        ell = check_count(ell, "k", None)
         if not 0 <= ell <= self.budget:
             raise ValueError(f"level {ell} outside [0, {self.budget}]")
         return min(ell, len(self))
@@ -219,7 +219,7 @@ class _DpTable(Sequence):
             raise ValueError(f"expected {self.values.shape[0]} integer budgets, got {ell!r}")
         if ell.dtype.kind == "O":
             # An object array may hold anything; each entry must be a budget.
-            ell = np.array([check_budget(e) for e in ell.tolist()], dtype=object)
+            ell = np.array([check_count(e, "k", None) for e in ell.tolist()], dtype=object)
         if ell.size and not (ell.min() >= 0 and ell.max() <= self.budget):
             raise ValueError(f"levels {ell} outside [0, {self.budget}]")
         return np.minimum(ell, len(self)).astype(np.intp)
@@ -550,11 +550,11 @@ def table_builder(p: int) -> Callable[..., DpTable1 | DpTable2]:
     """The budgeted recurrence for spike count ``p``.
 
     ``build_table_1spike`` for ``p = 1`` and ``build_table_2spike`` for
-    ``p = 2``.  ``p`` goes through :func:`model.check_p` first, and a ``p``
-    with no exact solver raises ``ValueError``.  The builder is looked up
+    ``p = 2``.  ``p`` goes through :func:`model.check_count` first, and a
+    ``p`` with no exact solver raises ``ValueError``.  The builder is looked up
     when called, so a replaced module attribute is the one returned.
     """
-    p = check_p(p)
+    p = check_count(p, "p")
     if p == 1:
         return build_table_1spike
     if p == 2:
@@ -597,7 +597,7 @@ def table_cells(n: int, k: int, delta: int, p: int) -> int:
     weights: ``n`` per level it runs, times the clamped ``delta`` for ``p = 2``."""
     table_builder(p)  # raises for a p with no exact solver
     n = check_count(n, "n", None)
-    return _levels(n, check_budget(k), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
+    return _levels(n, check_count(k, "k", None), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import _ascending_sum, as_signal, as_weights, check_budget, check_delta, check_lam, check_p
+from .model import _ascending_sum, as_signal, as_weights, check_count, check_delta
 
 # perfbench/tracing.py patches this name here; keep it importable.
 from .model import objective  # noqa: F401
@@ -50,12 +50,12 @@ def drop_phase(idx, delta: int, lam: int) -> np.ndarray:
     Keep-set ``nu`` leaves out every index whose position modulo the period
     ``(lam + 1) * delta`` falls in ``[nu * delta, (nu + 1) * delta)``, so each
     index is dropped by exactly one of the ``lam + 1`` sets and kept by the
-    other ``lam``.  ``lam`` goes through :func:`model.check_lam`.  A
-    ``delta`` past the largest index puts every index in phase 0, so it is
-    clamped there.
+    other ``lam``.  ``lam`` goes through :func:`model.check_count`, least
+    0.  A ``delta`` past the largest index puts every index in phase 0, so
+    it is clamped there.
     """
     idx = np.asarray(idx)
-    lam = check_lam(lam)
+    lam = check_count(lam, "lam", 0)
     delta = check_delta(delta, int(idx.max(initial=0)))
     return ((idx - 1) % ((lam + 1) * delta)) // delta
 
@@ -120,7 +120,7 @@ def block_decompose(kept, delta: int, p: int = 1) -> BlockDecomposition:
     """
     kept = _positions(kept)
     delta = check_delta(delta, int(kept[-1]) if kept.size else 0)
-    p = check_p(p)
+    p = check_count(p, "p")
     if not kept.size:
         return BlockDecomposition(np.zeros((0, 2), np.intp), np.zeros(0, np.intp))
     cuts = np.flatnonzero(np.diff(kept) >= delta)
@@ -158,7 +158,7 @@ def slice_solve(kept, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
     x = as_signal(x)
     solve = dp.table_builder(p)
     delta = check_delta(delta, x.size)
-    k = check_budget(k)
+    k = check_count(k, "k", None)
     kept = _positions(kept, x.size)
     # The window loop passes nonzero weights only, so this filter is rare.
     if not x[kept - 1].all():
@@ -222,10 +222,10 @@ def best_over_windows(
     ``x`` is a weight vector, checked by :func:`as_weights`, and ``forced``
     an optional boolean mask over ``[n]`` of indices kept by every slice;
     any other ``forced`` raises ``ValueError``.  ``lam`` goes through
-    :func:`model.check_lam` and is capped at :func:`window_cap`.  ``p`` is
-    checked up front, so a bad ``p`` raises on an empty ``x`` and at
-    ``k <= 0`` too, and those return ``()`` before any slice runs.  Ties
-    keep the earliest keep-set.
+    :func:`model.check_count`, least 0, and is capped at
+    :func:`window_cap`.  ``p`` is checked up front, so a bad ``p`` raises
+    on an empty ``x`` and at ``k <= 0`` too, and those return ``()``
+    before any slice runs.  Ties keep the earliest keep-set.
 
     The loop finds the nonzero positions of ``x`` and their drop phases
     once, forced ones at phase -1, and hands each slice the positions its
@@ -238,9 +238,9 @@ def best_over_windows(
     x = as_weights(x)
     n = x.size
     delta = check_delta(delta, n)
-    k = check_budget(k)
+    k = check_count(k, "k", None)
     dp.table_builder(p)  # raises for a p with no exact solver
-    lam = min(check_lam(lam), window_cap(n, delta))
+    lam = min(check_count(lam, "lam", 0), window_cap(n, delta))
     if forced is not None and not (getattr(forced, "dtype", None) == bool and forced.shape == (n,)):
         raise ValueError(f"forced must be a boolean mask of length {n}")
     # int32 halves the positions' memory; the phases' period, under 3n,

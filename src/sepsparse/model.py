@@ -10,10 +10,10 @@ Conventions used throughout the package:
   window rule: every ``delta`` consecutive positions may contain at most
   ``p`` chosen indices.  For ``p == 1`` this is exactly the pairwise rule
   ``|i - j| >= delta`` for distinct chosen ``i, j``.
-* Each parameter rule has one home: :func:`check_delta` checks and clamps
-  ``delta``, :func:`check_p` checks ``p``, :func:`check_budget` checks a
-  budget ``k``, :func:`check_lam` checks a window count ``lam``,
-  :func:`check_count` checks every other count and every seed,
+* Each parameter rule has one home: :func:`check_count` checks every
+  integer the package takes (a budget ``k``, a spike count ``p``, a window
+  count ``lam``, every other count, every seed and every support index),
+  :func:`check_delta` checks ``delta`` through it and clamps it,
   :func:`as_weights` checks every weight vector, and :func:`is_feasible`
   is the one feasibility test, which every other module calls.
 """
@@ -32,11 +32,8 @@ __all__ = [
     "as_support",
     "as_weights",
     "brute_force_solve",
-    "check_budget",
     "check_count",
     "check_delta",
-    "check_lam",
-    "check_p",
     "is_feasible",
     "max_support_size",
     "objective",
@@ -83,18 +80,16 @@ def as_signal(v) -> np.ndarray:
 def as_support(indices, n: int | None = None) -> tuple[int, ...]:
     """Normalize ``indices`` to a strictly increasing tuple of 1-based ints.
 
-    Rejects duplicates, and rejects anything outside ``[1, n]`` when ``n``
-    is given.
+    Each index goes through :func:`check_count`, so a float, a string or an
+    index below 1 raises ``ValueError``.  Rejects duplicates, and rejects
+    anything past ``n`` when ``n`` is given.
     """
-    idx = sorted(int(i) for i in indices)
+    idx = sorted(check_count(i, "support index") for i in indices)
     for a, b in zip(idx, idx[1:]):
         if a == b:
             raise ValueError(f"support contains duplicate index {a}")
-    if idx:
-        if idx[0] < 1:
-            raise ValueError(f"support index {idx[0]} below 1")
-        if n is not None and idx[-1] > n:
-            raise ValueError(f"support index {idx[-1]} exceeds n={n}")
+    if idx and n is not None and idx[-1] > n:
+        raise ValueError(f"support index {idx[-1]} exceeds n={n}")
     return tuple(idx)
 
 
@@ -106,8 +101,8 @@ def is_feasible(indices, n: int, k: int, delta: int, p: int = 1) -> bool:
     ``j``.  Indices outside ``[1, n]`` and a ``delta`` or ``p`` below 1 raise ``ValueError``.
     """
     check_delta(delta, n)
-    p = check_p(p)
-    k = check_budget(k)
+    p = check_count(p, "p")
+    k = check_count(k, "k", None)
     idx = as_support(indices, n)
     if len(idx) > k:
         return False
@@ -153,56 +148,26 @@ def restrict(v, indices) -> np.ndarray:
     return out
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as a Python int through ``operator.index``, so a numpy
-    integer computes in Python ints; a float or any other non-integer
-    raises ``ValueError``.  A Python ``bool`` is an ``int`` and passes."""
+def check_count(value: int, name: str, least: int | None = 1) -> int:
+    """The integer ``name`` checked to be >= ``least`` (any integer for
+    ``None``), as a Python int through ``operator.index``: a numpy integer
+    computes as the int it holds, and a float, NaN or string raises
+    ``ValueError``.  A Python ``bool`` is an ``int`` and passes.  This is
+    the package's one integer rule."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def check_delta(delta: int, n: int) -> int:
     """``delta`` checked to be an integer >= 1 and clamped to ``max(n, 1)``:
     on ``n`` positions any ``delta >= n`` admits the same supports as
     ``delta = n``.  The result is a Python int."""
-    delta = _as_int(delta, "delta")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    return min(delta, max(n, 1))
-
-
-def check_budget(k: int) -> int:
-    """A budget ``k`` checked to be an integer, as a Python int.  Whether
-    a ``k <= 0`` is an empty support or an error is each caller's rule."""
-    return _as_int(k, "k")
-
-
-def check_p(p: int) -> int:
-    """``p`` checked to be an integer >= 1, as a Python int."""
-    p = _as_int(p, "p")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return p
-
-
-def check_lam(lam: int) -> int:
-    """A window count ``lam`` checked to be an integer >= 0, as a Python int."""
-    lam = _as_int(lam, "lam")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    return lam
-
-
-def check_count(value: int, name: str, least: int | None = 1) -> int:
-    """A count or seed ``name`` checked to be an integer >= ``least`` (any
-    integer for ``None``), as a Python int: a numpy integer computes as the
-    int it holds, and a float, NaN or string raises ``ValueError``."""
-    value = _as_int(value, name)
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
+    return min(check_count(delta, "delta"), max(n, 1))
 
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:
@@ -210,7 +175,7 @@ def max_support_size(n: int, delta: int, p: int = 1) -> int:
     0 for a negative ``n``."""
     n = check_count(n, "n", None)
     delta = check_delta(delta, n)
-    p = check_p(p)
+    p = check_count(p, "p")
     if n < 0:
         return 0
     # A window holds at most delta distinct positions, so p >= delta is vacuous.
@@ -230,13 +195,11 @@ def brute_force_solve(x, k: int, delta: int, p: int = 1) -> tuple[tuple[int, ...
     """
     x = as_weights(x)
     n = x.size
-    k = check_budget(k)
+    k = check_count(k, "k")
     if n < 1:
         raise ValueError("brute force requires n >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     delta = check_delta(delta, n)
-    p = check_p(p)
+    p = check_count(p, "p")
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"brute force limited to n <= {MAX_BRUTE_FORCE_N}, got {n}")
     nonzero = [int(i) + 1 for i in np.flatnonzero(x)]

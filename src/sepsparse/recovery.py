@@ -25,7 +25,6 @@ from .head import head_project, window_cap, window_count
 from .model import (
     InfeasibleParameters,
     as_signal,
-    check_budget,
     check_count,
     is_feasible,
     max_support_size,
@@ -80,7 +79,7 @@ class RecoveryTrace:
 def default_measurement_count(n: int, k: int) -> int:
     """Benchmark default m = ceil(6 k ln n), clamped to [1, n]."""
     n = check_count(n, "n")
-    k = check_budget(k)
+    k = check_count(k, "k", 0)
     return min(max(1, math.ceil(6.0 * k * math.log(n))), n)
 
 
@@ -92,18 +91,28 @@ def gen_sensing(m: int, n: int, seed: int) -> np.ndarray:
 
 
 def _model_shape(A: np.ndarray) -> tuple[int, int]:
-    """The ``(m, n)`` shape of the sensing model ``A``; a model that is not
-    a 2-D matrix raises ``ValueError``."""
-    if np.ndim(A) != 2:
-        raise ValueError(f"the sensing model must be a 2-D (m, n) matrix, got shape {np.shape(A)}")
-    return np.shape(A)
+    """The ``(m, n)`` shape of the sensing model ``A``.  A model that is not
+    a 2-D numeric numpy array with finite entries raises ``ValueError``."""
+    ok = isinstance(A, np.ndarray) and A.ndim == 2 and A.dtype.kind in "iuf"
+    # min and max propagate NaN, so two reductions find any non-finite
+    # entry without an (m, n) temporary, as in model.as_weights.
+    if ok and A.size:
+        ok = math.isfinite(A.min()) and math.isfinite(A.max())
+    if not ok:
+        got = f"{getattr(A, 'shape', None)} of {getattr(A, 'dtype', type(A).__name__)}"
+        raise ValueError(
+            f"the sensing model must be a 2-D (m, n) matrix, got shape {got}; "
+            "it must be a numeric numpy array with finite entries"
+        )
+    return A.shape
 
 
 def _model_signal(v, name: str, A: np.ndarray, axis: int) -> np.ndarray:
-    """``v`` as a finite signal as long as axis ``axis`` of the model ``A``:
-    its height (0) for measurements, its width (1) for signals."""
+    """``v`` as a finite signal as long as axis ``axis`` of the model ``A``,
+    already checked by :func:`_model_shape`: its height (0) for
+    measurements, its width (1) for signals."""
     arr = as_signal(v)
-    if arr.size != _model_shape(A)[axis]:
+    if arr.size != A.shape[axis]:
         side = ("height", "width")[axis]
         raise ValueError(f"{name} length {arr.size} != model {side} {A.shape[axis]}")
     if not np.isfinite(arr).all():
@@ -112,10 +121,19 @@ def _model_signal(v, name: str, A: np.ndarray, axis: int) -> np.ndarray:
 
 
 def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
-    """Observe ``y = A x + e`` with i.i.d. Gaussian noise of the given sigma."""
+    """Observe ``y = A x + e`` with i.i.d. Gaussian noise of the given sigma.
+
+    A ``noise_sigma`` that is not a finite real >= 0, ``None`` or a string
+    included, raises ``ValueError``.
+    """
+    _model_shape(A)
     x = _model_signal(x, "signal x", A, 1)
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    try:
+        ok = math.isfinite(noise_sigma) and noise_sigma >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     e = make_rng(seed).standard_normal(A.shape[0]) * noise_sigma
     return Measurement(y=A @ x + e, e=e)
 
@@ -238,7 +256,7 @@ def empirical_rip(A: np.ndarray, k: int, delta: int, p: int, samples: int, seed:
     Draws ``samples`` supports, fills them with normalized Gaussian
     coefficients, and returns ``max |  ||A x||^2 - 1 |``.
     """
-    k = check_budget(k)
+    k = check_count(k, "k", None)
     samples = check_count(samples, "samples")
     n = _model_shape(A)[1]
     rng = make_rng(seed)

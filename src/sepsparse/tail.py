@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dp
 from .head import best_over_windows, window_count
-from .model import as_weights, check_budget, check_delta
+from .model import as_weights, check_count, check_delta
 
 # perfbench/tracing.py patches these two names here; keep them importable.
 from .head import slice_solve  # noqa: F401
@@ -108,7 +108,7 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     x = as_weights(x)
     n = x.size
     delta = check_delta(delta, n)
-    k = check_budget(k)
+    k = check_count(k, "k", None)
     if k <= 0 or n == 0:
         return ()
     k = min(k, n)

@@ -462,14 +462,14 @@ class TestRecover:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--k", "0", "n and k must be >= 1"),
+            ("--k", "0", "k must be >= 1, got 0"),
             ("--iters", "-1", "iterations must be >= 0, got -1"),
             ("--m", "0", "m must be >= 1"),
         ],
     )
     def test_counts_below_their_least_exit_2(self, capsys, flag, value, message):
-        # The CLI checks n and k itself; gen_sensing checks m and am_iht the
-        # iterations, both before anything is written.
+        # The CLI checks n and k with model.check_count; gen_sensing checks
+        # m and am_iht the iterations, both before anything is written.
         args = ["recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "1"]
         code, out, err = run_cli(capsys, *args, flag, value)
         assert code == 2

@@ -361,7 +361,7 @@ def test_supports_built_on_demand(monkeypatch, solve, build, table_cls):
 class TestTableBuilder:
     @pytest.mark.parametrize("p", [0, 3])
     def test_rejects_unsupported_p(self, p):
-        # p goes through model.check_p first, so 0 is no spike count at all.
+        # p goes through model.check_count first, so 0 is no spike count at all.
         with pytest.raises(ValueError, match="p must be >= 1" if p < 1 else f"p={p}"):
             table_builder(p)
 

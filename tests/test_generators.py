@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,9 @@ class TestPoisson:
             gen_poisson(0, 2.0, 0)
         with pytest.raises(ValueError, match="expected_gap"):
             gen_poisson(10, float("nan"), 0)
+        for gap in (None, "5"):
+            with pytest.raises(ValueError, match=re.escape(f"expected_gap must be >= 1, got {gap!r}")):
+                gen_poisson(10, gap, 1)
 
     @pytest.mark.parametrize("gap", [1e300, float("inf")])
     def test_gap_past_int64_returns_an_empty_train(self, gap):

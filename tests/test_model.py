@@ -25,12 +25,10 @@ from sepsparse.head import best_over_windows, block_decompose, drop_phase, head_
 from sepsparse.model import (
     _ascending_sum,
     as_signal,
+    as_support,
     brute_force_solve,
-    check_budget,
     check_count,
     check_delta,
-    check_lam,
-    check_p,
     is_feasible,
     max_support_size,
     objective,
@@ -38,6 +36,7 @@ from sepsparse.model import (
     squared_weights,
 )
 from sepsparse.seeding import derive_seed, make_rng
+from sepsparse.serialize import format_support
 from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
 from util import pairwise_feasible, window_scan_feasible
@@ -116,9 +115,9 @@ class TestObjective:
             x = rng.random(n)
             perm = rng.permutation(n) + 1
             cut = int(rng.integers(0, n + 1))
-            left, right = sorted(perm[:cut]), sorted(perm[cut:])
+            left, right = sorted(perm[:cut].tolist()), sorted(perm[cut:].tolist())
             both = objective(x, left) + objective(x, right)
-            assert objective(x, np.concatenate([left, right])) == pytest.approx(both, abs=1e-9)
+            assert objective(x, left + right) == pytest.approx(both, abs=1e-9)
 
 
 class TestSquaredAndRestrict:
@@ -302,7 +301,7 @@ BUDGET_TAKERS = {
 class TestCheckBudget:
     def test_every_budget_taker_takes_integers_only(self):
         # Each runs on normal input and on an empty vector, where several
-        # return early, and each raises check_budget's one ValueError.
+        # return early, and each raises check_count's one ValueError.
         wrong = []
         for name, call in BUDGET_TAKERS.items():
             for x in (np.ones(5), np.zeros(0)):
@@ -331,8 +330,8 @@ class TestCheckBudget:
                     if " at 0x" not in want and got != want:
                         wrong.append((name, k, got, want))
         assert wrong == []
-        assert type(check_budget(np.uint64(7))) is int
-        assert check_budget(True) == 1  # bool is an int subclass, as for delta and p
+        assert type(check_count(np.uint64(7), "k", None)) is int
+        assert check_count(True, "k", None) == 1  # bool is an int subclass, as for delta and p
         table = build_table_1spike(x, np.uint64(3), 2)
         assert type(table.budget) is int and table.support(np.int8(3)) == table.support(3)
 
@@ -347,7 +346,7 @@ LAM_TAKERS = {
 class TestCheckLam:
     def test_every_lam_taker_takes_integers_only(self):
         # Each runs on normal input and on an empty vector, and each raises
-        # check_lam's one ValueError: no TypeError, no overflow warning (an
+        # check_count's one ValueError: no TypeError, no overflow warning (an
         # error in these tests) and no float phase.
         wrong = []
         for name, call in LAM_TAKERS.items():
@@ -379,7 +378,7 @@ class TestCheckLam:
                 if repr(got) != repr(want):
                     wrong.append((name, lam, got, want))
         assert wrong == []
-        assert type(check_lam(np.uint64(2))) is int and check_lam(True) == 1
+        assert type(check_count(np.uint64(2), "lam", 0)) is int and check_count(True, "lam", 0) == 1
         assert drop_phase(np.arange(1, 8), 2, np.uint64(2)).dtype == drop_phase(np.arange(1, 8), 2, 2).dtype
 
 
@@ -411,6 +410,7 @@ COUNT_TAKERS = {
         "seed", 0, lambda v: recovery.empirical_rip(recovery.gen_sensing(3, 5, 1), 1, 2, 1, 2, v)
     ),
     "default_measurement_count n": ("n", 1, lambda v: recovery.default_measurement_count(v, 2)),
+    "default_measurement_count k": ("k", 0, lambda v: recovery.default_measurement_count(200, v)),
     "bench_sweep repeats": ("repeats", 1, lambda v: _bench_rows(repeats=v)),
     "bench_sweep seed": ("seed", 0, lambda v: _bench_rows(seed=v, repeats=1)),
     "make_rng": ("seed", 0, lambda v: make_rng(v).random(2)),
@@ -466,6 +466,53 @@ class TestCheckCount:
         assert type(check_count(np.uint64(7), "n")) is int
 
 
+# Every public function that takes a support, called with the indices.
+SUPPORT_TAKERS = {
+    "as_support": lambda idx: as_support(idx, 6),
+    "objective": lambda idx: objective(np.arange(1.0, 7.0), idx),
+    "is_feasible": lambda idx: is_feasible(idx, 6, 3, 2, 1),
+    "restrict": lambda idx: restrict(np.arange(1.0, 7.0), idx),
+    "format_support": lambda idx: format_support(idx),
+}
+
+
+class TestSupportIndices:
+    def test_every_support_taker_takes_integers_only(self):
+        # Truncating a float index would score, keep or write a neighbour
+        # of the index asked for, so each raises check_count's one
+        # ValueError, as does an index below 1.
+        wrong = []
+        for name, call in SUPPORT_TAKERS.items():
+            for bad in (1.7, "2", np.float64(1.0)):
+                try:
+                    call([3, bad])
+                except ValueError as err:
+                    if str(err) != f"support index must be an integer, got {bad!r}":
+                        wrong.append((name, bad, str(err)))
+                else:
+                    wrong.append((name, bad, "returned"))
+            try:
+                call([0, 3])
+            except ValueError as err:
+                if str(err) != "support index must be >= 1, got 0":
+                    wrong.append((name, 0, str(err)))
+            else:
+                wrong.append((name, 0, "returned"))
+        assert wrong == []
+
+    def test_numpy_integer_indices_compute_as_python_ints(self):
+        wrong = []
+        for name, call in SUPPORT_TAKERS.items():
+            want = repr(call([1, 4]))
+            for idx in (np.array([1, 4], dtype=np.uint64), [np.int8(1), np.int64(4)], (True, 4)):
+                got = repr(call(idx))
+                if got != want:
+                    wrong.append((name, idx, got, want))
+        assert wrong == []
+        assert as_support(np.array([4, 1], dtype=np.uint8)) == (1, 4)
+        assert all(type(i) is int for i in as_support(np.array([4, 1], dtype=np.uint8)))
+
+
 class TestCheckDelta:
     def test_clamps_to_n(self):
         assert check_delta(2, 5) == 2
@@ -483,7 +530,7 @@ class TestCheckDelta:
                     try:
                         call(x, k, delta)
                     except ValueError as err:
-                        if str(err) != "delta must be >= 1":
+                        if str(err) != f"delta must be >= 1, got {delta}":
                             wrong.append((name, x.size, k, delta, str(err)))
                     else:
                         wrong.append((name, x.size, k, delta, "returned"))
@@ -519,7 +566,7 @@ class TestCheckDelta:
         assert head_project(x, 3, 5, np.uint64(2), 0.5) == head_project(x, 3, 5, 2, 0.5)
         assert tail_project(x, 3, np.uint64(5), 0.5) == tail_project(x, 3, 5, 0.5)
         assert max_support_size(50, np.uint64(3), np.uint64(2)) == max_support_size(50, 3, 2)
-        assert type(check_p(np.uint64(2))) is int
+        assert type(check_count(np.uint64(2), "p")) is int
         # bool is an int subclass, so p=True is accepted as p = 1.
         assert max_support_size(10, 2, True) == max_support_size(10, 2, 1)
         with pytest.raises(ValueError, match="delta must be an integer"):
@@ -531,33 +578,36 @@ class TestCheckDelta:
 
 
 def test_each_parameter_rule_has_one_home():
-    # model.check_delta owns the delta check and clamp, model.check_p the
-    # spike count, model.check_lam the window count, model.check_count
-    # every other count and every seed, model._as_int the integer test
-    # behind them all, and head.window_count the precision; a second copy
-    # of a message is a second copy of its rule.  recovery only compares
-    # head's window count and cap.
+    # model.check_count is the one integer rule: it checks every budget,
+    # spike count, window count, other count, seed and support index, and
+    # check_delta checks delta through it before clamping; head.window_count
+    # owns the precision.  A second copy of a message is a second copy of
+    # its rule.  recovery only compares head's window count and cap.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
     homes = {
-        "delta must be >= 1": [],
-        "p must be >= 1": [],
-        "lam must be >= 0, got ": [],
         " must be >= ": [],
         " must be an integer, got ": [],
         "epsilon must be finite and positive": [],
     }
+    importers = []
     for path in sorted(package.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Constant) and node.value in homes:
-                homes[node.value].append(path.name)
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and node.value in homes:
+                    homes[node.value].append(f"{path.name}:{getattr(top, 'name', None)}")
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        if "operator" in imported:
+            importers.append(path.name)
     assert homes == {
-        "delta must be >= 1": ["model.py"],
-        "p must be >= 1": ["model.py"],
-        "lam must be >= 0, got ": ["model.py"],
-        " must be >= ": ["model.py"],
-        " must be an integer, got ": ["model.py"],
-        "epsilon must be finite and positive": ["head.py"],
+        " must be >= ": ["model.py:check_count"],
+        " must be an integer, got ": ["model.py:check_count"],
+        "epsilon must be finite and positive": ["head.py:window_count"],
     }
+    assert importers == ["model.py"]
+    for name in ("check_budget", "check_p", "check_lam", "_as_int"):
+        assert not hasattr(model, name)
     assert not hasattr(recovery, "_reaches_cap")
     tree = ast.parse((package / "recovery.py").read_text())
     am_iht = next(node for node in tree.body if getattr(node, "name", None) == "am_iht")

@@ -27,6 +27,21 @@ def planted_signal(n, k, delta, seed):
     return x, support
 
 
+# Sensing models that are 2-D but no numeric numpy array of finite entries,
+# and the one message every model taker raises for them.
+BAD_MODELS = {
+    "nested list": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+    "NaN entry": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]]),
+    "inf entry": np.array([[1.0, 0.0, 0.0, -math.inf], [0.0, 1.0, 0.0, 0.0]]),
+    "object dtype": np.ones((2, 4), dtype=object),
+    "complex dtype": np.ones((2, 4), dtype=complex),
+}
+BAD_MODEL_MESSAGE = (
+    r"sensing model must be a 2-D \(m, n\) matrix, got shape .*; "
+    r"it must be a numeric numpy array with finite entries"
+)
+
+
 class TestSensing:
     def test_deterministic_per_seed(self):
         a = gen_sensing(2, 3, 7)
@@ -86,7 +101,19 @@ class TestSensing:
         with pytest.raises(ValueError, match=message):
             empirical_rip(model, 1, 2, 1, 2, 0)
 
-    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", sorted(BAD_MODELS))
+    def test_a_model_that_is_no_finite_numeric_array_raises(self, kind):
+        with pytest.raises(ValueError, match=BAD_MODEL_MESSAGE):
+            measure(BAD_MODELS[kind], np.ones(4), 0.0, 0)
+        with pytest.raises(ValueError, match=BAD_MODEL_MESSAGE):
+            empirical_rip(BAD_MODELS[kind], 1, 2, 1, 2, 0)
+
+    def test_an_integer_model_measures_as_its_float_copy(self):
+        A = np.arange(12).reshape(3, 4)
+        x = np.array([0.5, -1.0, 2.0, 0.0])
+        assert np.array_equal(measure(A, x, 0.0, 0).y, measure(A.astype(float), x, 0.0, 0).y)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf, None, "0.1"])
     def test_bad_noise_sigma_raises(self, sigma):
         A = gen_sensing(3, 4, 0)
         with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
@@ -359,6 +386,11 @@ class TestAmIhtInputErrors:
         message = rf"sensing model must be a 2-D \(m, n\) matrix, got shape {re.escape(str(shape))}"
         with pytest.raises(ValueError, match=message):
             am_iht(np.zeros(3), np.ones(shape), 1, 2, 2, other_eps, other_eps)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_MODELS))
+    def test_a_model_that_is_no_finite_numeric_array_raises(self, other_eps, kind):
+        with pytest.raises(ValueError, match=BAD_MODEL_MESSAGE):
+            am_iht(np.zeros(2), BAD_MODELS[kind], 1, 2, 2, other_eps, other_eps)
 
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
         y, A, _ = ac9_instance(0)

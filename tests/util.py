@@ -17,7 +17,7 @@ import numpy as np
 
 from sepsparse import dp
 from sepsparse.head import block_decompose, drop_phase
-from sepsparse.model import as_weights, check_budget, check_delta, max_support_size
+from sepsparse.model import as_weights, check_count, check_delta, max_support_size
 from sepsparse.seeding import make_rng
 
 
@@ -246,7 +246,7 @@ def table1_reference(x, budget: int, delta: int):
     x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
     n = x.shape[-1]
     delta = check_delta(delta, n)
-    budget = check_budget(budget)
+    budget = check_count(budget, "k", None)
     rows = x.shape[:-1]
     s = min(delta, n)
     top = min(budget, max_support_size(n, delta, 1))
@@ -280,7 +280,7 @@ def table2_reference(x, budget: int, delta: int):
     x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
     n = x.shape[-1]
     delta = check_delta(delta, n)
-    budget = check_budget(budget)
+    budget = check_count(budget, "k", None)
     if delta == 1:
         return table1_reference(x, budget, 1)
     rows = x.shape[:-1]
