@@ -2,7 +2,9 @@
 
 Three solvers live here:
 
-* :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n).
+* :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n);
+  on a vector at most half nonzero, such as a spike train, O(k nnz) plus
+  O(k n / 8) flag packing.
 * :func:`build_table_2spike` -- the budgeted 2-spike recurrence,
   O(k delta n).
 * :func:`dp_solve_unrestricted` -- the budget-free 1-spike solver, O(n)
@@ -43,6 +45,16 @@ a leading slot of its candidates (see :func:`build_table_1spike`).  The
 2-spike pass runs every level on every prefix: skipping measured slower
 there on the short tables that recovery and ``head(p=2)`` build.
 
+A zero weight never takes and never moves a 1-spike row, so a vector with
+at most half its weights nonzero runs each level over its nonzero weights
+only, the nonzero pass: each reads the level below at its predecessor,
+the last nonzero at least ``delta`` before it, the rule
+:func:`dp_solve_unrestricted` steps by too.  The take flags are scattered
+into the same staging and packed whole, so the table and its walk-backs
+are the ones the full pass gives, bit for bit (see
+:func:`build_table_1spike`).  Denser vectors and every batch run the full
+pass.
+
 The 2-spike forward pass runs prefix-major, with the batch axis
 innermost: the weights are an ``(n, rows)`` array (a vector is one
 column) and a level is a ``(delta - 1, L, rows)`` buffer, one row per
@@ -58,7 +70,7 @@ row-major copy of each level's flags.  The 1-spike pass stays row-major:
 its running maximum runs along the row, and prefix-major 1-spike batches
 measured slower.
 
-The 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
+The full 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
 (131,072) weights, in a process that may run on more than one CPU, uses a
 second thread (one per further usable CPU): each level's columns ``lo``
 to ``n - 1`` run in one segment per usable CPU, as far as each keeps
@@ -326,6 +338,13 @@ def _run_segments(pool: ThreadPoolExecutor | None, work: Callable[[int], None], 
         future.result()
 
 
+def _predecessors(pos: np.ndarray, delta: int) -> np.ndarray:
+    """For each of the sorted 1-based nonzero positions ``pos``, how many
+    lie at or before it minus ``delta``: the 1-based rank of the last
+    nonzero a pick there may follow, 0 for none."""
+    return np.searchsorted(pos, pos - delta, side="right")
+
+
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     """Run the budgeted 1-spike recurrence on ``x`` for all levels <= budget.
 
@@ -351,6 +370,32 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     ``[lo, n)`` (see :func:`_segments`), one on this thread and each other
     one on a worker of a pool that lives for this call; this thread then
     raises each later segment to the row's maximum before it.
+
+    A vector with at most half its weights nonzero runs the nonzero pass
+    instead, on this thread, over its sorted 1-based nonzero positions
+    ``pos``.  The computed levels are non-decreasing in the prefix, each
+    row being a running maximum, and in the budget: level 0 is 0, and
+    each candidate of level ``ell`` adds its weight to an entry of level
+    ``ell - 1`` no smaller than the entry level ``ell - 1`` adds it to,
+    rounded addition being monotone.  So at a zero weight past ``lo`` the
+    candidate is ``+0.0 + prev[i - delta] = prev[i - delta] <= prev[i - 1]
+    <= row[i - 1]`` (a -0.0 weight gives the same sum): a zero weight
+    never takes and never moves the row, and each row is constant from
+    one nonzero to the next.  A level's row is therefore kept at the
+    nonzeros alone.  Level ``ell`` starts at the first nonzero past
+    ``lo``, carrying the level below at the nonzero before it, which is
+    its value at prefix ``lo``.  The ``j``-th nonzero's candidate is
+    ``w[j] + prev[pred[j]]``, ``pred[j]`` being the last nonzero at or
+    before ``pos[j] - delta`` (:func:`_predecessors`), whose value is the
+    level below's at prefix ``pos[j] - delta``.  The running maximum is
+    ``np.fmax.accumulate`` from the carry.  These are the full pass's
+    additions and maxima on the same operands, so the values and take
+    flags are the same, bit for bit.  The takes are written into the same
+    staging at ``pos`` and every level packs it whole, so a level costs
+    O(nnz) plus O(n / 8) packing.  On a dense vector the gathers cost more
+    than the prefixes they skip (at n = 4e5, k = delta = 316, on a 2-core
+    VM, the two passes broke even at about 40 % nonzero with the full
+    pass's second thread and 70 % without), so the rule is fixed at half.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     rows = x.shape[:-1]
@@ -359,16 +404,37 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     nbytes = (n + 8) // 8
     flags = np.zeros((top + 1, *rows, nbytes), dtype=np.uint8)
     values = np.zeros((top, *rows))
+    # Whole bytes per row, so packing the flat array packs each row.  Below
+    # lo + 1 it still holds the level below's flags, which are this level's.
+    take = np.zeros((*rows, 8 * nbytes), dtype=bool)
+    if not rows and 2 * np.count_nonzero(x) <= n:
+        # The nonzero pass.  Slot j of a level's row is its value at the
+        # j-th nonzero (1-based), slot 0 the 0.0 before the first, and
+        # cand[j] the j-th nonzero's candidate; a level that runs from slot
+        # a holds its carry in cand[a].
+        pos = np.flatnonzero(x) + 1
+        w = x[pos - 1]
+        pred = _predecessors(pos, delta)
+        m = pos.size
+        prev, row, cand = np.zeros(m + 1), np.zeros(m + 1), np.empty(m + 1)
+        # Level ell runs the nonzeros past (ell - 1) * delta, from slot a.
+        starts = np.searchsorted(pos, np.arange(top) * delta, side="right")
+        for ell, a in enumerate(starts.tolist(), 1):
+            cand[a] = prev[a]
+            np.add(w[a:], prev[pred[a:]], out=cand[a + 1 :])
+            np.fmax.accumulate(cand[a:], out=row[a:])
+            take[pos[a:]] = cand[a + 1 :] > row[a:m]
+            flags[ell] = np.packbits(take)
+            values[ell - 1] = row[m]
+            prev, row = row, prev
+        return DpTable1(values, flags, budget, delta, n)
+    took = take[..., 1 : n + 1]
     # Level rows live at [..., s:]; [..., 1 : n + 1] is prev[i - delta] for i = 1..n.
     prev = np.zeros((*rows, s + n + 1))
     row = np.zeros((*rows, s + n + 1))
     # cand[..., i] is prefix i's candidate; a level that runs from column
     # lo holds its carry, the level below at prefix lo, in cand[..., lo].
     cand = np.empty((*rows, n + 1))
-    # Whole bytes per row, so packing the flat array packs each row.  Below
-    # lo + 1 it still holds the level below's flags, which are this level's.
-    take = np.zeros((*rows, 8 * nbytes), dtype=bool)
-    took = take[..., 1 : n + 1]
     # Only a vector long enough to split reads the CPU count.
     cpus = _usable_cpus() if not rows and n >= 2 * _SPLIT_MIN else 1
     segments = _segments(0, n, cpus)
@@ -636,7 +702,7 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
     pos = np.flatnonzero(x) + 1
     # best[j] is the prefix optimum through the j-th nonzero (1-based), and
     # pred names each nonzero's predecessor by that j, 0 (best 0.0) for none.
-    pred = np.searchsorted(pos, pos - delta, side="right").tolist()
+    pred = _predecessors(pos, delta).tolist()
     best = [0.0]
     took = []
     for w, j in zip(x[pos - 1].tolist(), pred):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .model import check_count
@@ -25,15 +27,12 @@ def gen_poisson(n: int, expected_gap: float, seed: int) -> tuple[np.ndarray, tup
     of gaps that passes n.  Spike entries are uniform in [0, 1), everything
     else exactly 0.  Any gap past n ends the train, so gaps are clipped to
     n + 1, which keeps a huge or infinite ``expected_gap`` in int64 range.
-    An ``expected_gap`` that is not a real >= 1, ``None`` or a string
-    included, raises ``ValueError``.
+    An ``expected_gap`` that is not a real scalar >= 1, ``None``, a string
+    or an array included, raises ``ValueError``.
     """
     n = check_count(n, "n")
-    try:
-        ok = expected_gap >= 1  # also rejects NaN
-    except TypeError:
-        ok = False
-    if not ok:
+    # NaN fails the comparison too.
+    if not (isinstance(expected_gap, numbers.Real) and expected_gap >= 1):
         raise ValueError(f"expected_gap must be >= 1, got {expected_gap!r}")
     rng = make_rng(seed)
     # Chunked draws: the chunk size depends only on (n, expected_gap), so

@@ -104,6 +104,12 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     budget-free solver already respects the sparsity budget.  Its Python
     loop visits only nonzero weights, so it runs at most k steps on a
     length-n vector after O(n) vector work.
+
+    The solver never takes a zero weight, so only the nonzero weights are
+    ranked: with at most ``k`` of them every one is kept and ``x`` goes to
+    the solver as it is; otherwise the threshold is the ``k``-th largest
+    nonzero weight, found by partitioning the nonzero weights alone (all
+    of ``x`` when none is zero).
     """
     x = as_weights(x)
     n = x.size
@@ -111,12 +117,15 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     k = check_count(k, "k", None)
     if k <= 0 or n == 0:
         return ()
-    k = min(k, n)
-    threshold = np.partition(x, n - k)[n - k]
-    keep = x > threshold
-    keep[np.flatnonzero(x == threshold)[: k - np.count_nonzero(keep)]] = True
-    restricted = np.where(keep, x, 0.0)
-    _, sol = dp.dp_solve_unrestricted(restricted, delta)
+    nonzero = x != 0.0
+    count = np.count_nonzero(nonzero)
+    if count > k:
+        weights = x if count == n else x[nonzero]
+        threshold = np.partition(weights, count - k)[count - k]
+        keep = x > threshold
+        keep[np.flatnonzero(x == threshold)[: k - np.count_nonzero(keep)]] = True
+        x = np.where(keep, x, 0.0)
+    _, sol = dp.dp_solve_unrestricted(x, delta)
     return sol
 
 

@@ -19,6 +19,7 @@ from sepsparse.dp import (
     dp_solve_unrestricted,
     table_builder,
 )
+from sepsparse.generators import gen_poisson
 from sepsparse.model import brute_force_solve, is_feasible, max_support_size, objective
 from sepsparse.seeding import make_rng
 
@@ -562,9 +563,11 @@ def hostile_vectors(seed: int, count: int):
 
     Lengths run from 1 to 95, mostly not a multiple of 8; the weights
     cycle through integer ties with a zero run, weights from 1e-300 to
-    1e300, sparse and dense uniform weights; ``delta`` is small, past
-    half of ``n`` (past a two-way split) or past ``n``; and the budget is
-    small, the packing limit or just past it, or ``10**23``.
+    1e300, uniform weights with a quarter of them zero, and uniform
+    weights; ``delta`` is small, past half of ``n`` (past a two-way split)
+    or past ``n``; and the budget is small, the packing limit or just past
+    it, or ``10**23``.  A vector at most half nonzero takes the nonzero
+    pass, which never splits, so the weights are mostly nonzero.
     """
     rng = make_rng(seed)
     for c in range(count):
@@ -577,7 +580,7 @@ def hostile_vectors(seed: int, count: int):
         elif kind == 1:
             x = 10.0 ** rng.uniform(-300, 300, n) * (rng.random(n) < 0.7)
         elif kind == 2:
-            x = rng.random(n) * (rng.random(n) < 0.25)
+            x = rng.random(n) * (rng.random(n) >= 0.25)
         else:
             x = rng.random(n)
         past_half = max(1, n // 2 + int(rng.integers(0, n // 2 + 1)))
@@ -646,6 +649,12 @@ def hostile_1spike_tables(seed: int, count: int):
         yield x, budget, delta
 
 
+def takes_nonzero_pass(x: np.ndarray) -> bool:
+    """Whether ``build_table_1spike`` runs ``x`` over its nonzero weights
+    only: a vector with at most half its weights nonzero."""
+    return x.ndim == 1 and 2 * np.count_nonzero(x) <= x.size
+
+
 class TestLevelSkipping:
     """Level ell of the 1-spike pass runs only the prefixes past
     (ell - 1) * delta, from a carry, with an ``fmax`` running maximum; its
@@ -673,8 +682,9 @@ class TestLevelSkipping:
                     got = build_table_1spike(x, budget, delta)
                     if split is not None:
                         # Split levels past the first with a cut inside a
-                        # flag byte.
-                        for ell in range(2, len(got) + 1):
+                        # flag byte; a vector the nonzero pass runs never
+                        # splits.
+                        for ell in range(2, len(got) + 1) if not takes_nonzero_pass(x) else ():
                             cuts = [a for a, _ in dp._segments((ell - 1) * got.delta, x.size, cpus)[1:]]
                             inner_cuts += any((a + 1) % 8 for a in cuts)
                         monkeypatch.undo()
@@ -717,7 +727,7 @@ class TestSplitForwardPass:
             # flag byte, on two to four CPUs.
             monkeypatch.setattr(dp, "_SPLIT_MIN", (5, 13)[c % 2])
             monkeypatch.setattr(dp, "_usable_cpus", lambda c=c: 2 + c % 3)
-            split += len(dp._segments(0, x.size, dp._usable_cpus())) > 1
+            split += not takes_nonzero_pass(x) and len(dp._segments(0, x.size, dp._usable_cpus())) > 1
             # Every case in both orders on this thread, every tenth on threads.
             for run in [ordered(False), ordered(True)] + [run_on_threads] * (c % 10 == 0):
                 monkeypatch.setattr(dp, "_run_segments", run)
@@ -887,3 +897,121 @@ class TestSplitForwardPass:
         assert np.isinf(got.values).any()
         assert got.values.tobytes() == want.values.tobytes()
         assert got.flags.tobytes() == want.flags.tobytes()
+
+
+def hostile_sparse_vectors(seed: int, count: int):
+    """``count`` ``(x, budget, delta)`` cases for the 1-spike nonzero pass:
+    vectors of 0 to 120 weights, at most half of them nonzero.
+
+    The weights cycle through spike trains (gaps drawn around a mean of 1
+    to 10), integer ties with a zero run, weights of 1e308 whose sums
+    overflow to inf, -0.0 and small integers, and weights from 1e-300 to
+    1e300; every third vector of the last four kinds is exactly half
+    nonzero.  ``delta`` is 1, small, past half of ``n`` or past ``n``; and
+    the budget is 0 to 5, the packing limit or just past it, up to
+    ``n + 2``, or ``10**23``.
+    """
+    rng = make_rng(seed)
+    for c in range(count):
+        n = int(rng.integers(0, 121))
+        kind = c % 5
+        if kind == 0:
+            at = np.cumsum(np.rint(rng.exponential(rng.uniform(1, 10), n)).astype(np.int64) + 1) - 1
+        else:
+            at = rng.permutation(n)[: n // 2 if c % 3 == 0 else int(rng.integers(0, n // 2 + 1))]
+        at = at[at < n][: n // 2]
+        x = np.zeros(n)
+        if kind == 0:
+            x[at] = rng.random(at.size)
+        elif kind == 1:
+            x[at] = rng.integers(1, 3, at.size)
+            start = int(rng.integers(0, n + 1))
+            x[start : start + int(rng.integers(0, 20))] = 0.0
+        elif kind == 2:
+            x[at] = np.where(rng.random(at.size) < 0.5, 1e308, rng.random(at.size))
+        elif kind == 3:
+            x[rng.random(n) < 0.5] = -0.0
+            x[at] = rng.integers(1, 3, at.size)
+        else:
+            x[at] = 10.0 ** rng.uniform(-300, 300, at.size)
+        past_half = n // 2 + 1 + int(rng.integers(0, n // 2 + 1))
+        delta = (1, int(rng.integers(2, 9)), past_half, n + int(rng.integers(1, 10**6)))[int(rng.integers(0, 4))]
+        limit = max_support_size(n, delta, 1)
+        budget = (
+            int(rng.integers(0, 6)),
+            limit + int(rng.integers(0, 3)),
+            int(rng.integers(0, n + 3)),
+            10**23,
+        )[int(rng.integers(0, 4))]
+        yield x, budget, delta
+
+
+class TestNonzeroPass:
+    """A vector with at most half its weights nonzero runs the 1-spike
+    levels over its nonzero weights only; its tables are those of the pass
+    that runs every level on every prefix, bit for bit."""
+
+    def test_tables_match_the_full_level_pass(self):
+        wrong, cases, half = [], 0, 0
+        # Sums of 1e308 overflow to inf in both passes alike.
+        with np.errstate(over="ignore"):
+            for x, budget, delta in hostile_sparse_vectors(2801, 3000):
+                assert takes_nonzero_pass(x)
+                cases += 1
+                half += x.size > 0 and 2 * np.count_nonzero(x) == x.size
+                if not same_table(build_table_1spike(x, budget, delta), table1_reference(x, budget, delta)):
+                    wrong.append((x, budget, delta))
+        assert wrong == []
+        assert cases == 3000 and half > 300
+
+    def test_spike_trains_match_the_full_level_pass(self):
+        # Poisson spike trains at the density of the paper's figures, and a
+        # budget past the packing limit.
+        for seed in range(4):
+            x, _ = gen_poisson(5000, 50.0, seed)
+            for budget, delta in ((30, 50), (10**23, 7), (12, 1)):
+                got = build_table_1spike(x, budget, delta)
+                assert same_table(got, table1_reference(x, budget, delta))
+                assert objective(x, got.support(budget)) == float(got.values[-1])
+
+    def test_only_a_vector_at_most_half_nonzero_takes_it(self, monkeypatch):
+        steps = []
+        predecessors = dp._predecessors
+
+        def counted(pos, delta):
+            steps.append(pos.size)
+            return predecessors(pos, delta)
+
+        monkeypatch.setattr(dp, "_predecessors", counted)
+        x = np.zeros(41)
+        x[::2] = 1.0
+        build_table_1spike(x[1:], 3, 2)  # 20 of 40 nonzero
+        build_table_1spike(x[:40], 3, 2)  # 20 of 40 nonzero
+        build_table_1spike(x, 3, 2)  # 21 of 41 nonzero
+        build_table_1spike(x[None, 1:], 3, 2)  # a batch
+        assert steps == [20, 20]
+
+    def test_builds_without_full_length_float_rows(self):
+        # 200 nonzero weights in 1e5: the nonzero pass holds the flags, the
+        # values, the bool take staging and arrays of the nonzeros' length.
+        # The dense pass, which a one-row batch runs, holds three float rows
+        # of n.
+        n, budget, delta = 100_000, 20, 100
+        rng = make_rng(2811)
+        x = np.zeros(n)
+        x[rng.choice(n, 200, replace=False)] = rng.random(200)
+        build_table_1spike(x, budget, delta)
+        peaks = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for rows in (x, x[None, :]):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                table = build_table_1spike(rows, budget, delta)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - table.flags.nbytes - table.values.nbytes)
+        finally:
+            tracemalloc.stop()
+        sparse, dense = peaks
+        assert sparse <= 2 * n, peaks
+        assert dense >= 3 * 8 * n, peaks

@@ -97,6 +97,13 @@ class TestPoisson:
             with pytest.raises(ValueError, match=re.escape(f"expected_gap must be >= 1, got {gap!r}")):
                 gen_poisson(10, gap, 1)
 
+    @pytest.mark.parametrize("gap", [np.array([5.0]), np.array(5.0), [5.0]])
+    def test_a_gap_that_is_no_real_scalar_raises_the_rules_error(self, gap):
+        # A one-element array once passed the check and raised TypeError
+        # further on.
+        with pytest.raises(ValueError, match=re.escape(f"expected_gap must be >= 1, got {gap!r}")):
+            gen_poisson(10, gap, 1)
+
     @pytest.mark.parametrize("gap", [1e300, float("inf")])
     def test_gap_past_int64_returns_an_empty_train(self, gap):
         # Gaps this large once wrapped to negative int64 positions, and the
