@@ -130,7 +130,7 @@ __all__ = [
 
 def _prepare(x, budget: int, delta: int) -> tuple[np.ndarray, int, int, int]:
     """Validated weights, a vector or a 2-D array of rows, the row length
-    ``n``, ``budget`` through :func:`check_count` (any integer) and
+    ``n``, ``budget`` through :func:`check_count` as ``k``, least 0, and
     ``delta`` through :func:`check_delta`.
 
     Every row of a 2-D ``x`` is checked like a vector by :func:`as_weights`.
@@ -139,12 +139,12 @@ def _prepare(x, budget: int, delta: int) -> tuple[np.ndarray, int, int, int]:
     x = as_weights(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_weights(arr)
     n = x.shape[-1]
     delta = check_delta(delta, n)
-    return x, n, check_count(budget, "k", None), delta
+    return x, n, check_count(budget, "k", 0), delta
 
 
 def _levels(n: int, budget: int, delta: int, p: int) -> int:
-    """The levels a budget-``budget`` table runs: the budget, >= 0, capped at the packing limit."""
-    return min(check_count(budget, "budget", 0), max_support_size(n, delta, p))
+    """The levels a budget-``budget`` table runs: the checked budget capped at the packing limit."""
+    return min(budget, max_support_size(n, delta, p))
 
 
 def _nearest_take(row: np.ndarray, i: int) -> int:
@@ -663,7 +663,7 @@ def table_cells(n: int, k: int, delta: int, p: int) -> int:
     weights: ``n`` per level it runs, times the clamped ``delta`` for ``p = 2``."""
     table_builder(p)  # raises for a p with no exact solver
     n = check_count(n, "n", None)
-    return _levels(n, check_count(k, "k", None), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
+    return _levels(n, check_count(k, "k", 0), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
 
 
 def _solved(table: _DpTable) -> tuple[np.ndarray, _DpTable]:

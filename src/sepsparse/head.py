@@ -2,11 +2,15 @@
 
 The projector removes a periodic run of ``delta`` positions from the ground
 set (one of ``lam + 1`` phase-shifted choices), which caps every remaining
-block at ``lam * delta`` positions.  The window loop checks the weights
-once, finds their nonzero positions once and reads each one's drop phase,
-which repeats with period ``(lam + 1) * delta``.  A keep-set's slice gets
-the sorted positions it keeps, an O(nnz) filter, and cuts them into blocks
-where consecutive positions are ``delta`` or more apart, held as arrays.
+block at ``lam * delta`` positions.  Every position set the window loop
+takes or hands on is a strictly increasing integer array of 1-based
+positions.  The loop checks the weights once, compares them with 0 once to
+find their nonzero positions and reads each one's drop phase, which
+repeats with period ``(lam + 1) * delta``; positions forced into every
+keep-set are found among the nonzero ones by one search.  A keep-set's
+slice gets the sorted positions it keeps, an O(nnz) filter, and cuts them
+into blocks where consecutive positions are ``delta`` or more apart, held
+as arrays with each block's range in the kept positions.
 No masked copy of the weights is needed: a dropped run is ``delta`` long,
 so the kept positions on its two sides fall in different blocks, and each
 block's span is gathered straight from the weights.  Only a forced index
@@ -83,28 +87,33 @@ def window_count(n: int, delta: int, epsilon: float, scale: float = 1.0) -> int:
 
 @dataclass
 class BlockDecomposition:
-    """Blocks of a set of positions: spanning intervals and their budgets.
+    """Blocks of a set of positions: spanning intervals, budgets and ranges.
 
     ``blocks`` is a ``(B, 2)`` int array whose row t is the 1-based
     inclusive interval ``(lo, hi)`` spanned by the t-th chain of positions
     in which consecutive members are less than ``delta`` apart; it
     iterates as those ``(lo, hi)`` pairs.  ``budgets`` is an int array
-    with ``budgets[t] = p * ceil(len/delta)``.
+    with ``budgets[t] = p * ceil(len/delta)``.  ``ranges`` is a ``(B, 2)``
+    int array whose row t is the half-open range ``[first, stop)`` of the
+    t-th chain in the positions, so ``lo`` and ``hi`` sit at ``first`` and
+    ``stop - 1``.
     """
 
     blocks: np.ndarray
     budgets: np.ndarray
+    ranges: np.ndarray
 
 
-def _positions(kept, n: float = math.inf) -> np.ndarray:
-    """``kept`` as an array, checked to hold strictly increasing integer
-    positions in ``[1, n]``.  A compare, not a difference, finds a step
-    down: an unsigned or narrow difference would wrap."""
-    kept = np.asarray(kept)
-    ok = kept.dtype.kind in "iu" and kept.ndim == 1 and not (kept[1:] <= kept[:-1]).any()
-    if not ok or (kept.size and not 1 <= kept[0] <= kept[-1] <= n):
-        raise ValueError(f"kept must be a strictly increasing integer array in [1, {n}]")
-    return kept
+def _positions(values, n: float = math.inf, name: str = "kept") -> np.ndarray:
+    """``values`` as an array, checked to hold strictly increasing integer
+    positions in ``[1, n]``; the message names them ``name``.  A compare,
+    not a difference, finds a step down: an unsigned or narrow difference
+    would wrap."""
+    values = np.asarray(values)
+    ok = values.dtype.kind in "iu" and values.ndim == 1 and not (values[1:] <= values[:-1]).any()
+    if not ok or (values.size and not 1 <= values[0] <= values[-1] <= n):
+        raise ValueError(f"{name} must be a strictly increasing integer array in [1, {n}]")
+    return values
 
 
 def block_decompose(kept, delta: int, p: int = 1) -> BlockDecomposition:
@@ -116,19 +125,20 @@ def block_decompose(kept, delta: int, p: int = 1) -> BlockDecomposition:
     distinct blocks are at least ``delta`` apart and can be solved
     independently.  :func:`slice_solve` passes only positions of nonzero
     weight, so a zero weight joins no block.  A ``delta`` past the last
-    position cuts nothing, so it is clamped there.
+    position cuts nothing, so it is clamped there.  Each block's range in
+    ``kept`` comes with it, so no caller searches ``kept`` for it again.
     """
     kept = _positions(kept)
     delta = check_delta(delta, int(kept[-1]) if kept.size else 0)
     p = check_count(p, "p")
     if not kept.size:
-        return BlockDecomposition(np.zeros((0, 2), np.intp), np.zeros(0, np.intp))
-    cuts = np.flatnonzero(np.diff(kept) >= delta)
-    first = np.concatenate(([0], cuts + 1))
-    last = np.concatenate((cuts, [kept.size - 1]))
-    blocks = kept[np.stack((first, last), axis=1)].astype(np.intp)
+        empty = np.zeros((0, 2), np.intp)
+        return BlockDecomposition(empty, np.zeros(0, np.intp), empty)
+    cuts = np.flatnonzero(np.diff(kept) >= delta) + 1
+    ranges = np.stack((np.concatenate(([0], cuts)), np.concatenate((cuts, [kept.size]))), axis=1)
+    blocks = kept[ranges - [0, 1]].astype(np.intp)
     lengths = blocks[:, 1] - blocks[:, 0] + 1
-    return BlockDecomposition(blocks, p * -(-lengths // delta))
+    return BlockDecomposition(blocks, p * -(-lengths // delta), ranges)
 
 
 def slice_solve(kept, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
@@ -169,9 +179,7 @@ def slice_solve(kept, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
 
     los, his = dec.blocks.T
     lengths = his - los + 1
-    # Block b's positions are kept[first[b] : stop[b]]: lo and hi are kept
-    # positions, at first[b] and stop[b] - 1.
-    first, stop = np.searchsorted(kept, dec.blocks.astype(kept.dtype)).T + [[0], [1]]
+    first, stop = dec.ranges.T
     # Only a block with fewer kept positions than cells can span a weight
     # that kept leaves out.
     holed = stop - first < lengths
@@ -220,15 +228,18 @@ def best_over_windows(
     """Best exact slice solution over the ``lam + 1`` periodic keep-sets.
 
     ``x`` is a weight vector, checked by :func:`as_weights`, and ``forced``
-    an optional boolean mask over ``[n]`` of indices kept by every slice;
-    any other ``forced`` raises ``ValueError``.  ``lam`` goes through
-    :func:`model.check_count`, least 0, and is capped at
-    :func:`window_cap`.  ``p`` is checked up front, so a bad ``p`` raises
-    on an empty ``x`` and at ``k <= 0`` too, and those return ``()``
-    before any slice runs.  Ties keep the earliest keep-set.
+    optional positions kept by every slice, a strictly increasing integer
+    array in ``[1, n]`` as :func:`tail.strong_and_reduced` returns its
+    strong set; any other ``forced``, a boolean mask included, raises
+    ``ValueError``, and a forced position of zero weight is ignored.
+    ``lam`` goes through :func:`model.check_count`, least 0, and is capped
+    at :func:`window_cap`.  ``p`` and ``forced`` are checked up front, so
+    a bad one raises on an empty ``x`` and at ``k <= 0`` too, and those
+    return ``()`` before any slice runs.  Ties keep the earliest keep-set.
 
-    The loop finds the nonzero positions of ``x`` and their drop phases
-    once, forced ones at phase -1, and hands each slice the positions its
+    The loop compares ``x`` with 0 once, finding its nonzero positions and
+    their drop phases; one search of the forced positions among them puts
+    the forced ones at phase -1.  Each slice gets the positions its
     keep-set keeps.  No masked copy of ``x`` is needed: a dropped run is
     ``delta`` long, so kept positions on its two sides are more than
     ``delta`` apart and no block spans it, unless a forced index inside
@@ -241,19 +252,21 @@ def best_over_windows(
     k = check_count(k, "k", None)
     dp.table_builder(p)  # raises for a p with no exact solver
     lam = min(check_count(lam, "lam", 0), window_cap(n, delta))
-    if forced is not None and not (getattr(forced, "dtype", None) == bool and forced.shape == (n,)):
-        raise ValueError(f"forced must be a boolean mask of length {n}")
     # int32 halves the positions' memory; the phases' period, under 3n,
     # fits in it too.
     positions = np.arange(1, n + 1, dtype=np.int32 if 3 * n < 2**31 else np.int64)[x != 0.0]
+    if forced is not None:
+        # The search below runs in the positions' own type: a wider one
+        # would cast all of them.
+        forced = _positions(forced, n, "forced").astype(positions.dtype)
     if k <= 0 or not positions.size:
         return ()
     # The narrowest signed type that holds -1 to lam.
     phase = drop_phase(positions, delta, lam).astype(np.min_scalar_type(-lam - 1))
     if forced is not None:
-        # A phase no keep-set drops; a mask selects the forced nonzeros
-        # several times faster than a gather at the positions.
-        phase[forced[x != 0.0]] = -1
+        # A phase no keep-set drops.
+        at = np.searchsorted(positions, forced)
+        phase[at[positions.take(at, mode="clip") == forced]] = -1
     best, best_val = (), 0.0
     for nu in range(lam + 1):
         sol = slice_solve(positions[phase != nu], x, k, delta, p)

@@ -16,6 +16,7 @@ once instead, and every other step runs the windowed projector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,9 @@ def am_iht(
     entries, tail-projects the squared result back to a (k, delta)-feasible
     support, and restricts.  Residual norms are recorded
     when ``x_true`` is supplied; ``stop_tol`` optionally ends the loop when
-    the measurement-space proxy stalls.
+    the measurement-space proxy stalls.  A ``stop_tol`` that is neither
+    ``None`` nor a real >= 0, NaN and a string included, raises
+    ``ValueError`` before the first iteration.
 
     The head step runs the exact 2-spike DP when ``head.window_count(n,
     delta, eps_head)`` equals ``head.window_cap(n, delta)``, and the tail
@@ -173,6 +176,9 @@ def am_iht(
     truth = None if x_true is None else _model_signal(x_true, "x_true", A, 1)
     iterations = check_count(iterations, "iterations", 0)
     k = check_count(k, "k", 0)
+    # NaN fails the comparison too.
+    if not (stop_tol is None or (isinstance(stop_tol, numbers.Real) and stop_tol >= 0)):
+        raise ValueError(f"stop_tol must be None or a real >= 0, got {stop_tol!r}")
     cap = window_cap(n, delta)
     head_exact = window_count(n, delta, eps_head) == cap
     tail_exact = window_count(n, delta, eps_tail, 2.0) == cap

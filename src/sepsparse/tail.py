@@ -84,14 +84,11 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
     t = tail_vector(x, delta)
     x = np.ascontiguousarray(x, dtype=np.float64)
     delta = check_delta(delta, x.size)
-    strong_mask = x > t
-    strong = np.flatnonzero(strong_mask) + 1
+    strong = np.flatnonzero(x > t) + 1
     r = x.copy()
-    n = x.size
-    for s in strong:
-        lo = max(int(s) - delta, 0)
-        hi = min(int(s) + delta - 1, n)
-        r[lo:hi] = 0.0
+    # A slice's stop past n stops at n.
+    for s in strong.tolist():
+        r[max(s - delta, 0) : s + delta - 1] = 0.0
         r[s - 1] = x[s - 1]
     return TailProfile(strong=strong, r=r)
 
@@ -134,7 +131,9 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
 
     Builds the reduced vector, then runs the windowed slice loop at halved
     precision (``lam = ceil(2/epsilon)``, see :func:`window_count`) with
-    the strong set merged into every slice; strong indices always land in
+    the strong set kept by every slice: the sorted positions
+    :func:`strong_and_reduced` returns go to :func:`best_over_windows` as
+    its forced positions as they are.  Strong indices always land in
     singleton blocks of the reduced vector, so block sizes stay bounded.
     Returns the slice solution with maximal reduced-vector mass.
     Single-spike model only.  This wrapper checks nothing itself:
@@ -145,6 +144,4 @@ def tail_project(x, k: int, delta: int, epsilon: float) -> tuple[int, ...]:
     """
     lam = window_count(np.size(x), delta, epsilon, 2.0)
     profile = strong_and_reduced(x, delta)
-    forced = np.zeros(profile.r.size, dtype=bool)
-    forced[profile.strong - 1] = True
-    return best_over_windows(profile.r, k, delta, 1, lam, forced)
+    return best_over_windows(profile.r, k, delta, 1, lam, profile.strong)

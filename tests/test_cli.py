@@ -441,6 +441,15 @@ class TestRecover:
         assert out == ""
         assert "sigma" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_stop_tol_exits_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "recover", "--n", "40", "--k", "2", "--delta", "5", "--iters", "1", "--stop-tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "stop_tol must be None or a real >= 0" in err
+
     def test_infeasible_k_exits_3_before_the_sensing_draw(self, capsys, monkeypatch):
         draws = []
         real = cli.gen_sensing

@@ -477,7 +477,7 @@ class TestTableBuilder:
         ],
     )
     def test_negative_budget_raises(self, call):
-        with pytest.raises(ValueError, match="budget must be >= 0, got -"):
+        with pytest.raises(ValueError, match="k must be >= 0, got -"):
             call(np.ones(5))
 
     def test_builder_looked_up_when_called(self, monkeypatch):

@@ -75,7 +75,8 @@ class TestWindows:
             cap = window_cap(n, delta)
             forced = rng.random(n) < 0.2 if c % 2 else None
             masks.clear()
-            best_over_windows(rng.random(n), 3, delta, 1, lam, forced)
+            positions = None if forced is None else np.flatnonzero(forced) + 1
+            best_over_windows(rng.random(n), 3, delta, 1, lam, positions)
             lam = min(lam, cap)
             phase = drop_phase(np.arange(1, n + 1), delta, lam)
             want = [(phase != nu) | (forced if forced is not None else False) for nu in range(lam + 1)]
@@ -124,11 +125,11 @@ class TestWindows:
         for x, k in ((np.ones(5), 0), (np.ones(5), -2), (np.zeros(5), 3), (np.array([0.0, -0.0]), 3), (np.zeros(0), 3)):
             for p in (1, 2):
                 assert best_over_windows(x, k, 2, p, 2) == ()
-                assert best_over_windows(x, k, 2, p, 2, np.ones(x.size, dtype=bool)) == ()
+                assert best_over_windows(x, k, 2, p, 2, np.flatnonzero(np.ones(x.size, dtype=bool)) + 1) == ()
             with pytest.raises(ValueError, match="p=3"):
                 best_over_windows(x, k, 2, 3, 2)
-            with pytest.raises(ValueError, match="forced must be a boolean mask"):
-                best_over_windows(x, k, 2, 1, 2, np.ones(x.size + 1, dtype=bool))
+            with pytest.raises(ValueError, match="forced must be a strictly increasing integer array"):
+                best_over_windows(x, k, 2, 1, 2, np.flatnonzero(np.ones(x.size + 1, dtype=bool)) + 1)
 
     def test_window_count_reaches_the_cap(self):
         # best_over_windows caps lam at ceil(n / min(delta, n)).
@@ -294,7 +295,7 @@ class TestSliceSolve:
                     x[4] = bad
                     with pytest.raises(ValueError, match="weight vectors must be"):
                         slice_solve(kept, x, k, 3, p)
-        forced = keep_only(9, [5])
+        forced = np.flatnonzero(keep_only(9, [5])) + 1
         assert best_over_windows(np.ones(9), 3, 3, 1, 1, forced) == best_over_windows(masked, 3, 3, 1, 1, forced)
         # Any integer type of positions reads the same, up to the largest
         # an int8 holds.
@@ -313,15 +314,38 @@ class TestSliceSolve:
                 with pytest.raises(ValueError, match=r"kept must be a strictly increasing integer array in \[1, 3\]"):
                     slice_solve(mask, x, k, 2, 1)
         assert slice_solve(np.array([1, 3]), x, 2, 2, 1) == (1, 3)
-        # forced names positions by a mask, never by index: support (2, 5)
-        # as a mask gives (3,), but np.array([2, 5]) would force (3, 6).
-        w = np.array([0.0, 1, 4, 0, 0, 1, 0, 0])
-        assert best_over_windows(w, 2, 2, 1, 1, keep_only(8, [2, 5])) == (3,)
         # Any weight vector, a list included, as for every public projector.
         assert best_over_windows([1.0, 2.0, 3.0], 1, 1, 1, 1) == (3,)
-        for forced in (np.array([2, 5]), np.ones(7, dtype=bool)):
-            with pytest.raises(ValueError, match="forced must be a boolean mask of length 8"):
-                best_over_windows(w, 2, 2, 1, 1, forced)
+
+    def test_forced_holds_sorted_positions(self):
+        # forced names 1-based positions as kept does, never by a mask:
+        # each keep-set drops one of positions 3 and 6, and forcing both
+        # keeps them together; 0-based, they would force two zero weights.
+        w = np.array([0.0, 1, 4, 0, 0, 1, 0, 0])
+        assert best_over_windows(w, 2, 2, 1, 1) == (3,)
+        assert best_over_windows(w, 2, 2, 1, 1, np.array([3, 6])) == (3, 6)
+        message = r"forced must be a strictly increasing integer array in \[1, 8\]"
+        bad = (keep_only(8, [2, 5]), np.ones(8, dtype=bool), np.array([5, 2]), np.array([2, 2, 5]),
+               np.array([0, 2]), np.array([2, 9]), np.array([2.0, 5.0]), np.array([[2, 5]]))
+        for forced in bad:
+            for k in (2, 0):
+                with pytest.raises(ValueError, match=message):
+                    best_over_windows(w, k, 2, 1, 1, forced)
+        # Any integer type of positions forces the same ones, and a forced
+        # position of zero weight changes nothing.
+        rng = make_rng(1741)
+        for c in range(200):
+            n = int(rng.integers(1, 130))
+            x = rng.random(n) * (rng.random(n) < 0.6)
+            forced = np.flatnonzero(rng.random(n) < 0.3) + 1
+            zero = np.flatnonzero(x == 0.0) + 1
+            delta, lam, p = int(rng.integers(1, 8)), int(rng.integers(0, 4)), 1 + c % 2
+            want = best_over_windows(x, 3, delta, p, lam, forced)
+            for dtype in (np.int8, np.uint64, np.int32):
+                if n < 128 or dtype != np.int8:
+                    assert best_over_windows(x, 3, delta, p, lam, forced.astype(dtype)) == want
+            assert best_over_windows(x, 3, delta, p, lam, np.union1d(forced, zero)) == want
+            assert best_over_windows(x, 3, delta, p, lam, zero) == best_over_windows(x, 3, delta, p, lam)
 
     def test_rejects_p3_without_solver(self):
         with pytest.raises(ValueError):

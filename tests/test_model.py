@@ -657,6 +657,30 @@ def test_head_and_tail_wrappers_leave_the_checks_to_the_window_loop():
     assert named == []
 
 
+def test_the_window_loop_takes_positions_as_they_come():
+    # Every position set goes through the window loop as sorted positions:
+    # tail_project hands on the strong positions without building a mask,
+    # best_over_windows compares x with 0 once, and slice_solve reads the
+    # block ranges block_decompose returns instead of searching kept.
+    package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
+    funcs = {}
+    for module in ("head.py", "tail.py"):
+        tree = ast.parse((package / module).read_text())
+        funcs.update({n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)})
+
+    def attrs(name):
+        return [node.attr for node in ast.walk(funcs[name]) if isinstance(node, ast.Attribute)]
+
+    assert "searchsorted" not in attrs("slice_solve")
+    assert not {"zeros", "zeros_like", "empty"} & set(attrs("tail_project"))
+    compares = [
+        ast.unparse(node)
+        for node in ast.walk(funcs["best_over_windows"])
+        if isinstance(node, ast.Compare) and "x" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    ]
+    assert compares == ["x != 0.0"]
+
+
 @pytest.mark.parametrize("lam", [1, 2, 4])
 def test_head_and_tail_check_the_input_vector_once_per_pass(monkeypatch, lam):
     # At n = 4e5 every block is at most lam * delta long, so an as_weights

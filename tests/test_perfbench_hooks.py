@@ -107,6 +107,23 @@ def test_traced_block_figures_match_block_decompose():
     json.dumps(metrics)
 
 
+def test_traced_tail_counts_the_strong_positions_it_forces():
+    # tail_project hands strong_and_reduced's strong positions to the
+    # window loop as they are; the tracer counts that same array.
+    x = np.array([0.0, 9.0, 0.5, 0.0, 0.0, 0.3, 7.0, 0.2, 0.0, 1.0, 1.0, 0.0, 8.0])
+    delta = 3
+    strong = tail.strong_and_reduced(x, delta).strong
+    assert len(strong) >= 3
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        tail.tail_project(x, 4, delta, 0.5)
+    finally:
+        tracer.restore()
+    assert [span[0] for span in tracer.spans].count("tail.reduce") == 1
+    assert tracer.counts["tail.strong"] == len(strong)
+
+
 def test_traced_project_command_opens_one_head_span(tmp_path):
     # project runs head through bench.solve, which calls head.head_project
     # by its module: the traced command opens exactly one head span, and

@@ -392,6 +392,26 @@ class TestAmIhtInputErrors:
         with pytest.raises(ValueError, match=BAD_MODEL_MESSAGE):
             am_iht(np.zeros(2), BAD_MODELS[kind], 1, 2, 2, other_eps, other_eps)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf, "abc", np.array([0.1]), 1j])
+    def test_bad_stop_tol_raises_before_the_first_iteration(self, monkeypatch, other_eps, bad):
+        # A NaN or negative tolerance would never stop the loop, and a
+        # string would fail only after an iteration's work.
+        y, A, _ = ac9_instance(0)
+
+        def unused(v):
+            raise AssertionError("an iteration ran")
+
+        monkeypatch.setattr(recovery, "squared_weights", unused)
+        with pytest.raises(ValueError, match="stop_tol must be None or a real >= 0, got "):
+            am_iht(y, A, 5, 20, 1, other_eps, other_eps, stop_tol=bad)
+
+    @pytest.mark.parametrize("tol", [None, 0, 0.0, 1e-12, np.float64(1e-12), np.int64(0), math.inf])
+    def test_stop_tol_none_or_a_real_at_least_0_runs(self, other_eps, tol):
+        y, A, _ = ac9_instance(0)
+        _, trace = am_iht(y, A, 5, 20, 3, other_eps, other_eps, stop_tol=tol)
+        # An infinite tolerance stops after the first iteration.
+        assert trace.iterations == (1 if tol == math.inf else 3)
+
     def test_k_zero_keeps_the_zero_iterate(self, other_eps):
         y, A, _ = ac9_instance(0)
         x_hat, trace = am_iht(y, A, 0, 20, 3, other_eps, other_eps)

@@ -103,10 +103,25 @@ def test_forced_windows_match_the_per_block_solver(monkeypatch):
     cases = []
     for c, (x, _kept, k, delta, p, _epsilon) in enumerate(hostile_slices(1523, CASES)):
         forced = rng.random(x.size) < (0.05, 0.2, 0.5, 1.0)[c % 4]
-        cases.append((x, k, delta, p, int(rng.integers(0, 5)), forced))
+        cases.append((x, k, delta, p, int(rng.integers(0, 5)), np.flatnonzero(forced) + 1))
     got = [head.best_over_windows(*case) for case in cases]
     monkeypatch.setattr(head, "slice_solve", slice_solve_reference)
     assert got == [head.best_over_windows(*case) for case in cases]
+
+
+def test_block_ranges_cover_kept_once_in_order():
+    # block_decompose returns each block's [first, stop) range in kept,
+    # which slice_solve reads instead of searching kept for lo and hi.
+    for _x, kept, _k, delta, p, _epsilon in hostile_slices(1501, CASES):
+        dec = head.block_decompose(kept, delta, p)
+        first, stop = dec.ranges.T
+        assert dec.ranges.shape == dec.blocks.shape
+        assert (stop > first).all()
+        assert np.array_equal(kept[first], dec.blocks[:, 0])
+        assert np.array_equal(kept[stop - 1], dec.blocks[:, 1])
+        covered = [np.arange(a, b) for a, b in dec.ranges] + [np.zeros(0, int)]
+        assert np.array_equal(np.concatenate(covered), np.arange(kept.size))
+    assert head.block_decompose(np.zeros(0, int), 3).ranges.shape == (0, 2)
 
 
 def hostile_batches(seed: int, count: int):
