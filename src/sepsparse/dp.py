@@ -640,8 +640,11 @@ def batch_rows(lengths: np.ndarray, delta: int, p: int) -> list[np.ndarray]:
     Rows are taken shortest first and a batch pads each to its longest
     row with trailing zeros.  A batch holds at least one row and grows
     while one level of its forward pass stays within a private cell cap
-    and padding at most doubles its cells.
+    and padding at most doubles its cells.  ``lengths`` that are not a 1-D
+    integer numpy array raise ``ValueError``.
     """
+    if not (isinstance(lengths, np.ndarray) and lengths.ndim == 1 and lengths.dtype.kind in "iu"):
+        raise ValueError(f"lengths must be a 1-D integer numpy array, got {lengths!r}")
     table_builder(p)  # raises for a p with no exact solver
     delta = check_delta(delta, int(lengths.max(initial=0)))
     order = np.argsort(lengths, kind="stable")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import _ascending_sum, as_signal, as_weights, check_count, check_delta
+from .model import _ascending_sum, as_signal, as_weights, check_count, check_delta, check_real
 
 # perfbench/tracing.py patches this name here; keep it importable.
 from .model import objective  # noqa: F401
@@ -56,9 +56,11 @@ def drop_phase(idx, delta: int, lam: int) -> np.ndarray:
     index is dropped by exactly one of the ``lam + 1`` sets and kept by the
     other ``lam``.  ``lam`` goes through :func:`model.check_count`, least
     0.  A ``delta`` past the largest index puts every index in phase 0, so
-    it is clamped there.
+    it is clamped there.  Indices that are not integers raise ``ValueError``.
     """
     idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"idx must be integer indices, got {idx.dtype}")
     lam = check_count(lam, "lam", 0)
     delta = check_delta(delta, int(idx.max(initial=0)))
     return ((idx - 1) % ((lam + 1) * delta)) // delta
@@ -66,23 +68,20 @@ def drop_phase(idx, delta: int, lam: int) -> np.ndarray:
 
 def window_cap(n: int, delta: int) -> int:
     """``ceil(n / delta)`` with ``delta`` clamped to ``n``: at this ``lam`` the last
-    keep-set is all of ``[n]``, and a larger ``lam`` only adds keep-sets equal to it."""
+    keep-set is all of ``[n]``, and a larger ``lam`` only adds keep-sets equal to it.
+    ``n`` goes through :func:`model.check_count`, least 0."""
+    n = check_count(n, "n", 0)
     return math.ceil(n / check_delta(delta, n))
 
 
 def window_count(n: int, delta: int, epsilon: float, scale: float = 1.0) -> int:
     """The ``lam`` of a projection at precision ``epsilon``: ``ceil(scale /
     epsilon)`` capped at :func:`window_cap`, ``scale`` 1 for head and 2 for
-    tail.  An ``epsilon`` that is not a finite positive real, ``None`` or a
-    string included, raises ``ValueError``."""
-    try:
-        ok = math.isfinite(epsilon) and epsilon > 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError("epsilon must be finite and positive")
+    tail.  ``epsilon`` goes through :func:`model.check_real` as a finite
+    real > 0, then ``n`` and ``delta`` through :func:`window_cap`."""
+    check_real(epsilon, "epsilon", 0, strict=True, finite=True)
     # scale/epsilon overflows to inf below ~1e-308; min() keeps it at n.
-    return min(math.ceil(min(scale / epsilon, n)), window_cap(n, delta))
+    return min(window_cap(n, delta), math.ceil(min(scale / epsilon, n)))
 
 
 @dataclass

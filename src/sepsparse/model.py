@@ -10,17 +10,22 @@ Conventions used throughout the package:
   window rule: every ``delta`` consecutive positions may contain at most
   ``p`` chosen indices.  For ``p == 1`` this is exactly the pairwise rule
   ``|i - j| >= delta`` for distinct chosen ``i, j``.
-* Each parameter rule has one home: :func:`check_count` checks every
+* Each input rule has one home: :func:`check_count` checks every
   integer the package takes (a budget ``k``, a spike count ``p``, a window
   count ``lam``, every other count, every seed and every support index),
   :func:`check_delta` checks ``delta`` through it and clamps it,
-  :func:`as_weights` checks every weight vector, and :func:`is_feasible`
-  is the one feasibility test, which every other module calls.
+  :func:`check_real` checks every real scalar (a precision, a noise level,
+  a tolerance, a gap), :func:`as_signal` checks every vector and
+  :func:`is_numeric` every array's dtype, :func:`check_finite` finds NaN
+  and inf in any of them, :func:`as_weights` checks every weight vector,
+  and :func:`is_feasible` is the one feasibility test, which every other
+  module calls.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -34,7 +39,10 @@ __all__ = [
     "brute_force_solve",
     "check_count",
     "check_delta",
+    "check_finite",
+    "check_real",
     "is_feasible",
+    "is_numeric",
     "max_support_size",
     "objective",
     "restrict",
@@ -50,31 +58,47 @@ class InfeasibleParameters(ValueError):
 
 
 def as_weights(x) -> np.ndarray:
-    """Coerce ``x`` to a contiguous float64 vector of finite non-negative weights.
+    """:func:`as_signal` of ``x``, checked to hold finite non-negative weights.
 
     Every projection runs its input through this before any other work, so
     it is the one home of the weight rule; the CLI relies on it too.
     """
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if arr.size:
-        # min and max propagate NaN, so these two reductions also catch it;
-        # the sign test alone would not, as NaN < 0 is False.
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("weight vectors must be finite (no NaN or inf)")
-        if lo < 0.0:
-            raise ValueError("weight vectors must be entrywise non-negative; square a signed signal first")
+    arr = as_signal(x)
+    if check_finite(arr, "weight vectors") < 0.0:
+        raise ValueError("weight vectors must be entrywise non-negative; square a signed signal first")
     return arr
 
 
 def as_signal(v) -> np.ndarray:
-    """Coerce ``v`` to a contiguous float64 vector (entries may be negative)."""
-    arr = np.ascontiguousarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    return arr
+    """``v`` as a contiguous float64 vector (entries may be negative).
+
+    ``v`` must be 1-D and numeric (:func:`is_numeric`), tested before any
+    conversion: a scalar, a 0-d array, bools, complex numbers, strings and
+    objects raise ``ValueError``.  An empty list is a float vector.
+    """
+    arr = np.asarray(v)
+    if not is_numeric(arr) or arr.ndim != 1:
+        raise ValueError(f"expected a 1-D vector of integers or floats, got shape {arr.shape} of {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+def is_numeric(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds integers or floats: the dtype rule of every
+    weight vector, signal and sensing model.  Bools, complex numbers,
+    strings and objects are not numeric."""
+    return arr.dtype.kind in "iuf"
+
+
+def check_finite(arr: np.ndarray, name: str) -> float:
+    """Check that the numeric array ``arr`` holds no NaN or inf, naming it
+    ``name`` in the ``ValueError``, and return its least entry (0.0 if it
+    is empty) for a caller's sign test.  min and max propagate NaN, so two
+    reductions find any non-finite entry without a temporary the size of
+    ``arr``."""
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    return lo
 
 
 def as_support(indices, n: int | None = None) -> tuple[int, ...]:
@@ -168,6 +192,20 @@ def check_delta(delta: int, n: int) -> int:
     on ``n`` positions any ``delta >= n`` admits the same supports as
     ``delta = n``.  The result is a Python int."""
     return min(check_count(delta, "delta"), max(n, 1))
+
+
+def check_real(value: float, name: str, least: float, *, strict: bool = False, finite: bool = False) -> None:
+    """Check the real scalar ``name`` to be >= ``least`` (> ``least`` when
+    ``strict``) and, when ``finite``, below inf; callers use it as it is.
+    Any ``numbers.Real`` is a real: Python and numpy ints and floats, a
+    ``bool`` and a ``Fraction``.  NaN fails the comparison, and ``None``, a
+    string, a complex number, a ``Decimal``, a list and a numpy array of any
+    ``ndim`` are not reals, so each raises ``ValueError``.  This is the
+    package's one real-scalar rule."""
+    ok = isinstance(value, numbers.Real) and (least < value if strict else least <= value)
+    if not ok or (finite and value == math.inf):
+        kind = "finite real" if finite else "real"
+        raise ValueError(f"{name} must be a {kind} {'>' if strict else '>='} {least}, got {value!r}")
 
 
 def max_support_size(n: int, delta: int, p: int = 1) -> int:

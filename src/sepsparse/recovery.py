@@ -16,7 +16,6 @@ once instead, and every other step runs the windowed projector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,10 @@ from .model import (
     InfeasibleParameters,
     as_signal,
     check_count,
+    check_finite,
+    check_real,
     is_feasible,
+    is_numeric,
     max_support_size,
     restrict,
     squared_weights,
@@ -94,17 +96,13 @@ def gen_sensing(m: int, n: int, seed: int) -> np.ndarray:
 def _model_shape(A: np.ndarray) -> tuple[int, int]:
     """The ``(m, n)`` shape of the sensing model ``A``.  A model that is not
     a 2-D numeric numpy array with finite entries raises ``ValueError``."""
-    ok = isinstance(A, np.ndarray) and A.ndim == 2 and A.dtype.kind in "iuf"
-    # min and max propagate NaN, so two reductions find any non-finite
-    # entry without an (m, n) temporary, as in model.as_weights.
-    if ok and A.size:
-        ok = math.isfinite(A.min()) and math.isfinite(A.max())
-    if not ok:
+    if not (isinstance(A, np.ndarray) and A.ndim == 2 and is_numeric(A)):
         got = f"{getattr(A, 'shape', None)} of {getattr(A, 'dtype', type(A).__name__)}"
         raise ValueError(
             f"the sensing model must be a 2-D (m, n) matrix, got shape {got}; "
             "it must be a numeric numpy array with finite entries"
         )
+    check_finite(A, "the sensing model")
     return A.shape
 
 
@@ -116,26 +114,21 @@ def _model_signal(v, name: str, A: np.ndarray, axis: int) -> np.ndarray:
     if arr.size != A.shape[axis]:
         side = ("height", "width")[axis]
         raise ValueError(f"{name} length {arr.size} != model {side} {A.shape[axis]}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    check_finite(arr, name)
     return arr
 
 
 def measure(A: np.ndarray, x, noise_sigma: float, seed: int) -> Measurement:
     """Observe ``y = A x + e`` with i.i.d. Gaussian noise of the given sigma.
 
-    A ``noise_sigma`` that is not a finite real >= 0, ``None`` or a string
-    included, raises ``ValueError``.
+    ``noise_sigma`` goes through :func:`model.check_real` as a finite real
+    >= 0.
     """
     _model_shape(A)
     x = _model_signal(x, "signal x", A, 1)
-    try:
-        ok = math.isfinite(noise_sigma) and noise_sigma >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    e = make_rng(seed).standard_normal(A.shape[0]) * noise_sigma
+    check_real(noise_sigma, "noise_sigma", 0, finite=True)
+    # A Fraction times the noise would make an object array.
+    e = make_rng(seed).standard_normal(A.shape[0]) * float(noise_sigma)
     return Measurement(y=A @ x + e, e=e)
 
 
@@ -158,9 +151,9 @@ def am_iht(
     entries, tail-projects the squared result back to a (k, delta)-feasible
     support, and restricts.  Residual norms are recorded
     when ``x_true`` is supplied; ``stop_tol`` optionally ends the loop when
-    the measurement-space proxy stalls.  A ``stop_tol`` that is neither
-    ``None`` nor a real >= 0, NaN and a string included, raises
-    ``ValueError`` before the first iteration.
+    the measurement-space proxy stalls.  A ``stop_tol`` other than ``None``
+    goes through :func:`model.check_real` as a real >= 0, inf included,
+    before the first iteration.
 
     The head step runs the exact 2-spike DP when ``head.window_count(n,
     delta, eps_head)`` equals ``head.window_cap(n, delta)``, and the tail
@@ -176,9 +169,8 @@ def am_iht(
     truth = None if x_true is None else _model_signal(x_true, "x_true", A, 1)
     iterations = check_count(iterations, "iterations", 0)
     k = check_count(k, "k", 0)
-    # NaN fails the comparison too.
-    if not (stop_tol is None or (isinstance(stop_tol, numbers.Real) and stop_tol >= 0)):
-        raise ValueError(f"stop_tol must be None or a real >= 0, got {stop_tol!r}")
+    if stop_tol is not None:
+        check_real(stop_tol, "stop_tol", 0)
     cap = window_cap(n, delta)
     head_exact = window_count(n, delta, eps_head) == cap
     tail_exact = window_count(n, delta, eps_tail, 2.0) == cap

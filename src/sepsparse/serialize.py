@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import as_signal, as_support
+from .model import as_signal, as_support, check_finite
 
 __all__ = [
     "format_support",
@@ -34,10 +34,8 @@ def read_vector(path) -> np.ndarray:
         table = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
     if table.shape[1] != 1:
         raise ValueError(f"{path} holds {table.shape[1]} numbers per line, expected one")
-    arr = table.ravel()
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path} contains a NaN or infinite value")
-    return arr
+    check_finite(table, f"the vector in {path}")
+    return table.ravel()
 
 
 def format_support(support) -> str:

@@ -310,7 +310,7 @@ class TestProject:
         )
         assert code == 2
         assert out == ""
-        assert "NaN or infinite" in err
+        assert "must be finite (no NaN or inf)" in err
 
     @pytest.mark.parametrize("text, message", [("\n", "contains no values"), ("1 2\n3 4\n", "per line")])
     def test_empty_or_multi_column_vector_rejected(self, capsys, tmp_path, text, message):
@@ -369,7 +369,7 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--n", "10", "--gap", "0.5")
         assert code == 2
         assert out == ""
-        assert "expected_gap must be >= 1, got 0.5" in err
+        assert "expected_gap must be a real >= 1, got 0.5" in err
 
     @pytest.mark.parametrize("gap", ["1e300", "inf"])
     def test_gap_past_int64_returns(self, capsys, gap):
@@ -381,7 +381,7 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--n", "5", "--gap", "nan")
         assert code == 2
         assert out == ""
-        assert "expected_gap must be >= 1, got nan" in err
+        assert "expected_gap must be a real >= 1, got nan" in err
 
     def test_n_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--n", "0")
@@ -428,7 +428,7 @@ class TestRecover:
         )
         assert code == 2
         assert out == ""
-        assert "epsilon must be finite and positive" in err
+        assert "epsilon must be a finite real > 0, got " in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -448,7 +448,7 @@ class TestRecover:
         )
         assert code == 2
         assert out == ""
-        assert "stop_tol must be None or a real >= 0" in err
+        assert "stop_tol must be a real >= 0, got " in err
 
     def test_infeasible_k_exits_3_before_the_sensing_draw(self, capsys, monkeypatch):
         draws = []

@@ -94,14 +94,14 @@ class TestPoisson:
         with pytest.raises(ValueError, match="expected_gap"):
             gen_poisson(10, float("nan"), 0)
         for gap in (None, "5"):
-            with pytest.raises(ValueError, match=re.escape(f"expected_gap must be >= 1, got {gap!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"expected_gap must be a real >= 1, got {gap!r}")):
                 gen_poisson(10, gap, 1)
 
     @pytest.mark.parametrize("gap", [np.array([5.0]), np.array(5.0), [5.0]])
     def test_a_gap_that_is_no_real_scalar_raises_the_rules_error(self, gap):
         # A one-element array once passed the check and raised TypeError
         # further on.
-        with pytest.raises(ValueError, match=re.escape(f"expected_gap must be >= 1, got {gap!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"expected_gap must be a real >= 1, got {gap!r}")):
             gen_poisson(10, gap, 1)
 
     @pytest.mark.parametrize("gap", [1e300, float("inf")])

@@ -52,6 +52,12 @@ class TestWindows:
         # A delta past every index puts all of them in phase 0.
         assert list(drop_phase(np.arange(1, 5), 2**62, 1)) == [0, 0, 0, 0]
 
+    def test_drop_phase_takes_integer_indices_only(self):
+        # A float index once got a phase of its own.
+        for bad in (np.array([1.5]), np.array([2.0]), np.array([True]), 2.5):
+            with pytest.raises(ValueError, match="idx must be integer indices, got "):
+                drop_phase(bad, 2, 1)
+
     def test_best_over_windows_tiles_the_phases_of_drop_phase(self, monkeypatch):
         # best_over_windows reads the phases of the nonzero positions once;
         # each slice's kept positions must be those drop_phase keeps over
@@ -388,7 +394,7 @@ class TestHeadProject:
 
     def test_non_finite_epsilon_rejected(self):
         for eps in (float("inf"), float("-inf"), float("nan"), None, "0.5"):
-            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            with pytest.raises(ValueError, match="epsilon must be a finite real > 0, got "):
                 head_project(np.ones(3), 1, 1, 1, eps)
 
     def test_tiny_epsilon_solves_the_largest_useful_lam(self):

@@ -4,6 +4,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,15 @@ from sepsparse.dp import (
     table_cells,
 )
 from sepsparse.generators import gen_poisson, gen_uniform
-from sepsparse.head import best_over_windows, block_decompose, drop_phase, head_project, slice_solve
+from sepsparse.head import (
+    best_over_windows,
+    block_decompose,
+    drop_phase,
+    head_project,
+    slice_solve,
+    window_cap,
+    window_count,
+)
 from sepsparse.model import (
     _ascending_sum,
     as_signal,
@@ -29,6 +40,8 @@ from sepsparse.model import (
     brute_force_solve,
     check_count,
     check_delta,
+    check_finite,
+    check_real,
     is_feasible,
     max_support_size,
     objective,
@@ -36,7 +49,7 @@ from sepsparse.model import (
     squared_weights,
 )
 from sepsparse.seeding import derive_seed, make_rng
-from sepsparse.serialize import format_support
+from sepsparse.serialize import format_support, format_vector
 from sepsparse.tail import strong_and_reduced, tail_project, tail_vector, topk_tail_project
 
 from util import pairwise_feasible, window_scan_feasible
@@ -132,7 +145,7 @@ class TestSquaredAndRestrict:
         assert np.array_equal(restrict([1, 2], []), [0.0, 0.0])
 
     def test_signals_must_be_vectors(self):
-        with pytest.raises(ValueError, match=r"expected a 1-D vector, got shape \(2, 2\)"):
+        with pytest.raises(ValueError, match=r"expected a 1-D vector of integers or floats, got shape \(2, 2\)"):
             as_signal(np.ones((2, 2)))
 
     def test_norm_identity(self):
@@ -420,6 +433,8 @@ COUNT_TAKERS = {
     "random_feasible_support n": (
         "n", None, lambda v: recovery.random_feasible_support(v, 1, 2, 1, make_rng(0))
     ),
+    "window_cap n": ("n", 0, lambda v: window_cap(v, 2)),
+    "window_count n": ("n", 0, lambda v: window_count(v, 2, 0.5)),
 }
 
 
@@ -464,6 +479,145 @@ class TestCheckCount:
                     wrong.append((label, value, got, want))
         assert wrong == []
         assert type(check_count(np.uint64(7), "n")) is int
+
+
+# Every public function that takes a real scalar, called with one value for
+# it: the rule its message states, the call.
+REAL_TAKERS = {
+    "head_project epsilon": ("epsilon must be a finite real > 0", lambda v: head_project(np.ones(3), 1, 1, 1, v)),
+    "tail_project epsilon": ("epsilon must be a finite real > 0", lambda v: tail_project(np.ones(3), 1, 2, v)),
+    "am_iht eps_head": (
+        "epsilon must be a finite real > 0", lambda v: recovery.am_iht(np.ones(3), np.ones((3, 5)), 1, 2, 1, v, 0.5)
+    ),
+    "am_iht eps_tail": (
+        "epsilon must be a finite real > 0", lambda v: recovery.am_iht(np.ones(3), np.ones((3, 5)), 1, 2, 1, 0.5, v)
+    ),
+    "measure noise_sigma": (
+        "noise_sigma must be a finite real >= 0", lambda v: recovery.measure(np.ones((2, 3)), np.ones(3), v, 0)
+    ),
+    "am_iht stop_tol": (
+        "stop_tol must be a real >= 0",
+        lambda v: recovery.am_iht(np.ones(3), np.ones((3, 5)), 1, 2, 1, 0.5, 0.5, stop_tol=v),
+    ),
+    "gen_poisson expected_gap": ("expected_gap must be a real >= 1", lambda v: gen_poisson(10, v, 0)),
+}
+
+
+def _same(a, b) -> bool:
+    """Whether two results of one call are equal, arrays and traces included."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, recovery.Measurement):
+        return _same((a.y, a.e), (b.y, b.e))
+    if isinstance(a, recovery.RecoveryTrace):
+        return repr(a) == repr(b)
+    return a == b
+
+
+class TestCheckReal:
+    def test_every_real_taker_takes_real_scalars_only(self):
+        # A Decimal once leaked a TypeError from the arithmetic, a 0-d array
+        # passed as epsilon and noise_sigma only, and a complex or a string
+        # raised each taker's own message; each now raises check_real's one
+        # ValueError.
+        wrong = []
+        for label, (rule, call) in REAL_TAKERS.items():
+            for value in (Decimal("0.5"), np.array(0.5), np.array([0.5]), 1j, "0.5", None, math.nan):
+                if value is None and label == "am_iht stop_tol":
+                    continue  # no tolerance at all
+                try:
+                    call(value)
+                except ValueError as err:
+                    if str(err) != f"{rule}, got {value!r}":
+                        wrong.append((label, value, str(err)))
+                except Exception as err:
+                    wrong.append((label, value, repr(err)))
+                else:
+                    wrong.append((label, value, "returned"))
+        assert wrong == []
+
+    def test_fractions_and_numpy_floats_compute_as_the_float_they_hold(self):
+        wrong = []
+        for label, (_rule, call) in REAL_TAKERS.items():
+            want = call(1.5)
+            for value in (Fraction(3, 2), np.float64(1.5), np.float32(1.5)):
+                if not _same(call(value), want):
+                    wrong.append((label, value))
+        assert wrong == []
+
+    def test_bounds_and_infinity(self):
+        assert check_real(0, "stop_tol", 0) is None and check_real(True, "gap", 1) is None
+        check_real(math.inf, "stop_tol", 0)
+        for value, kwargs in ((0, {"strict": True}), (math.inf, {"finite": True}), (-1, {})):
+            with pytest.raises(ValueError, match=re.escape(f", got {value!r}")):
+                check_real(value, "x", 0, **kwargs)
+
+
+# Every public function that takes a weight vector or a signal, called with one.
+ARRAY_TAKERS = {
+    "head_project": lambda v: head_project(v, 1, 1, 1, 0.5),
+    "tail_project": lambda v: tail_project(v, 1, 1, 0.5),
+    "topk_tail_project": lambda v: topk_tail_project(v, 1, 1),
+    "build_table_1spike": lambda v: build_table_1spike(v, 1, 1).support(1),
+    "build_table_2spike": lambda v: build_table_2spike(v, 1, 1).support(1),
+    "objective": lambda v: objective(v, [1]),
+    "restrict": lambda v: restrict(v, [1]),
+    "squared_weights": lambda v: squared_weights(v),
+    "measure": lambda v: recovery.measure(np.ones((2, 3)), v, 0.0, 0),
+    "format_vector": lambda v: format_vector(v),
+}
+
+
+class TestNumericArrays:
+    @pytest.mark.parametrize("warn", ["error", "ignore"])
+    def test_every_array_taker_takes_numeric_vectors_only(self, warn):
+        # numpy once truncated complex entries with a ComplexWarning only,
+        # parsed strings, unpacked objects, read bools as 0 and 1 and
+        # promoted a scalar to a one-entry vector; each now raises
+        # as_signal's one ValueError before any conversion, warnings
+        # ignored or not.
+        wrong = []
+        bad_vectors = (
+            np.array([1 + 5j, 0, 2]),
+            ["1", "2.5", "0"],
+            np.array([1.0, 0.0, 2.0], dtype=object),
+            np.array([True, False, True]),
+            5.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn)
+            for label, call in ARRAY_TAKERS.items():
+                for v in bad_vectors:
+                    arr = np.asarray(v)
+                    rule = f"expected a 1-D vector of integers or floats, got shape {arr.shape} of {arr.dtype}"
+                    try:
+                        call(v)
+                    except ValueError as err:
+                        if str(err) != rule:
+                            wrong.append((label, repr(v), str(err)))
+                    except Exception as err:
+                        wrong.append((label, repr(v), repr(err)))
+                    else:
+                        wrong.append((label, repr(v), "returned"))
+        assert wrong == []
+
+    def test_integer_and_float_vectors_and_empty_lists_still_run(self):
+        wrong = []
+        for label, call in ARRAY_TAKERS.items():
+            want = call(np.array([2.0, 0.0, 1.0]))
+            for v in ([2, 0, 1], np.array([2, 0, 1], dtype=np.uint8), np.array([2.0, 0.0, 1.0], dtype=np.float32)):
+                if not _same(call(v), want):
+                    wrong.append((label, repr(v)))
+        assert wrong == []
+        assert as_signal([]).dtype == np.float64 and head_project([], 1, 1, 1, 0.5) == ()
+
+    def test_non_finite_arrays_raise_the_one_finite_message(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape("weight vectors must be finite (no NaN or inf)")):
+                head_project(np.array([1.0, bad]), 1, 1, 1, 0.5)
+        assert check_finite(np.array([2, 1]), "x") == 1.0 and check_finite(np.zeros(0), "x") == 0.0
 
 
 # Every public function that takes a support, called with the indices.
@@ -580,32 +734,43 @@ class TestCheckDelta:
 def test_each_parameter_rule_has_one_home():
     # model.check_count is the one integer rule: it checks every budget,
     # spike count, window count, other count, seed and support index, and
-    # check_delta checks delta through it before clamping; head.window_count
-    # owns the precision.  A second copy of a message is a second copy of
-    # its rule.  recovery only compares head's window count and cap.
+    # check_delta checks delta through it before clamping.  model.check_real
+    # is the one real-scalar rule, and model.is_numeric the one dtype rule
+    # of weights, signals and the sensing model.  A second copy of a
+    # message is a second copy of its rule.  recovery only compares head's
+    # window count and cap.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
     homes = {
         " must be >= ": [],
         " must be an integer, got ": [],
-        "epsilon must be finite and positive": [],
+        " must be a ": [],
+        "finite real": [],
+        "iuf": [],
     }
-    importers = []
+    # The real-scalar messages each taker once wrote for itself.
+    retired = ["must be finite and positive", "must be finite and >= 0", "must be None or a real", "must be >= 1"]
+    copies = []
+    importers = {"operator": [], "numbers": []}
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for top in tree.body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Constant) and node.value in homes:
                     homes[node.value].append(f"{path.name}:{getattr(top, 'name', None)}")
+        copies += [f"{path.name}:{s}" for s in _strings(tree) if any(text in s for text in retired)]
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
         imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
-        if "operator" in imported:
-            importers.append(path.name)
+        for name in importers.keys() & imported:
+            importers[name].append(path.name)
     assert homes == {
         " must be >= ": ["model.py:check_count"],
         " must be an integer, got ": ["model.py:check_count"],
-        "epsilon must be finite and positive": ["head.py:window_count"],
+        " must be a ": ["model.py:check_real"],
+        "finite real": ["model.py:check_real"],
+        "iuf": ["model.py:is_numeric"],
     }
-    assert importers == ["model.py"]
+    assert copies == []
+    assert importers == {"operator": ["model.py"], "numbers": ["model.py"]}
     for name in ("check_budget", "check_p", "check_lam", "_as_int"):
         assert not hasattr(model, name)
     assert not hasattr(recovery, "_reaches_cap")
@@ -707,16 +872,21 @@ def test_head_and_tail_check_the_input_vector_once_per_pass(monkeypatch, lam):
 
 def test_the_cli_and_recovery_keep_no_copy_of_a_library_rule():
     # The CLI raises the library's ValueError and leaves the sign, delta and
-    # gap rules to the library; recovery checks every signal in one helper.
+    # gap rules to the library; model.check_finite holds the one finite
+    # message for weights, signals, the sensing model and vector files.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
     cli_tree = ast.parse((package / "cli.py").read_text())
     assert [n.name for n in ast.walk(cli_tree) if isinstance(n, ast.ClassDef)] == []
     imported = {a.name for n in ast.walk(cli_tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert "check_delta" not in imported
     assert [s for s in _strings(cli_tree) if "negative entries" in s or "--gap must be" in s] == []
-    recovery_tree = ast.parse((package / "recovery.py").read_text())
-    finite = [s for s in _strings(recovery_tree) if "must be finite (no NaN or inf)" in s]
-    assert len(finite) == 1
+    finite = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        for s in _strings(ast.parse(path.read_text()))
+        if "must be finite (no NaN or inf)" in s
+    ]
+    assert finite == ["model.py"]
 
 
 def test_project_keeps_no_copy_of_the_bench_rules():

@@ -212,6 +212,13 @@ def test_batches_partition_the_rows_within_the_cap(monkeypatch):
         dp.batch_rows(np.ones(3, int), 2, 3)
 
 
+def test_batch_rows_takes_a_1d_integer_array_only():
+    # A 2-D array once raised IndexError and float lengths were batched.
+    for bad in (np.array([[1, 2]]), np.array([1.5, 2.0]), np.array([True, False]), [1, 2]):
+        with pytest.raises(ValueError, match="lengths must be a 1-D integer numpy array, got "):
+            dp.batch_rows(bad, 2, 1)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_head_project_calls_the_builder_once_per_keep_set(monkeypatch, p):
     # Every keep-set of this dense vector fits one batch.

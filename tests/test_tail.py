@@ -159,7 +159,7 @@ class TestTailProject:
 
     def test_non_finite_epsilon_rejected(self):
         for eps in (float("inf"), float("-inf"), float("nan"), None, "0.5"):
-            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            with pytest.raises(ValueError, match="epsilon must be a finite real > 0, got "):
                 tail_project(np.ones(3), 1, 2, eps)
 
     def test_tiny_epsilon_solves_the_largest_useful_lam(self):
