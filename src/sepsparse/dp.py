@@ -4,7 +4,8 @@ Three solvers live here:
 
 * :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n);
   on a vector at most half nonzero, such as a spike train, O(k nnz) plus
-  O(k n / 8) flag packing.
+  O(k n / 8) flag packing; on a long dense vector it skips the blocks of
+  prefixes that cannot raise a level's running maximum.
 * :func:`build_table_2spike` -- the budgeted 2-spike recurrence,
   O(k delta n).
 * :func:`dp_solve_unrestricted` -- the budget-free 1-spike solver, O(n)
@@ -70,22 +71,19 @@ row-major copy of each level's flags.  The 1-spike pass stays row-major:
 its running maximum runs along the row, and prefix-major 1-spike batches
 measured slower.
 
-The full 1-spike forward pass on a vector of at least ``2 * _SPLIT_MIN``
-(131,072) weights, in a process that may run on more than one CPU, uses a
-second thread (one per further usable CPU): each level's columns ``lo``
-to ``n - 1`` run in one segment per usable CPU, as far as each keeps
-``_SPLIT_MIN`` columns.  Only such a vector reads the CPU count, once per
-table.  The calling thread runs the first segment and a worker of a pool
-that lives for the one call runs each other one: each adds its
-candidates and takes its running maximum, the first from the carry and
-each later one from its own first candidate, and sets its take flags
-against it.  The calling thread then raises each later segment, in
-order, to the row's maximum before it, mends the flags that maximum
-changes and packs the level once.  ``max`` is exact, so the values and
-flags are the one-segment ones bit for bit.  Batches, shorter vectors,
-levels whose ``n - lo`` is below ``2 * _SPLIT_MIN`` and one-CPU
-processes run one segment on the calling thread, and nothing else here
-starts a thread.
+The full 1-spike pass on a vector of at least ``_BLOCK_MIN`` (32,768)
+weights, the block pass, cuts the prefixes into blocks of ``_BLOCK`` (32)
+weights on a fixed grid and at each level skips every block whose upper
+bound, its heaviest weight plus the level below at its last prefix minus
+``delta``, does not beat a lower bound on the row before it: the carry
+and each earlier block's exact candidate at its heaviest weight.  Such a
+block has no take and a constant row, so only the live blocks are summed
+and run through one running maximum.  The part blocks at both ends, and
+every level with more than half its blocks live, run straight, in place
+in the row buffer.  Values and flags are the straight pass's bit for bit
+(see :func:`build_table_1spike`).  Batches and shorter vectors run the
+straight pass through a candidate buffer.  Nothing here starts a thread
+or reads the CPU count.
 
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
@@ -104,11 +102,7 @@ batches, shortest first, under a private cap on one level's cells.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -297,45 +291,81 @@ class DpTable1(_DpTable):
         return row[order], at[order]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# A dense vector of at least this many weights runs the block pass; on a
+# shorter one its bounds cost about as much as the prefixes they skip.
+_BLOCK_MIN = 1 << 15
+
+# The weights in one block of the block pass.
+_BLOCK = 32
 
 
-# The columns each segment of a split 1-spike forward pass holds at least.
-# Below about this length a level's vector work is too short to pay for
-# handing part of it to another thread and back.
-_SPLIT_MIN = 1 << 16
+def _straight(x: np.ndarray, prev: np.ndarray, row: np.ndarray, took: np.ndarray, s: int, a: int, b: int) -> None:
+    """Run columns ``a`` to ``b - 1`` of a level of a vector's 1-spike
+    pass, prefixes ``a + 1`` to ``b``, from the row's entry at prefix ``a``.
+
+    The candidates go into the row, whose running maximum is then taken in
+    place, and a prefix takes exactly where the row rises: ``max(r, c) > r``
+    exactly when ``c > r``."""
+    run = row[s + a : s + 1 + b]
+    np.add(x[a:b], prev[1 + a : 1 + b], out=run[1:])
+    np.fmax.accumulate(run, out=run)
+    np.greater(run[1:], run[:-1], out=took[a:b])
 
 
-def _segments(lo: int, n: int, cpus: int) -> list[tuple[int, int]]:
-    """The column segments ``(a, b)`` of one level of a vector's 1-spike
-    forward pass that runs columns ``lo`` to ``n - 1``, in a process that
-    may run on ``cpus`` CPUs.
+def _block_level(
+    x: np.ndarray,
+    prev: np.ndarray,
+    row: np.ndarray,
+    took: np.ndarray,
+    s: int,
+    lo: int,
+    heaviest: np.ndarray,
+    xmax: np.ndarray,
+) -> bool:
+    """Run columns ``lo`` to ``n - 1`` of a level of the block pass from
+    the row's entry at prefix ``lo``; whether it skipped blocks.
 
-    The columns are cut into one segment per CPU, as far as each keeps
-    ``_SPLIT_MIN`` columns.  Segment ``(a, b)`` holds columns ``a`` to
-    ``b - 1``, prefixes ``a + 1`` to ``b``.
-    """
-    count = min(cpus, (n - lo) // _SPLIT_MIN)
-    if count < 2:
-        return [(lo, n)]
-    cuts = [lo + (n - lo) * j // count for j in range(count + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _run_segments(pool: ThreadPoolExecutor | None, work: Callable[[int], None], count: int) -> None:
-    """``work(j)`` for ``j`` in ``range(count)``: segment 0 on this thread,
-    each later one on a worker of ``pool`` (``None`` when ``count`` is 1).
-    A worker runs in a copy of this thread's context, so under its numpy
-    error state.  All have finished, or one has raised here, on return;
-    ``pool``'s shutdown waits out the rest."""
-    futures = []
-    for j in range(1, count):
-        futures.append(pool.submit(contextvars.copy_context().run, work, j))
-    work(0)
-    for future in futures:
-        future.result()
+    Block ``b`` holds columns ``b * _BLOCK`` to ``(b + 1) * _BLOCK - 1``,
+    its heaviest weight ``xmax[b]`` at column ``heaviest[b]``.  The part
+    block at ``lo``, the one at ``n`` and a level where more than half the
+    blocks are live run straight (:func:`_straight`); the live blocks run
+    in one running maximum from the row's value before the first, and
+    every other block holds the value before it and takes nothing (see
+    :func:`build_table_1spike`)."""
+    n = x.size
+    first = -(-lo // _BLOCK)
+    a, z = first * _BLOCK, heaviest.size * _BLOCK
+    if first >= heaviest.size:
+        _straight(x, prev, row, took, s, lo, n)
+        return False
+    _straight(x, prev, row, took, s, lo, a)
+    start = row[s + a]
+    with np.errstate(over="ignore"):
+        upper = xmax[first:] + prev[a + _BLOCK : z + 1 : _BLOCK]
+    lower = np.empty(upper.size)
+    lower[0] = start
+    np.add(xmax[first:-1], prev[1 + heaviest[first:-1]], out=lower[1:])
+    np.fmax.accumulate(lower, out=lower)
+    live = upper > lower
+    ids = np.flatnonzero(live)
+    if 2 * ids.size > live.size:
+        _straight(x, prev, row, took, s, a, n)
+        return False
+    # run[0] is the row before the first block and run[j * _BLOCK] the row
+    # at the end of the j-th live block.
+    run = np.empty(1 + ids.size * _BLOCK)
+    run[0] = start
+    runs = run[1:].reshape(-1, _BLOCK)
+    np.add(x[a:z].reshape(-1, _BLOCK)[ids], prev[1 + a : 1 + z].reshape(-1, _BLOCK)[ids], out=runs)
+    np.fmax.accumulate(run, out=run)
+    blocks = row[s + 1 + a : s + 1 + z].reshape(-1, _BLOCK)
+    blocks[...] = run[::_BLOCK][np.cumsum(live) - live, None]
+    blocks[ids] = runs
+    takes = took[a:z].reshape(-1, _BLOCK)
+    takes[...] = False
+    takes[ids] = (run[1:] > run[:-1]).reshape(-1, _BLOCK)
+    _straight(x, prev, row, took, s, z, n)
+    return True
 
 
 def _predecessors(pos: np.ndarray, delta: int) -> np.ndarray:
@@ -366,13 +396,37 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     +0.0, so no -0.0 arises and a sum can only overflow to +inf.  Without
     NaN or signed zeros ``fmax`` and ``maximum`` agree bit for bit.
 
-    A long vector's levels run split into column segments over
-    ``[lo, n)`` (see :func:`_segments`), one on this thread and each other
-    one on a worker of a pool that lives for this call; this thread then
-    raises each later segment to the row's maximum before it.
+    A dense vector of at least ``_BLOCK_MIN`` weights runs the block
+    pass (:func:`_block_level`).  Block ``b`` holds columns ``b * B`` to
+    ``(b + 1) * B - 1``, ``B = _BLOCK``; its heaviest weight ``xmax[b]``
+    and that weight's column are found once per table.  Each row is
+    non-decreasing from its level's ``lo`` on, and rounded addition is
+    monotone, so every candidate of a block is at most its upper bound
+    ``xmax[b] + prev[(b + 1) * B - delta]``, the level below read at the
+    block's last prefix minus ``delta``.  The row before a block is at
+    least its lower bound: the carry, or the row after the part block at
+    ``lo``, and each earlier block's exact candidate at its heaviest
+    weight.  A block whose upper bound does not beat its lower bound has
+    every candidate at most the row before it, so it takes nowhere and
+    its row is the constant row before it: ``fmax(r, c)`` is ``r`` when
+    ``c <= r``.  Such a block cannot move the running maximum, so the row
+    before any block is the maximum of that start and the live blocks
+    before it.  The live blocks' candidates are therefore summed into one
+    buffer behind that start and run through one ``np.fmax.accumulate``:
+    each block's maximum starts from its true start, and a live prefix
+    takes where that maximum rises.  Every other block is filled with the
+    row before it and its take flags cleared.  The upper bounds are
+    summed under ``np.errstate(over="ignore")``: a bound that overflows
+    to inf marks its block live and raises no warning the straight pass
+    would not; every other sum here is a candidate the straight pass adds
+    too.  The part blocks at ``lo`` and at ``n``, and a level with more
+    than half its blocks live, run straight (:func:`_straight`): in
+    place in the row buffer, taking where the row rises.  The values are
+    the same maxima of the same rounded sums, so values and flags are the
+    straight pass's bit for bit.
 
     A vector with at most half its weights nonzero runs the nonzero pass
-    instead, on this thread, over its sorted 1-based nonzero positions
+    instead, over its sorted 1-based nonzero positions
     ``pos``.  The computed levels are non-decreasing in the prefix, each
     row being a running maximum, and in the budget: level 0 is 0, and
     each candidate of level ``ell`` adds its weight to an entry of level
@@ -394,8 +448,8 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     staging at ``pos`` and every level packs it whole, so a level costs
     O(nnz) plus O(n / 8) packing.  On a dense vector the gathers cost more
     than the prefixes they skip (at n = 4e5, k = delta = 316, on a 2-core
-    VM, the two passes broke even at about 40 % nonzero with the full
-    pass's second thread and 70 % without), so the rule is fixed at half.
+    VM, the straight pass broke even with it at 40 to 70 % nonzero), so
+    the rule is fixed at half.
     """
     x, n, budget, delta = _prepare(x, budget, delta)
     rows = x.shape[:-1]
@@ -432,48 +486,29 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     # Level rows live at [..., s:]; [..., 1 : n + 1] is prev[i - delta] for i = 1..n.
     prev = np.zeros((*rows, s + n + 1))
     row = np.zeros((*rows, s + n + 1))
-    # cand[..., i] is prefix i's candidate; a level that runs from column
-    # lo holds its carry, the level below at prefix lo, in cand[..., lo].
-    cand = np.empty((*rows, n + 1))
-    # Only a vector long enough to split reads the CPU count.
-    cpus = _usable_cpus() if not rows and n >= 2 * _SPLIT_MIN else 1
-    segments = _segments(0, n, cpus)
-
-    def extend(j: int) -> None:
-        """Segment ``j``'s candidates, their running maximum and their take
-        flags against it.  Segment 0 runs from the carry, a later one from
-        its own first candidate; a later segment's first flag is left to
-        the calling thread: it reads the row entry the segment before
-        writes."""
-        lo, hi = segments[j]
-        first = lo + (j > 0)
-        np.add(x[..., lo:hi], prev[..., 1 + lo : 1 + hi], out=cand[..., 1 + lo : 1 + hi])
-        np.fmax.accumulate(cand[..., first : 1 + hi], axis=-1, out=row[..., s + first : s + 1 + hi])
-        np.greater(cand[..., 1 + first : 1 + hi], row[..., s + first : s + hi], out=took[..., first:hi])
-
-    # One segment runs on this thread alone: a pool for it would cost a
-    # short table (n = 200, k = 5) about a fifth of its time.
-    workers = len(segments) - 1
-    with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
-        for ell in range(1, top + 1):
-            lo = (ell - 1) * delta
-            segments = _segments(lo, n, cpus)
+    blocked = not rows and n >= _BLOCK_MIN
+    if blocked:
+        heaviest = x[: n - n % _BLOCK].reshape(-1, _BLOCK).argmax(axis=1)
+        heaviest += np.arange(0, heaviest.size * _BLOCK, _BLOCK)
+        xmax = x[heaviest]
+    else:
+        # cand[..., i] is prefix i's candidate; a level that runs from
+        # column lo holds its carry, the level below at prefix lo, in
+        # cand[..., lo].
+        cand = np.empty((*rows, n + 1))
+    for ell in range(1, top + 1):
+        lo = (ell - 1) * delta
+        if blocked:
+            row[s + lo] = prev[s + lo]
+            _block_level(x, prev, row, took, s, lo, heaviest, xmax)
+        else:
             cand[..., lo] = prev[..., s + lo]
-            _run_segments(pool, extend, len(segments))
-            # A later segment is a vector's.  max is exact, so raising it to
-            # the row's maximum before it makes the split row the whole one.
-            for a, b in segments[1:]:
-                carry = row[s + a]
-                seg = row[s + 1 + a : s + 1 + b]
-                below = np.searchsorted(seg, carry, side="right")
-                seg[:below] = carry
-                took[a] = cand[1 + a] > carry
-                # Up to the last raised entry cand <= the segment's own
-                # maximum <= carry, so none of those prefixes takes.
-                took[a + 1 : a + below] = False
-            flags[ell] = np.packbits(take).reshape(flags.shape[1:])
-            values[ell - 1] = row[..., s + n]
-            prev, row = row, prev
+            np.add(x[..., lo:], prev[..., 1 + lo : 1 + n], out=cand[..., 1 + lo :])
+            np.fmax.accumulate(cand[..., lo:], axis=-1, out=row[..., s + lo :])
+            np.greater(cand[..., 1 + lo :], row[..., s + lo : s + n], out=took[..., lo:])
+        flags[ell] = np.packbits(take).reshape(flags.shape[1:])
+        values[ell - 1] = row[..., s + n]
+        prev, row = row, prev
     return DpTable1(values.T, flags, budget, delta, n)
 
 

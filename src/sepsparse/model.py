@@ -200,9 +200,15 @@ def check_real(value: float, name: str, least: float, *, strict: bool = False, f
     Any ``numbers.Real`` is a real: Python and numpy ints and floats, a
     ``bool`` and a ``Fraction``.  NaN fails the comparison, and ``None``, a
     string, a complex number, a ``Decimal``, a list and a numpy array of any
-    ``ndim`` are not reals, so each raises ``ValueError``.  This is the
-    package's one real-scalar rule."""
+    ``ndim`` are not reals, so each raises ``ValueError``.  So does a real
+    past the float range, such as the int ``10**400``, as every taker
+    computes in floats.  This is the package's one real-scalar rule."""
     ok = isinstance(value, numbers.Real) and (least < value if strict else least <= value)
+    if ok:
+        try:
+            float(value)
+        except OverflowError:
+            ok = False
     if not ok or (finite and value == math.inf):
         kind = "finite real" if finite else "real"
         raise ValueError(f"{name} must be a {kind} {'>' if strict else '>='} {least}, got {value!r}")

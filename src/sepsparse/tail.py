@@ -44,8 +44,13 @@ def tail_vector(x, delta: int) -> np.ndarray:
     to ``n``.
     """
     x = as_weights(x)
+    return _mass_around(x, check_delta(delta, x.size))
+
+
+def _mass_around(x: np.ndarray, delta: int) -> np.ndarray:
+    """:func:`tail_vector` of a checked vector ``x`` at a checked ``delta``
+    no larger than its length (at least 1)."""
     n = x.size
-    delta = check_delta(delta, n)
     prefix = np.zeros(n + 1)
     np.cumsum(x, out=prefix[1:])
     out = np.empty(n)
@@ -76,14 +81,14 @@ def strong_and_reduced(x, delta: int) -> TailProfile:
 
     Strength is the strict comparison ``x_i > t_i``; entries equal to their
     neighbourhood mass count as weak.  Any two strong indices are at least
-    ``delta`` apart.  :func:`tail_vector` runs first and checks ``x`` and
-    ``delta``, so ``x`` is only converted after it, and ``delta`` is only
-    clamped to ``n``: a numpy integer ``delta`` then computes as a Python
-    int.
+    ``delta`` apart.  ``x`` and then ``delta`` are checked once, as
+    :func:`tail_vector` checks them, and the checked vector is the one
+    classified and reduced; ``delta`` is clamped to ``n``, so a numpy
+    integer ``delta`` computes as a Python int.
     """
-    t = tail_vector(x, delta)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = as_weights(x)
     delta = check_delta(delta, x.size)
+    t = _mass_around(x, delta)
     strong = np.flatnonzero(x > t) + 1
     r = x.copy()
     # A slice's stop past n stops at n.

@@ -1,7 +1,5 @@
 import ast
 import gc
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -558,21 +556,23 @@ class TestRows:
             table_builder(p)(np.ones((2, 2, 2)), 2, 2)
 
 
-def hostile_vectors(seed: int, count: int):
-    """``count`` ``(x, budget, delta)`` cases for the split forward pass.
+def hostile_dense_vectors(seed: int, count: int):
+    """``count`` ``(x, budget, delta)`` cases for the block pass: vectors
+    of 1 to 150 weights, more than half of them nonzero.
 
-    Lengths run from 1 to 95, mostly not a multiple of 8; the weights
-    cycle through integer ties with a zero run, weights from 1e-300 to
-    1e300, uniform weights with a quarter of them zero, and uniform
-    weights; ``delta`` is small, past half of ``n`` (past a two-way split)
-    or past ``n``; and the budget is small, the packing limit or just past
-    it, or ``10**23``.  A vector at most half nonzero takes the nonzero
-    pass, which never splits, so the weights are mostly nonzero.
+    The weights cycle through integer ties with a zero run, weights from
+    1e-300 to 1e300, uniform weights with a quarter of them zero, weights
+    of 1e308 whose sums overflow to inf, -0.0 among small integers, and
+    ascending and descending weights; ``delta`` is 1, small, past half of
+    ``n`` or past ``n``; and the budget is 0 to 5, the packing limit or
+    just past it, up to ``n + 2``, or ``10**23``.  A vector that comes out
+    at most half nonzero gets a weight of 1.0 in every zero slot from its
+    middle on, so that the nonzero pass does not take it.
     """
     rng = make_rng(seed)
     for c in range(count):
-        n = int(rng.integers(1, 96))
-        kind = c % 4
+        n = int(rng.integers(1, 151))
+        kind = c % 7
         if kind == 0:
             x = rng.integers(0, 3, n).astype(float)
             start = int(rng.integers(0, n))
@@ -581,27 +581,26 @@ def hostile_vectors(seed: int, count: int):
             x = 10.0 ** rng.uniform(-300, 300, n) * (rng.random(n) < 0.7)
         elif kind == 2:
             x = rng.random(n) * (rng.random(n) >= 0.25)
+        elif kind == 3:
+            x = np.where(rng.random(n) < 0.3, 1e308, rng.random(n))
+        elif kind == 4:
+            x = np.where(rng.random(n) < 0.3, -0.0, rng.integers(1, 3, n).astype(float))
+        elif kind == 5:
+            x = np.cumsum(rng.random(n))
         else:
-            x = rng.random(n)
-        past_half = max(1, n // 2 + int(rng.integers(0, n // 2 + 1)))
-        delta = (int(rng.integers(1, 9)), past_half, n + int(rng.integers(1, 10**6)))[c % 3]
+            x = np.cumsum(rng.random(n))[::-1].copy()
+        if 2 * np.count_nonzero(x) <= n:
+            x[(n - 1) // 2 :][x[(n - 1) // 2 :] == 0.0] = 1.0
+        past_half = n // 2 + 1 + int(rng.integers(0, n // 2 + 1))
+        delta = (1, int(rng.integers(2, 9)), past_half, n + int(rng.integers(1, 10**6)))[int(rng.integers(0, 4))]
         limit = max_support_size(n, delta, 1)
-        budget = (int(rng.integers(1, 6)), limit + int(rng.integers(0, 3)), 10**23)[(c // 3) % 3]
+        budget = (
+            int(rng.integers(0, 6)),
+            limit + int(rng.integers(0, 3)),
+            int(rng.integers(0, n + 3)),
+            10**23,
+        )[int(rng.integers(0, 4))]
         yield x, budget, delta
-
-
-def ordered(reverse: bool):
-    """A stand-in for ``dp._run_segments`` that runs a level's segments on
-    the calling thread, first to last or last to first.  Between the two
-    every pair of segments runs in both orders, so a segment that reads
-    what another writes in the same level gives a different table in one
-    of them."""
-
-    def run(pool, work, count):
-        for j in sorted(range(count), reverse=reverse):
-            work(j)
-
-    return run
 
 
 def hostile_1spike_tables(seed: int, count: int):
@@ -661,44 +660,16 @@ class TestLevelSkipping:
     tables are those of the pass that runs every level on every prefix,
     bit for bit."""
 
-    def test_tables_match_the_full_level_pass(self, monkeypatch):
-        wrong, cases, inner_cuts = [], 0, 0
-        # Sums of 1e308 overflow to inf in both passes alike.  The forced
-        # splits run on this thread, where that error state holds.
+    def test_tables_match_the_full_level_pass(self):
+        wrong, cases = [], 0
+        # Sums of 1e308 overflow to inf in both passes alike.
         with np.errstate(over="ignore"):
-            for c, (x, budget, delta) in enumerate(hostile_1spike_tables(2101, 3400)):
-                want = table1_reference(x, budget, delta)
-                runs = [None]
-                if x.ndim == 1:
-                    # Segments of at least 3, 5 or 13 columns on two to four
-                    # CPUs, so a level's cuts fall inside flag bytes.
-                    runs += [((3, 5, 13)[c % 3], 2 + c % 3, ordered(c % 4 < 2))]
-                for split in runs:
-                    if split is not None:
-                        least, cpus, run = split
-                        monkeypatch.setattr(dp, "_SPLIT_MIN", least)
-                        monkeypatch.setattr(dp, "_usable_cpus", lambda cpus=cpus: cpus)
-                        monkeypatch.setattr(dp, "_run_segments", run)
-                    got = build_table_1spike(x, budget, delta)
-                    if split is not None:
-                        # Split levels past the first with a cut inside a
-                        # flag byte; a vector the nonzero pass runs never
-                        # splits.
-                        for ell in range(2, len(got) + 1) if not takes_nonzero_pass(x) else ():
-                            cuts = [a for a, _ in dp._segments((ell - 1) * got.delta, x.size, cpus)[1:]]
-                            inner_cuts += any((a + 1) % 8 for a in cuts)
-                        monkeypatch.undo()
-                    cases += 1
-                    if not (
-                        got.values.shape == want.values.shape
-                        and got.values.tobytes() == want.values.tobytes()
-                        and got.flags.shape == want.flags.shape
-                        and got.flags.tobytes() == want.flags.tobytes()
-                    ):
-                        wrong.append((x, budget, delta, split))
+            for x, budget, delta in hostile_1spike_tables(2101, 3400):
+                cases += 1
+                if not same_table(build_table_1spike(x, budget, delta), table1_reference(x, budget, delta)):
+                    wrong.append((x, budget, delta))
         assert wrong == []
-        assert cases >= 5000
-        assert inner_cuts > 5000
+        assert cases == 3400
 
 
 def test_one_running_max_kernel():
@@ -712,191 +683,173 @@ def test_one_running_max_kernel():
     assert kernels == {"fmax"}
 
 
-class TestSplitForwardPass:
-    """A long vector's 1-spike levels run in column segments on threads;
-    the table is the one-segment table, bit for bit."""
+class TestBlockPass:
+    """A dense vector of at least ``_BLOCK_MIN`` weights runs its 1-spike
+    levels in blocks of ``_BLOCK`` weights, skipping the blocks that cannot
+    raise the running maximum; its tables are those of the straight pass,
+    bit for bit.  Both privates are lowered here so that short hostile
+    vectors take the pass."""
 
-    def test_split_tables_match_one_segment(self, monkeypatch):
-        run_on_threads = dp._run_segments
-        wrong, split = [], 0
-        for c, (x, budget, delta) in enumerate(hostile_vectors(1701, 3000)):
-            monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
-            whole = build_table_1spike(x, budget, delta)
-            batch = table_row(build_table_1spike(x[None, :], budget, delta), 0)
-            # Segments of at least 5 or 13 columns, so cuts fall inside a
-            # flag byte, on two to four CPUs.
-            monkeypatch.setattr(dp, "_SPLIT_MIN", (5, 13)[c % 2])
-            monkeypatch.setattr(dp, "_usable_cpus", lambda c=c: 2 + c % 3)
-            split += not takes_nonzero_pass(x) and len(dp._segments(0, x.size, dp._usable_cpus())) > 1
-            # Every case in both orders on this thread, every tenth on threads.
-            for run in [ordered(False), ordered(True)] + [run_on_threads] * (c % 10 == 0):
-                monkeypatch.setattr(dp, "_run_segments", run)
-                got = build_table_1spike(x, budget, delta)
-                for ref in (whole, batch):
-                    if not (
-                        got.values.tobytes() == ref.values.tobytes()
-                        and got.flags.shape == ref.flags.shape
-                        and got.flags.tobytes() == ref.flags.tobytes()
-                    ):
-                        wrong.append((x, budget, delta, run))
-        assert wrong == []
-        assert split > 2000
+    @staticmethod
+    def force(monkeypatch, width: int, branches: list) -> None:
+        """Send every dense vector to the block pass with blocks of
+        ``width`` weights, and record in ``branches`` each level's
+        ``(skipped, lo, n)``: whether it skipped blocks, and the level's
+        first column and the vector's length."""
+        block_level = dp._block_level
 
-    def test_one_hand_off_per_level(self, monkeypatch):
-        x = make_rng(1702).random(4001)
-        run = dp._run_segments
-        calls = []
+        def counted(x, prev, row, took, s, lo, heaviest, xmax):
+            skipped = block_level(x, prev, row, took, s, lo, heaviest, xmax)
+            branches.append((skipped, lo, x.size))
+            return skipped
 
-        def counted(pool, work, count):
-            calls.append(count)
-            run(pool, work, count)
+        monkeypatch.setattr(dp, "_BLOCK_MIN", 1)
+        monkeypatch.setattr(dp, "_BLOCK", width)
+        monkeypatch.setattr(dp, "_block_level", counted)
 
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(dp, "_run_segments", counted)
-        table = build_table_1spike(x, 40, 97)
-        # Level ell runs columns (ell - 1) * 97 to 4000, in one segment per
-        # CPU as far as each keeps 500 columns: three, then two, then one.
-        want = [min(3, (4001 - (ell - 1) * 97) // 500) for ell in range(1, 41)]
-        want = [count if count > 1 else 1 for count in want]
-        assert len(table) == 40 and calls == want
-        assert set(want) == {1, 2, 3}
-        assert table.flags.tobytes() == table1_reference(x, 40, 97).flags.tobytes()
-        # A batch runs one segment a level, whatever the CPU count.
-        calls.clear()
-        assert len(build_table_1spike(np.stack([x, x]), 40, 97)) == 40
-        assert calls == [1] * 40
-
-    def test_split_is_deterministic_and_leaves_no_thread(self, monkeypatch):
-        x = make_rng(1703).random(4001)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
-        whole = build_table_1spike(x, 40, 37)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 4)
-        assert len(dp._segments(0, x.size, 4)) == 4
-        threads = threading.active_count()
-        # Four segments on four threads that switch as often as they can.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = build_table_1spike(x, 40, 37)
-                assert got.values.tobytes() == whole.values.tobytes()
-                assert got.flags.tobytes() == whole.flags.tobytes()
-                assert threading.active_count() == threads
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_segments_cover_every_column_in_order(self):
-        for n in (2 * dp._SPLIT_MIN, 3 * dp._SPLIT_MIN + 5, 8 * dp._SPLIT_MIN + 7):
-            for start in (0, 7, n - 2 * dp._SPLIT_MIN):
-                for cpus in (2, 3, 8):
-                    segments = dp._segments(start, n, cpus)
-                    assert len(segments) == min(cpus, (n - start) // dp._SPLIT_MIN)
-                    assert segments[0][0] == start and segments[-1][1] == n
-                    assert all(hi == lo for (_, hi), (lo, _) in zip(segments, segments[1:]))
-                    # One segment per CPU, as far as each keeps _SPLIT_MIN columns.
-                    assert all(hi - lo >= dp._SPLIT_MIN for lo, hi in segments)
-        # Shorter spans and one CPU run one segment; a batch passes one CPU
-        # (test_one_hand_off_per_level).
-        m = 2 * dp._SPLIT_MIN - 1
-        assert dp._segments(0, m, 2) == [(0, m)]
-        assert dp._segments(5, m + 5, 8) == [(5, m + 5)]
-        assert dp._segments(0, 3 * m, 1) == [(0, 3 * m)]
-
-    def test_real_minimum_splits_a_long_vector(self, monkeypatch):
-        # At the private minimum itself, on two CPUs, with a zero run across
-        # the cut: a few levels only.
-        x = make_rng(1709).random(2 * dp._SPLIT_MIN + 3)
-        x[dp._SPLIT_MIN - 50 : dp._SPLIT_MIN + 50] = 0.0
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
-        got = build_table_1spike(x, 4, 999)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
-        whole = build_table_1spike(x, 4, 999)
-        assert got.values.tobytes() == whole.values.tobytes()
-        assert got.flags.tobytes() == whole.flags.tobytes()
-        assert got.support(4) == whole.support(4)
-
-    def test_one_cpu_runs_one_segment(self, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("a pool was started")
-
-        x = make_rng(1711).random(4001)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
-        monkeypatch.setattr(dp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
-        assert dp._segments(0, x.size, dp._usable_cpus()) == [(0, 4001)]
-        got = build_table_1spike(x, 10, 100)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
-        assert got.flags.tobytes() == build_table_1spike(x, 10, 100).flags.tobytes()
-
-    def test_the_cpu_count_is_read_once_per_table(self, monkeypatch):
-        # A CPU count that falls to one while the table runs changes
-        # nothing: the table keeps the segments and workers it began with.
-        x = make_rng(1712).random(4001)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 10**9)
-        whole = build_table_1spike(x, 10, 100)
-        reads = []
-
-        def falling():
-            reads.append(None)
-            return 2 if len(reads) == 1 else 1
-
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
-        monkeypatch.setattr(dp, "_usable_cpus", falling)
-        got = build_table_1spike(x, 10, 100)
-        assert len(reads) == 1
-        assert got.values.tobytes() == whole.values.tobytes()
-        assert got.flags.tobytes() == whole.flags.tobytes()
-        # A batch and a vector too short to split never read it.
-        reads.clear()
-        build_table_1spike(np.stack([x, x]), 10, 100)
-        build_table_1spike(x[: 2 * 500 - 1], 10, 100)
-        assert reads == []
-
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_a_failing_segment_raises_and_leaves_no_thread(self, monkeypatch, failing):
-        # Segment 0 runs on the calling thread and segment 1 on the worker;
-        # either one raising ends the table with its error, and no thread
-        # is left running.
-        run = dp._run_segments
-        started = threading.Event()
-
-        def fail_one(pool, work, count):
-            def work_or_fail(j):
-                on_worker = threading.current_thread() is not threading.main_thread()
-                assert on_worker == (j > 0)
-                if j:
-                    started.set()
-                if j == failing:
-                    raise RuntimeError(f"segment {j} failed")
-                work(j)
-
-            run(pool, work_or_fail, count)
-
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 500)
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(dp, "_run_segments", fail_one)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"segment {failing} failed"):
-            build_table_1spike(make_rng(1713).random(4001), 10, 100)
-        assert started.is_set()
-        assert threading.active_count() == threads
-
-    def test_the_worker_runs_under_the_callers_error_state(self, monkeypatch):
-        # Sums of 1e308 overflow to inf.  np.errstate is a context variable,
-        # so the worker's segment must run in the caller's context to
-        # ignore the overflow as the caller asked.
-        x = np.where(make_rng(1714).random(40) < 0.5, 1e308, 1.0)
-        monkeypatch.setattr(dp, "_SPLIT_MIN", 5)
-        monkeypatch.setattr(dp, "_usable_cpus", lambda: 2)
-        assert len(dp._segments(0, x.size, 2)) == 2
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 32])
+    def test_tables_match_the_straight_pass(self, monkeypatch, width):
+        wrong, cases, branches, unaligned = [], 0, [], 0
+        # Sums of 1e308 overflow to inf in every pass alike.
         with np.errstate(over="ignore"):
-            got = build_table_1spike(x, 6, 3)
-            want = table1_reference(x, 6, 3)
-        assert np.isinf(got.values).any()
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.flags.tobytes() == want.flags.tobytes()
+            for x, budget, delta in hostile_dense_vectors(3100 + width, 1000):
+                assert not takes_nonzero_pass(x)
+                want = table1_reference(x, budget, delta)
+                # A one-row batch runs the straight pass.
+                batch = table_row(build_table_1spike(x[None, :], budget, delta), 0)
+                ran = len(branches)
+                self.force(monkeypatch, width, branches)
+                got = build_table_1spike(x, budget, delta)
+                monkeypatch.undo()
+                # A block level whose lo and n both fall inside a block.
+                unaligned += any(skipped and lo % width and n % width for skipped, lo, n in branches[ran:])
+                cases += 1
+                top = min(budget, len(got))
+                if not (
+                    same_table(got, want)
+                    and same_table(got, batch)
+                    and got.support(top) == want.support(top) == batch.support(top)
+                ):
+                    wrong.append((x, budget, delta))
+        assert wrong == []
+        assert cases == 1000
+        skipped = sum(ran for ran, _, _ in branches)
+        assert skipped > 2000 and len(branches) - skipped > 2000, (skipped, len(branches))
+        assert unaligned > 100 or width == 1
+
+    def test_levels_on_each_branch(self, monkeypatch):
+        # Uniform weights: the levels skip blocks until, near the packing
+        # limit of 60, most blocks are live and the levels run straight.
+        # Ascending weights: every block is live, so every level runs
+        # straight.
+        rng = make_rng(3102)
+        for x, skips in ((rng.random(4001), [True] * 49 + [False] * 11), (np.cumsum(rng.random(4001)), [False] * 60)):
+            branches = []
+            self.force(monkeypatch, 8, branches)
+            got = build_table_1spike(x, 60, 67)
+            monkeypatch.undo()
+            assert same_table(got, table1_reference(x, 60, 67))
+            # Levels 1 to 60 run from lo = 0, 67, ..., 3953: each holds a whole block.
+            assert [(lo, n) for _, lo, n in branches] == [(ell * 67, 4001) for ell in range(60)]
+            assert [skipped for skipped, _, _ in branches] == skips
+        # A level that holds no whole block runs straight: the last level
+        # here runs from lo = 3 * 13 = 39 of 45 weights, past the last
+        # whole block of 8 (columns 32 to 39).
+        branches = []
+        x = rng.random(45)
+        self.force(monkeypatch, 8, branches)
+        got = build_table_1spike(x, 4, 13)
+        monkeypatch.undo()
+        assert same_table(got, table1_reference(x, 4, 13))
+        assert [lo for _, lo, _ in branches] == [0, 13, 26, 39]
+        assert branches[-1][0] is False
+
+    def test_real_minimum_and_width(self, monkeypatch):
+        # At the private minimum itself the pass runs, with a zero run
+        # across a block edge and n not a multiple of the block width; one
+        # weight below it the straight pass runs.
+        calls = []
+        block_level = dp._block_level
+
+        def counted(*args):
+            calls.append(args[5])
+            return block_level(*args)
+
+        monkeypatch.setattr(dp, "_block_level", counted)
+        n = dp._BLOCK_MIN + 3
+        x = make_rng(3103).random(n)
+        x[dp._BLOCK * 100 - 50 : dp._BLOCK * 100 + 50] = 0.0
+        for m, runs in ((n, True), (dp._BLOCK_MIN, True), (dp._BLOCK_MIN - 1, False)):
+            calls.clear()
+            got = build_table_1spike(x[:m], 5, 999)
+            assert bool(calls) is runs
+            assert same_table(got, table1_reference(x[:m], 5, 999))
+            assert got.support(5) == table_row(build_table_1spike(x[None, :m], 5, 999), 0).support(5)
+
+    def test_bounds_raise_no_overflow(self, monkeypatch):
+        # Block 1 (columns 4 to 7) has its heaviest weight, 1e308, at column
+        # 4, and from level 2 on the level below reads about 1e308 at its
+        # end: its upper bound overflows to inf, but none of its candidates
+        # does.  The bound marks the block live and raises nothing, even
+        # where overflow raises.
+        x = np.array([1.0, 1.0, 1.0, 1.0, 1e308, 1.0, 1.0, 1.0, 2.0])
+        want = table1_reference(x, 5, 2)
+        branches = []
+        self.force(monkeypatch, 4, branches)
+        with np.errstate(over="raise"):
+            got = build_table_1spike(x, 5, 2)
+        assert same_table(got, want)
+        assert len(branches) == 5 and not np.isinf(got.values).any()
+        with np.errstate(over="ignore"):
+            assert np.isinf(x[4] + want.values).all()
+
+    def test_overflow_raises_as_in_the_straight_pass(self, monkeypatch):
+        # Where a candidate overflows, the block pass raises as the straight
+        # pass does, and under ignored overflow the tables agree.
+        rng = make_rng(3104)
+        raised = 0
+        for c in range(300):
+            x = np.where(rng.random(int(rng.integers(2, 60))) < 0.3, 1e308, rng.integers(1, 3, 1).astype(float))
+            delta, budget = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+            outcomes = []
+            for force in (False, True):
+                if force:
+                    self.force(monkeypatch, (2, 3, 4)[c % 3], [])
+                try:
+                    with np.errstate(over="raise"):
+                        outcomes.append(build_table_1spike(x, budget, delta))
+                except FloatingPointError:
+                    outcomes.append(None)
+                monkeypatch.undo()
+            straight, blocked = outcomes
+            assert (straight is None) == (blocked is None)
+            raised += straight is None
+            if straight is not None:
+                assert same_table(blocked, straight)
+        assert 30 < raised < 270
+
+    def test_peak_memory_no_higher_than_the_straight_pass(self, monkeypatch):
+        # The block pass accumulates in place in the row buffer, where the
+        # straight pass holds a third float row of candidates; the blocks'
+        # bounds and live blocks cost less than that row.
+        x = make_rng(3105).random(1 << 17)
+        assert x.size >= dp._BLOCK_MIN
+        peaks = []
+        build_table_1spike(x, 20, 100)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for least in (dp._BLOCK_MIN, 10**9):
+                monkeypatch.setattr(dp, "_BLOCK_MIN", least)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                table = build_table_1spike(x, 20, 100)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del table
+        finally:
+            tracemalloc.stop()
+        blocked, straight = peaks
+        assert blocked <= straight, peaks
 
 
 def hostile_sparse_vectors(seed: int, count: int):

@@ -521,10 +521,11 @@ class TestCheckReal:
         # A Decimal once leaked a TypeError from the arithmetic, a 0-d array
         # passed as epsilon and noise_sigma only, and a complex or a string
         # raised each taker's own message; each now raises check_real's one
-        # ValueError.
+        # ValueError.  So does an int past the float range, which once
+        # raised OverflowError from the first float conversion.
         wrong = []
         for label, (rule, call) in REAL_TAKERS.items():
-            for value in (Decimal("0.5"), np.array(0.5), np.array([0.5]), 1j, "0.5", None, math.nan):
+            for value in (Decimal("0.5"), np.array(0.5), np.array([0.5]), 1j, "0.5", None, math.nan, 10**400):
                 if value is None and label == "am_iht stop_tol":
                     continue  # no tolerance at all
                 try:
@@ -791,10 +792,10 @@ def _strings(tree):
 
 def test_head_and_tail_wrappers_leave_the_checks_to_the_window_loop():
     # head_project and tail_project map epsilon to a window count and pass
-    # the rest on: best_over_windows and tail_vector check x and k, so a
-    # wrapper that checks them again makes one more pass over x.
+    # the rest on: best_over_windows and strong_and_reduced check x and k,
+    # so a wrapper that checks them again makes one more pass over x.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
-    wrappers = {"head.py": ["head_project"], "tail.py": ["tail_project", "strong_and_reduced"]}
+    wrappers = {"head.py": ["head_project"], "tail.py": ["tail_project"]}
     seen, found = [], []
     for module, names in wrappers.items():
         tree = ast.parse((package / module).read_text())
@@ -805,8 +806,19 @@ def test_head_and_tail_wrappers_leave_the_checks_to_the_window_loop():
                 for node in ast.walk(func)
                 if isinstance(node, ast.Name) and node.id in ("as_weights", "check_budget")
             ]
-    assert seen == ["head_project", "strong_and_reduced", "tail_project"]
+    assert seen == ["head_project", "tail_project"]
     assert found == []
+    # strong_and_reduced checks x once and works on the checked vector: it
+    # neither calls the checked tail_vector nor converts x again.
+    tree = ast.parse((package / "tail.py").read_text())
+    (func,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "strong_and_reduced")
+    names = [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    assert names.count("as_weights") == 1
+    assert not {"tail_vector", "asarray", "ascontiguousarray", "as_signal"} & set(names)
     # slice_solve and block_decompose work on the positions the window loop
     # found once: neither checks all of x again nor masks a copy of it.
     tree = ast.parse((package / "head.py").read_text())
@@ -1021,23 +1033,26 @@ def test_only_seeding_draws_randomness():
     assert found == []
 
 
-def test_only_dp_starts_threads():
-    # dp.py alone imports a threading module, and importing the package
-    # starts no thread.
+def test_no_module_imports_a_threading_module():
+    # No module imports a threading module or reads the CPU count, and
+    # importing the package starts no thread.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
     threaded = {"threading", "concurrent", "_thread", "multiprocessing"}
-    importers = set()
+    cpu_counts = {"cpu_count", "process_cpu_count", "sched_getaffinity"}
+    found = []
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
             else:
                 continue
-            if any(name.split(".")[0] in threaded for name in names):
-                importers.add(path.name)
-    assert importers == {"dp.py"}
+            if any(name.split(".")[0] in threaded or name in cpu_counts for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
     code = "import threading, sepsparse, sepsparse.cli, sepsparse.bench; print(threading.active_count())"
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

@@ -235,9 +235,9 @@ def table1_reference(x, budget: int, delta: int):
     """The budgeted 1-spike table from a pass that runs every level on all
     ``n`` prefixes.
 
-    This is ``build_table_1spike`` on one segment before each level ran
-    only the prefixes where it can differ from the level below, and
-    before its running maximum was ``fmax``: every level adds all ``n``
+    This is ``build_table_1spike`` before each level ran only the
+    prefixes where it can differ from the level below, and before its
+    running maximum was ``fmax``: every level adds all ``n``
     candidates, takes their running maximum from 0 and packs its whole
     staging.  The builder must give the same values and flags bit for
     bit.
