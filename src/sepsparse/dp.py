@@ -26,7 +26,8 @@ packing limit ``max_support_size``: every budget past it has the limit's
 value and support.  A table is the sequence of the levels it ran, and
 ``table.support(k)`` reads an optimal support for any budget ``k`` up to
 the requested one, so no caller caps a budget.  :func:`table_cells` prices
-a table by the levels it runs; no other module works out a table's size.
+a table by the levels it runs, an upper bound on the cells it fills; no
+other module works out a table's size.
 The budget-free solver keeps each nonzero's take and predecessor in
 Python lists and walks those back itself.  Ties in every max are broken
 toward *not* taking the current index, so reconstructed supports are
@@ -41,10 +42,14 @@ gives the same bits here (see :func:`build_table_1spike`).
 
 A 1-spike level runs only the prefixes where it can differ from the
 level below: level ``ell`` runs prefixes ``lo + 1`` to ``n``, ``lo =
-(ell - 1) * delta``, from a carry, the level below at prefix ``lo``, in
-a leading slot of its candidates (see :func:`build_table_1spike`).  The
-2-spike pass runs every level on every prefix: skipping measured slower
-there on the short tables that recovery and ``head(p=2)`` build.
+(ell - 1) * delta``, from a carry, the level below at prefix ``lo``,
+written into its row at ``lo``.  Every 1-spike level runs in place in its
+row buffer: the candidates are added into the row, whose running maximum
+is taken in place, and a prefix takes where the row rises (see
+:func:`build_table_1spike`).  A dense level of a vector or a batch runs
+one kernel, :func:`_straight`, along the last axis.  The 2-spike pass
+runs every level on every prefix: skipping measured slower there on the
+short tables that recovery and ``head(p=2)`` build.
 
 A zero weight never takes and never moves a 1-spike row, so a vector with
 at most half its weights nonzero runs each level over its nonzero weights
@@ -79,11 +84,10 @@ bound, its heaviest weight plus the level below at its last prefix minus
 and each earlier block's exact candidate at its heaviest weight.  Such a
 block has no take and a constant row, so only the live blocks are summed
 and run through one running maximum.  The part blocks at both ends, and
-every level with more than half its blocks live, run straight, in place
-in the row buffer.  Values and flags are the straight pass's bit for bit
-(see :func:`build_table_1spike`).  Batches and shorter vectors run the
-straight pass through a candidate buffer.  Nothing here starts a thread
-or reads the CPU count.
+every level with more than half its blocks live, run straight.  Values
+and flags are the straight pass's bit for bit (see
+:func:`build_table_1spike`).  Batches and shorter vectors run every level
+straight.  Nothing here starts a thread or reads the CPU count.
 
 The budgeted builders take a vector or a 2-D array of rows and run each
 level once for all rows; a vector is the one-row case of the same loop,
@@ -300,16 +304,17 @@ _BLOCK = 32
 
 
 def _straight(x: np.ndarray, prev: np.ndarray, row: np.ndarray, took: np.ndarray, s: int, a: int, b: int) -> None:
-    """Run columns ``a`` to ``b - 1`` of a level of a vector's 1-spike
-    pass, prefixes ``a + 1`` to ``b``, from the row's entry at prefix ``a``.
+    """Run columns ``a`` to ``b - 1`` of a level of the 1-spike pass, on a
+    vector or on every row of a batch, prefixes ``a + 1`` to ``b``, from
+    the row's entry at prefix ``a``.
 
     The candidates go into the row, whose running maximum is then taken in
     place, and a prefix takes exactly where the row rises: ``max(r, c) > r``
     exactly when ``c > r``."""
-    run = row[s + a : s + 1 + b]
-    np.add(x[a:b], prev[1 + a : 1 + b], out=run[1:])
-    np.fmax.accumulate(run, out=run)
-    np.greater(run[1:], run[:-1], out=took[a:b])
+    run = row[..., s + a : s + 1 + b]
+    np.add(x[..., a:b], prev[..., 1 + a : 1 + b], out=run[..., 1:])
+    np.fmax.accumulate(run, axis=-1, out=run)
+    np.greater(run[..., 1:], run[..., :-1], out=took[..., a:b])
 
 
 def _block_level(
@@ -371,8 +376,12 @@ def _block_level(
 def _predecessors(pos: np.ndarray, delta: int) -> np.ndarray:
     """For each of the sorted 1-based nonzero positions ``pos``, how many
     lie at or before it minus ``delta``: the 1-based rank of the last
-    nonzero a pick there may follow, 0 for none."""
-    return np.searchsorted(pos, pos - delta, side="right")
+    nonzero a pick there may follow, 0 for none.
+
+    ``pos.searchsorted`` with a positional side builds no keyword dict, as
+    ``np.searchsorted`` does on each call; CPython keeps such dicts in its
+    free lists, which tracemalloc counts."""
+    return pos.searchsorted(pos - delta, "right")
 
 
 def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
@@ -385,11 +394,15 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     picks, so there level ``ell`` is level ``ell - 1``, values and take
     flags alike.  Level ``ell`` therefore runs only prefixes ``lo + 1`` to
     ``n``, ``lo = (ell - 1) * delta``: the level below at prefix ``lo``,
-    the carry, goes into a leading slot of the candidates, and the
-    running maximum starts from it.  The next level reads this one's row
-    from prefix ``lo + 1`` on only, so the frozen prefixes are neither
-    filled nor copied.  The take staging below prefix ``lo + 1`` still
-    holds the level below's flags, so the level packs it whole.
+    the carry, is written into the row at ``lo``, and the running maximum
+    starts from it.  The next level reads this one's row from prefix
+    ``lo + 1`` on only, so the frozen prefixes are neither filled nor
+    copied.  The take staging below prefix ``lo + 1`` still holds the
+    level below's flags, so the level packs it whole.  A dense level, of
+    a vector or of every row of a batch, runs :func:`_straight`: the
+    candidates are added into the row after the carry and the running
+    maximum is taken in place, so a prefix takes exactly where the row
+    rises, and the only full-length float arrays are the two row buffers.
 
     The running maximum is ``np.fmax.accumulate``.  The weights hold no
     NaN, and every candidate is a weight plus a value that starts at
@@ -420,10 +433,9 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     to inf marks its block live and raises no warning the straight pass
     would not; every other sum here is a candidate the straight pass adds
     too.  The part blocks at ``lo`` and at ``n``, and a level with more
-    than half its blocks live, run straight (:func:`_straight`): in
-    place in the row buffer, taking where the row rises.  The values are
-    the same maxima of the same rounded sums, so values and flags are the
-    straight pass's bit for bit.
+    than half its blocks live, run straight (:func:`_straight`).  The
+    values are the same maxima of the same rounded sums, so values and
+    flags are the straight pass's bit for bit.
 
     A vector with at most half its weights nonzero runs the nonzero pass
     instead, over its sorted 1-based nonzero positions
@@ -441,10 +453,11 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     its value at prefix ``lo``.  The ``j``-th nonzero's candidate is
     ``w[j] + prev[pred[j]]``, ``pred[j]`` being the last nonzero at or
     before ``pos[j] - delta`` (:func:`_predecessors`), whose value is the
-    level below's at prefix ``pos[j] - delta``.  The running maximum is
-    ``np.fmax.accumulate`` from the carry.  These are the full pass's
-    additions and maxima on the same operands, so the values and take
-    flags are the same, bit for bit.  The takes are written into the same
+    level below's at prefix ``pos[j] - delta``.  The candidates go into
+    the row after the carry and the running maximum is taken in place, as
+    in :func:`_straight`.  These are the full pass's additions and maxima
+    on the same operands, so the values and take flags are the same, bit
+    for bit.  The takes are written into the same
     staging at ``pos`` and every level packs it whole, so a level costs
     O(nnz) plus O(n / 8) packing.  On a dense vector the gathers cost more
     than the prefixes they skip (at n = 4e5, k = delta = 316, on a 2-core
@@ -463,21 +476,20 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     take = np.zeros((*rows, 8 * nbytes), dtype=bool)
     if not rows and 2 * np.count_nonzero(x) <= n:
         # The nonzero pass.  Slot j of a level's row is its value at the
-        # j-th nonzero (1-based), slot 0 the 0.0 before the first, and
-        # cand[j] the j-th nonzero's candidate; a level that runs from slot
-        # a holds its carry in cand[a].
+        # j-th nonzero (1-based), slot 0 the 0.0 before the first.
         pos = np.flatnonzero(x) + 1
         w = x[pos - 1]
         pred = _predecessors(pos, delta)
         m = pos.size
-        prev, row, cand = np.zeros(m + 1), np.zeros(m + 1), np.empty(m + 1)
-        # Level ell runs the nonzeros past (ell - 1) * delta, from slot a.
-        starts = np.searchsorted(pos, np.arange(top) * delta, side="right")
+        prev, row = np.zeros(m + 1), np.zeros(m + 1)
+        # Level ell runs the nonzeros past (ell - 1) * delta from slot a,
+        # its carry, in place as the straight pass does.
+        starts = pos.searchsorted(np.arange(top) * delta, "right")
         for ell, a in enumerate(starts.tolist(), 1):
-            cand[a] = prev[a]
-            np.add(w[a:], prev[pred[a:]], out=cand[a + 1 :])
-            np.fmax.accumulate(cand[a:], out=row[a:])
-            take[pos[a:]] = cand[a + 1 :] > row[a:m]
+            row[a] = prev[a]
+            np.add(w[a:], prev[pred[a:]], out=row[a + 1 :])
+            np.fmax.accumulate(row[a:], out=row[a:])
+            take[pos[a:]] = row[a + 1 :] > row[a:m]
             flags[ell] = np.packbits(take)
             values[ell - 1] = row[m]
             prev, row = row, prev
@@ -491,21 +503,14 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
         heaviest = x[: n - n % _BLOCK].reshape(-1, _BLOCK).argmax(axis=1)
         heaviest += np.arange(0, heaviest.size * _BLOCK, _BLOCK)
         xmax = x[heaviest]
-    else:
-        # cand[..., i] is prefix i's candidate; a level that runs from
-        # column lo holds its carry, the level below at prefix lo, in
-        # cand[..., lo].
-        cand = np.empty((*rows, n + 1))
     for ell in range(1, top + 1):
         lo = (ell - 1) * delta
+        # The carry: the level below at prefix lo.
+        row[..., s + lo] = prev[..., s + lo]
         if blocked:
-            row[s + lo] = prev[s + lo]
             _block_level(x, prev, row, took, s, lo, heaviest, xmax)
         else:
-            cand[..., lo] = prev[..., s + lo]
-            np.add(x[..., lo:], prev[..., 1 + lo : 1 + n], out=cand[..., 1 + lo :])
-            np.fmax.accumulate(cand[..., lo:], axis=-1, out=row[..., s + lo :])
-            np.greater(cand[..., 1 + lo :], row[..., s + lo : s + n], out=took[..., lo:])
+            _straight(x, prev, row, took, s, lo, n)
         flags[ell] = np.packbits(take).reshape(flags.shape[1:])
         values[ell - 1] = row[..., s + n]
         prev, row = row, prev
@@ -697,8 +702,11 @@ def batch_rows(lengths: np.ndarray, delta: int, p: int) -> list[np.ndarray]:
 
 
 def table_cells(n: int, k: int, delta: int, p: int) -> int:
-    """The cells the budget-``k`` table for spike count ``p`` fills on ``n``
-    weights: ``n`` per level it runs, times the clamped ``delta`` for ``p = 2``."""
+    """The nominal price of the budget-``k`` table for spike count ``p`` on
+    ``n`` weights: ``n`` per level it runs, times the clamped ``delta`` for
+    ``p = 2``.  It bounds the cells the table fills from above: 1-spike
+    level ``ell`` fills ``n - (ell - 1) * delta`` prefixes, and a spike
+    train's levels its nonzeros only."""
     table_builder(p)  # raises for a p with no exact solver
     n = check_count(n, "n", None)
     return _levels(n, check_count(k, "k", 0), delta, p) * n * (check_delta(delta, n) if p == 2 else 1)
