@@ -78,14 +78,19 @@ measured slower.
 
 The full 1-spike pass on a vector of at least ``_BLOCK_MIN`` (32,768)
 weights, the block pass, cuts the prefixes into blocks of ``_BLOCK`` (32)
-weights on a fixed grid and at each level skips every block whose upper
-bound, its heaviest weight plus the level below at its last prefix minus
-``delta``, does not beat a lower bound on the row before it: the carry
-and each earlier block's exact candidate at its heaviest weight.  Such a
-block has no take and a constant row, so only the live blocks are summed
-and run through one running maximum.  The part blocks at both ends, and
-every level with more than half its blocks live, run straight.  Values
-and flags are the straight pass's bit for bit (see
+weights on a fixed grid.  Each row buffer also keeps the row at every
+block's end and which blocks it holds.  At each level the pass skips
+every block whose upper bound, its heaviest weight plus the level below
+at the end of the block that holds its last prefix minus ``delta``, does
+not beat a lower bound on the row before it: the carry and each earlier
+block's heaviest weight plus the level below at a block end before that
+weight's prefix minus ``delta``.  Both bounds are slices of the level
+below's block ends.  A skipped block has no take and a constant row, so
+only the live blocks are summed, run through one running maximum and
+written; a skipped block is kept as its one block-end value and written
+out only where a later level reads it.  The part blocks at both ends,
+and every level with more than half its blocks live, run straight.
+Values and flags are the straight pass's bit for bit (see
 :func:`build_table_1spike`).  Batches and shorter vectors run every level
 straight.  Nothing here starts a thread or reads the CPU count.
 
@@ -317,6 +322,18 @@ def _straight(x: np.ndarray, prev: np.ndarray, row: np.ndarray, took: np.ndarray
     np.greater(run[..., 1:], run[..., :-1], out=took[..., a:b])
 
 
+def _write_out(prev: np.ndarray, ends: np.ndarray, held: np.ndarray, s: int, lead: int, blocks: np.ndarray) -> None:
+    """Write into the row buffer ``prev`` each of ``blocks`` that it does
+    not hold, as that block's end: a skipped block's row is constant.
+
+    ``ends`` and ``held`` are the buffer's, laid out as in
+    :func:`_block_level` with ``lead`` entries before block 0; ``blocks``
+    may name those and the tail, which are held."""
+    blocks = blocks[~held[lead + blocks]]
+    nb = held.size - lead - 1
+    prev[s + 1 : s + 1 + nb * _BLOCK].reshape(nb, _BLOCK)[blocks] = ends[lead + blocks, None]
+
+
 def _block_level(
     x: np.ndarray,
     prev: np.ndarray,
@@ -324,52 +341,94 @@ def _block_level(
     took: np.ndarray,
     s: int,
     lo: int,
-    heaviest: np.ndarray,
     xmax: np.ndarray,
+    ends: np.ndarray,
+    held: np.ndarray,
 ) -> bool:
-    """Run columns ``lo`` to ``n - 1`` of a level of the block pass from
-    the row's entry at prefix ``lo``; whether it skipped blocks.
+    """Run columns ``lo`` to ``n - 1`` of a level of the block pass, its
+    carry included; whether it skipped blocks.
 
     Block ``b`` holds columns ``b * _BLOCK`` to ``(b + 1) * _BLOCK - 1``,
-    its heaviest weight ``xmax[b]`` at column ``heaviest[b]``.  The part
-    block at ``lo``, the one at ``n`` and a level where more than half the
-    blocks are live run straight (:func:`_straight`); the live blocks run
-    in one running maximum from the row's value before the first, and
-    every other block holds the value before it and takes nothing (see
+    its heaviest weight ``xmax[b]``.  Row 0 of
+    ``ends`` and ``held`` belongs to ``prev``, the level below's row
+    buffer, and row 1 to this level's ``row``.  Entry ``lead + b``, with
+    ``lead = s // _BLOCK + 2``, is the buffer's row at block ``b``'s last
+    prefix, and whether the buffer holds block ``b``'s values; the entries
+    before stand for the prefixes at or below 0 (0.0, held), and the last
+    for the tail (held).  The part block at ``lo``, the one at ``n`` and a
+    level where more than half the blocks are live run straight
+    (:func:`_straight`).  The live blocks run in one running maximum from
+    the row's value before the first; every other block is left
+    unwritten, its row being its block end, and takes nothing.  A block of
+    ``prev`` that is read and not held is written out first (see
     :func:`build_table_1spike`)."""
-    n = x.size
-    first = -(-lo // _BLOCK)
-    a, z = first * _BLOCK, heaviest.size * _BLOCK
-    if first >= heaviest.size:
-        _straight(x, prev, row, took, s, lo, n)
+    n, nb, B = x.size, xmax.size, _BLOCK
+    lead = s // B + 2
+    pend, rend = ends
+    pheld, rheld = held
+    first = -(-lo // B)
+    a, z = first * B, nb * B
+
+    def straight(i: int, j: int) -> None:
+        # Columns i to j - 1 read the level below at prefixes i + 1 - s to
+        # j - s; the blocks that hold them are written out first.
+        _write_out(prev, pend, pheld, s, lead, np.arange((i - s) // B, (j - s - 1) // B + 1))
+        _straight(x, prev, row, took, s, i, j)
+
+    # The carry, the level below at prefix lo: its block end if that block
+    # is not held.
+    c = lead + (lo - 1) // B
+    row[s + lo] = prev[s + lo] if pheld[c] else pend[c]
+    if first >= nb:
+        straight(lo, n)
+        rheld[lead + lo // B : lead + nb] = True
         return False
-    _straight(x, prev, row, took, s, lo, a)
+    straight(lo, a)
     start = row[s + a]
+    rheld[lead + first - 1] = True
+    # Block b's upper bound reads the level below at the end of the block
+    # that holds prefix (b + 1) * B - s; its lower term, at most its exact
+    # candidate at its heaviest weight, reads it at the end of the block
+    # before the one that holds b * B + 1 - s.
+    upper_at = lead + (B - 1 - s) // B
+    lower_at = lead + (1 - s) // B - 1
     with np.errstate(over="ignore"):
-        upper = xmax[first:] + prev[a + _BLOCK : z + 1 : _BLOCK]
+        upper = xmax[first:] + pend[upper_at + first : upper_at + nb]
     lower = np.empty(upper.size)
     lower[0] = start
-    np.add(xmax[first:-1], prev[1 + heaviest[first:-1]], out=lower[1:])
+    np.add(xmax[first:-1], pend[lower_at + first : lower_at + nb - 1], out=lower[1:])
     np.fmax.accumulate(lower, out=lower)
     live = upper > lower
     ids = np.flatnonzero(live)
     if 2 * ids.size > live.size:
-        _straight(x, prev, row, took, s, a, n)
+        straight(a, n)
+        rend[lead + first : lead + nb] = row[s + a + B : s + z + 1 : B]
+        rheld[lead + first : lead + nb] = True
         return False
-    # run[0] is the row before the first block and run[j * _BLOCK] the row
-    # at the end of the j-th live block.
-    run = np.empty(1 + ids.size * _BLOCK)
+    ids += first
+    # Live block b reads the level below at prefixes b * B + 1 - s to
+    # (b + 1) * B - s, in block b - ceil(s / B) and, unless s is a multiple
+    # of B, the next.
+    under = ids + -s // B
+    _write_out(prev, pend, pheld, s, lead, np.concatenate((under, under + 1)) if s % B else under)
+    # run[0] is the row before the first block and run[j * B] the row at
+    # the end of the j-th live block.
+    run = np.empty(1 + ids.size * B)
     run[0] = start
-    runs = run[1:].reshape(-1, _BLOCK)
-    np.add(x[a:z].reshape(-1, _BLOCK)[ids], prev[1 + a : 1 + z].reshape(-1, _BLOCK)[ids], out=runs)
+    runs = run[1:].reshape(-1, B)
+    np.add(x[:z].reshape(nb, B)[ids], prev[1 : 1 + z].reshape(nb, B)[ids], out=runs)
     np.fmax.accumulate(run, out=run)
-    blocks = row[s + 1 + a : s + 1 + z].reshape(-1, _BLOCK)
-    blocks[...] = run[::_BLOCK][np.cumsum(live) - live, None]
-    blocks[ids] = runs
-    takes = took[a:z].reshape(-1, _BLOCK)
+    row[s + 1 : s + 1 + z].reshape(nb, B)[ids] = runs
+    # Each block from the first ends at the last live end before it.
+    rend[lead + first : lead + nb] = np.repeat(run[::B], np.diff(np.concatenate(([first], ids, [nb]))))
+    rheld[lead + first : lead + nb] = live
+    takes = took[a:z].reshape(-1, B)
     takes[...] = False
-    takes[ids] = (run[1:] > run[:-1]).reshape(-1, _BLOCK)
-    _straight(x, prev, row, took, s, z, n)
+    takes[ids - first] = (run[1:] > run[:-1]).reshape(-1, B)
+    # The straight tail starts from the last whole block's end.
+    row[s + z] = rend[lead + nb - 1]
+    if z < n:
+        straight(z, n)
     return True
 
 
@@ -412,30 +471,71 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     A dense vector of at least ``_BLOCK_MIN`` weights runs the block
     pass (:func:`_block_level`).  Block ``b`` holds columns ``b * B`` to
     ``(b + 1) * B - 1``, ``B = _BLOCK``; its heaviest weight ``xmax[b]``
-    and that weight's column are found once per table.  Each row is
-    non-decreasing from its level's ``lo`` on, and rounded addition is
-    monotone, so every candidate of a block is at most its upper bound
-    ``xmax[b] + prev[(b + 1) * B - delta]``, the level below read at the
-    block's last prefix minus ``delta``.  The row before a block is at
-    least its lower bound: the carry, or the row after the part block at
-    ``lo``, and each earlier block's exact candidate at its heaviest
-    weight.  A block whose upper bound does not beat its lower bound has
-    every candidate at most the row before it, so it takes nowhere and
-    its row is the constant row before it: ``fmax(r, c)`` is ``r`` when
-    ``c <= r``.  Such a block cannot move the running maximum, so the row
-    before any block is the maximum of that start and the live blocks
-    before it.  The live blocks' candidates are therefore summed into one
-    buffer behind that start and run through one ``np.fmax.accumulate``:
-    each block's maximum starts from its true start, and a live prefix
-    takes where that maximum rises.  Every other block is filled with the
-    row before it and its take flags cleared.  The upper bounds are
-    summed under ``np.errstate(over="ignore")``: a bound that overflows
-    to inf marks its block live and raises no warning the straight pass
-    would not; every other sum here is a candidate the straight pass adds
-    too.  The part blocks at ``lo`` and at ``n``, and a level with more
-    than half its blocks live, run straight (:func:`_straight`).  The
-    values are the same maxima of the same rounded sums, so values and
-    flags are the straight pass's bit for bit.
+    is found once per table.  Beside its row, each row buffer keeps
+    ``ends``, the row at every block's last prefix (0 for the prefixes at
+    or below 0), and ``held``, whether the buffer holds each block's
+    values.  Each level's row is non-decreasing, and
+    rounded addition is monotone.  So every candidate of block ``b`` is
+    at most its upper bound: ``xmax[b]`` plus the level below at the end
+    of the block that holds prefix ``(b + 1) * B - delta``, which is at
+    or past the prefix its last candidate reads.  The row before a block
+    is at least its lower bound: the carry, or the row after the part
+    block at ``lo``, and each earlier block ``j``'s lower term,
+    ``xmax[j]`` plus the level below at the end of the block before the
+    one that holds prefix ``j * B + 1 - delta``.  That end is at or
+    before the prefix the exact candidate at ``xmax[j]`` reads, so the
+    term is at most that candidate.  Both bounds read ``ends`` at a fixed
+    shift of ``b``, so each is a slice; the upper bound is exact when
+    ``delta`` is a multiple of ``B``, and otherwise both are a little
+    loose, which only runs a few more blocks live.  A block whose upper
+    bound does not beat its lower bound has every candidate at most the
+    row before it, so it takes nowhere and its row is the constant row
+    before it: ``fmax(r, c)`` is ``r`` when ``c <= r``.  Such a block
+    cannot move the running maximum, so the row before any block is the
+    maximum of that start and the live blocks before it.  The live
+    blocks' candidates are therefore summed into one buffer behind that
+    start and run through one ``np.fmax.accumulate``: each block's
+    maximum starts from its true start, and a live prefix takes where
+    that maximum rises.  The part blocks at ``lo`` and at ``n``, and a
+    level with more than half its blocks live, run straight
+    (:func:`_straight`).
+
+    A skipping level writes only its live blocks and its part blocks into
+    its row and marks them held; a skipped block keeps what the buffer
+    held before and is marked not held, its take flags are cleared, and
+    its end, the last live end before it or the start, goes into
+    ``ends``.  A straight stretch marks its blocks held and reads their
+    ends from the row.  So a held block holds the level's values from
+    prefix ``lo + 1`` on, and an unheld one's value is its end.  A level
+    reads the level below at its carry, under its part block, under each
+    live block (block ``b``'s candidates read two blocks of the level
+    below at a fixed shift of ``b``, one when ``delta`` is a multiple of
+    ``B``), under the straight tail from ``z``, the first prefix past the
+    last whole block, and under all its blocks when it runs straight.
+    Each block read there that the level below did not hold is first
+    written out as its end (:func:`_write_out`); the carry reads the end
+    itself.  The tail starts from the row at ``z``, which is set to the
+    last whole block's end, so it is right when that block was skipped;
+    when ``n`` is a multiple of ``B`` it is the level's value.  Ends from
+    a level's first whole block on are written at every level.  Those
+    before it hold an earlier level's ends, no larger than this level's
+    (each level is at least the one below), and only lower terms read
+    them, which stay lower bounds: the upper bounds of the next level
+    read no end before this level's first whole block.  So every prefix
+    a level reads holds the level below's value, every value is the same
+    maximum of the same rounded sums, and values and flags are the
+    straight pass's bit for bit.  A skipping level writes O(live * B +
+    n / B) values besides clearing and packing its take flags.
+
+    The upper bounds are summed under ``np.errstate(over="ignore")``; the
+    block pass raises on overflow exactly when the straight pass does.
+    Every sum outside that is either a candidate the straight pass adds
+    too or a lower term, at most a candidate the straight pass adds, so
+    it overflows only if that candidate does.  Conversely a candidate
+    that overflows lies in a straight stretch or a live block, where the
+    block pass adds it too, or in a block whose upper bound, at least
+    that candidate, is then inf; such a block is live unless its lower
+    bound is inf too, which takes a lower term that overflowed first.
 
     A vector with at most half its weights nonzero runs the nonzero pass
     instead, over its sorted 1-based nonzero positions
@@ -500,16 +600,19 @@ def build_table_1spike(x, budget: int, delta: int) -> DpTable1:
     row = np.zeros((*rows, s + n + 1))
     blocked = not rows and n >= _BLOCK_MIN
     if blocked:
-        heaviest = x[: n - n % _BLOCK].reshape(-1, _BLOCK).argmax(axis=1)
-        heaviest += np.arange(0, heaviest.size * _BLOCK, _BLOCK)
-        xmax = x[heaviest]
+        xmax = x[: n - n % _BLOCK].reshape(-1, _BLOCK).max(axis=1)
+        # Per row buffer, first prev's, then row's: its row at each block's
+        # last prefix and whether it holds each block (see _block_level).
+        ends = np.zeros((2, s // _BLOCK + 3 + xmax.size))
+        held = np.ones(ends.shape, dtype=bool)
     for ell in range(1, top + 1):
         lo = (ell - 1) * delta
-        # The carry: the level below at prefix lo.
-        row[..., s + lo] = prev[..., s + lo]
         if blocked:
-            _block_level(x, prev, row, took, s, lo, heaviest, xmax)
+            _block_level(x, prev, row, took, s, lo, xmax, ends, held)
+            ends, held = ends[::-1], held[::-1]
         else:
+            # The carry: the level below at prefix lo.
+            row[..., s + lo] = prev[..., s + lo]
             _straight(x, prev, row, took, s, lo, n)
         flags[ell] = np.packbits(take).reshape(flags.shape[1:])
         values[ell - 1] = row[..., s + n]
