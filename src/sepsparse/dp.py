@@ -1,6 +1,6 @@
 """Exact dynamic-programming solvers for separated-sparsity projection.
 
-Three solvers live here:
+Four solvers and one search live here:
 
 * :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n);
   on a vector at most half nonzero, such as a spike train, O(k nnz) plus
@@ -10,6 +10,13 @@ Three solvers live here:
   O(k delta n).
 * :func:`dp_solve_unrestricted` -- the budget-free 1-spike solver, O(n)
   vector work plus a Python loop over the nonzero weights.
+* :func:`_unrestricted_2spike` -- the budget-free 2-spike solver, a
+  Python loop over sorted candidate positions and the candidates within
+  ``delta`` before each.
+* :func:`_certified_2spike` -- the budget-``k`` 2-spike optimum of a
+  slice by a Lagrangian search over the budget-free 2-spike solver,
+  returned only with a certificate that it is the support the slice's
+  tables read back; :func:`certified_solver` maps ``p`` to it.
 
 :func:`dp_solve` and :func:`dp_solve_2spike` return a builder's table with
 its top support built.  :func:`table_builder` is the one place that maps a
@@ -28,10 +35,10 @@ value and support.  A table is the sequence of the levels it ran, and
 the requested one, so no caller caps a budget.  :func:`table_cells` prices
 a table by the levels it runs, an upper bound on the cells it fills; no
 other module works out a table's size.
-The budget-free solver keeps each nonzero's take and predecessor in
-Python lists and walks those back itself.  Ties in every max are broken
-toward *not* taking the current index, so reconstructed supports are
-deterministic and stable across runs.
+The budget-free solvers keep each nonzero's or candidate's state and
+predecessor in Python lists and walk those back themselves.  Ties in every
+max are broken toward *not* taking the current index, so reconstructed
+supports are deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -49,7 +56,8 @@ is taken in place, and a prefix takes where the row rises (see
 :func:`build_table_1spike`).  A dense level of a vector or a batch runs
 one kernel, :func:`_straight`, along the last axis.  The 2-spike pass
 runs every level on every prefix: skipping measured slower there on the
-short tables that recovery and ``head(p=2)`` build.
+short tables of recovery's exact head and of the ``head(p=2)`` slices
+the certified search declines.
 
 A zero weight never takes and never moves a 1-spike row, so a vector with
 at most half its weights nonzero runs each level over its nonzero weights
@@ -123,6 +131,7 @@ __all__ = [
     "batch_rows",
     "build_table_1spike",
     "build_table_2spike",
+    "certified_solver",
     "dp_solve",
     "dp_solve_2spike",
     "dp_solve_unrestricted",
@@ -626,7 +635,8 @@ class DpTable2(_DpTable):
     The forward state is (prefix r, recent-window width i, budget ell);
     ``flags[ell, i]`` is the packed row of prefixes ``r`` with a take at
     that state.  A batch walks its rows back one at a time: the walk-backs
-    are a few per cent of a 2-spike slice, next to its forward pass.
+    are a few per cent of a 2-spike slice's tables, next to their forward
+    pass, and only slices the certified search declines build them.
     """
 
     def _walk_row(self, flags: np.ndarray, lev: int) -> tuple[int, ...]:
@@ -872,3 +882,200 @@ def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
 def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:
     """Budgeted 2-spike solver; see :func:`dp_solve` for the return shape."""
     return _solved(build_table_2spike(x, k, delta))
+
+
+def _unrestricted_2spike(pos: np.ndarray, y: np.ndarray, delta: int) -> tuple[float, np.ndarray]:
+    """Budget-free 2-spike solver over sorted candidate positions and their
+    weights; equivalent to any budget past the packing limit.
+
+    ``pos`` is a strictly increasing integer array of 1-based positions and
+    ``y`` the float weights there, which may be negative; a weight of at
+    most 0 is never picked.  Returns the optimum, the largest ascending
+    floating sum of the weights of a support on which every ``delta``
+    consecutive positions hold at most two picks, and the indices into
+    ``pos`` of a support attaining it.
+
+    Pick ``t + 2`` must lie ``delta`` or more after pick ``t``.  So once
+    the pick before the last lies ``delta`` or more back, no later pick can
+    come within ``delta`` of it, and the state is the last pick alone, a
+    single; otherwise it is the last two picks, a pair less than ``delta``
+    apart.  A single at candidate ``j`` adds its weight to the optimum over
+    the candidates at least ``delta`` before it.  A pair of ``i`` then
+    ``j`` adds it to the best state at ``i`` whose earlier pick is at least
+    ``delta`` before ``j``: the single at ``i``, or a pair ``(i, h)`` with
+    ``h`` in a prefix of ``i``'s pairs, read from their running maximum.
+    The work is the number of candidates times the few candidates within
+    ``delta`` before each, not ``n * delta`` cells.  Every value is a
+    weight added to an earlier value from 0.0, and rounded addition is
+    monotone, so the optimum is exactly the largest ascending floating sum,
+    the same number the budgeted table reads at the packing limit.  Ties
+    are broken toward not taking a candidate, then toward the single and
+    the earliest ``i``.  The support is walked back over each state's own
+    predecessor.
+    """
+    ids = np.flatnonzero(y > 0.0)
+    lo = _predecessors(pos[ids], delta).tolist()
+    # best[j] is the optimum over the first j candidates and top[j] the
+    # state attaining it, (j, i) for the pair of picks i, j and (j, -1) for
+    # a single pick j.  runs[j][t] is the best of the single at j and the
+    # pairs (j, i) for i from lo[j] to lo[j] + t, as (value, i), i being -1
+    # for the single, and via[j][t] the state before pair (j, lo[j] + t):
+    # (i, -1) or the pair (i, h).
+    best, top = [0.0], [None]
+    single, runs, via = [], [], []
+    for j, (w, a) in enumerate(zip(y[ids].tolist(), lo)):
+        s = w + best[a]
+        run, came = [], []
+        pv, pi = s, -1
+        for i in range(a, j):
+            # Pick i may follow a pick at least delta before it, or a pick
+            # h less than delta before it that is at least delta before j.
+            u, h = single[i], -1
+            d = a - lo[i]
+            if d > 0 and runs[i][d - 1][0] > u:
+                u, h = runs[i][d - 1]
+            c = w + u
+            came.append(h)
+            if c > pv:
+                pv, pi = c, i
+            run.append((pv, pi))
+        single.append(s)
+        runs.append(run)
+        via.append(came)
+        if pv > best[-1]:
+            best.append(pv)
+            top.append((j, pi))
+        else:
+            best.append(best[-1])
+            top.append(top[-1])
+    picks = []
+    state = top[-1]
+    while state is not None:
+        j, i = state
+        picks.append(j)
+        state = top[lo[j]] if i < 0 else (i, via[j][i - lo[j]])
+    return best[-1], ids[picks[::-1]]
+
+
+# The search runs over at most this many times k of a slice's heaviest
+# weights, and gives up after this many evaluations of U2.
+_BRACKET = 3
+_STEPS = 40
+
+
+def _certified_2spike(pos: np.ndarray, w: np.ndarray, k: int, delta: int) -> tuple[int, ...] | None:
+    """The budget-``k`` 2-spike optimum over the sorted positions ``pos``
+    of the nonzero weights ``w``, by a Lagrangian search over the
+    budget-free solver; ``None`` unless the optimum is certified to be the
+    support that the slice's tables read back.
+
+    *Search.*  For a price ``mu >= 0`` let ``U2(mu)`` be the budget-free
+    optimum on the weights ``x - mu`` (:func:`_unrestricted_2spike`).  For any
+    feasible ``S`` of at most ``k`` picks, ``x(S) <= U2(mu) + mu * k``, and
+    a ``U2(mu)`` optimum of exactly ``k`` picks meets the bound, so it is
+    optimal.  The window rows and the cardinality row are intervals, so
+    the constraint matrix is totally unimodular and some price reaches
+    ``k`` picks unless the optimum's gains tie at ``k``.  The search runs
+    over the candidates heavier than the ``(_BRACKET * k + 1)``-th
+    heaviest weight ``t`` (all of them when there are fewer) from the
+    floor ``t + 2 eta`` (``eta`` below; 0 with every weight a candidate):
+    no weight left out can gain at a price from there.  With fewer than
+    ``k`` picks at the floor it gives up, unless the floor is 0: then the
+    slice holds fewer than ``k`` picks, and the optimum at price 0 is the
+    answer.  Otherwise each step goes to where the supporting lines
+    ``x(S) - mu |S|`` of the two bracketing supports meet, or bisects when
+    rounding puts that outside the bracket; it gives up when the meeting
+    point gives either bracket's pick count back, which means no price
+    reaches ``k``, or after ``_STEPS`` evaluations.
+
+    *Certificate.*  Let ``S*`` be the support found at price ``mu`` and
+    ``a_i = x_i - mu - eta`` on ``S*``, ``x_i - mu + eta`` off it.  Every
+    feasible ``S`` has ``a(S) = x(S) - mu |S| - eta |S & S*| + eta |S -
+    S*|``, so if ``S*`` is within ``tau`` of the best ``a(S)``, then for
+    every feasible ``S != S*`` of at most ``k`` picks (using ``mu >= 0``,
+    and ``|S*| = k`` or ``mu = 0``) ``x(S*) - x(S) >= eta |S ^ S*| - tau
+    >= eta - tau``.  The weights left out have ``a_i <= t - mu + eta <=
+    0`` and can be dropped.  The search runs :func:`_unrestricted_2spike` on
+    the rounded ``a`` and accepts only if it returns ``S*``.  With ``m``
+    candidates, ``u = 2**-53``, ``gamma_j = j u / (1 - j u)`` and ``X`` the
+    heaviest weight, every ``|a_i|`` and its rounding error is at most
+    ``3 X`` and ``4 u X`` (``mu``, ``eta <= X``), and a sum of at most
+    ``m`` of them rounds within ``gamma_m`` of their absolute sum, so
+    ``tau <= 2 m (3 gamma_m + 4 u) X``: the computed optimum dominates the
+    rounded sum of every support, and ``S*``'s rounded sum is that
+    optimum.
+
+    *What the tables read back.*  Let ``k' = min(k, len(w))``, ``gamma =
+    gamma_k'`` and ``H = k' X``, at least any optimum of at most ``k``
+    picks.  A table's level ``l`` on a block is the largest ascending
+    floating sum over the block's supports of at most ``l`` picks: each
+    cell is a maximum of cells and of a weight added to a cell, rounding
+    is monotone, and the support it walks back sums to it.  So it lies
+    within ``gamma R`` of the real optimum ``R`` there.  Its gain over
+    the level below is then within ``d = (2 gamma + 2 u) H`` of the real
+    gain, and real gains fall level by level (the block's problem is
+    totally unimodular too).  The slice picks the ``k`` largest positive
+    gains, budgets ``k_b`` per block; those beat the gains of ``S*``'s
+    per-block budgets, so ``sum R_b(k_b) >= x(S*) - 2 k' d``, and the
+    supports read back are within ``2 gamma H`` of ``sum R_b(k_b)``: the
+    union ``T`` has ``x(T) >= x(S*) - eps`` with ``eps = (4 k' gamma + 4
+    k' u + 2 gamma) H``, and at most ``k`` picks.  The search takes ``eta
+    = 2 (eps + 2 m (3 gamma_m + 4 u) X)``, so an accepted ``S*`` beats
+    every other such support by more than ``eps``, and ``T = S*``.  It
+    gives up where those bounds could fail: ``eta > X``, ``X`` under
+    ``2**-900``, where ``eta`` would lose its relative precision, or sums
+    that could reach ``2**1000``.  It gives up on a negative weight too, on
+    which the tables raise.
+    """
+    least, top = float(w.min()), float(w.max())
+    kk = min(k, w.size)
+    bracketed = w.size > _BRACKET * k
+    if bracketed:
+        cut = w.size - _BRACKET * k - 1
+        t = float(np.partition(w, cut)[cut])
+        keep = w > t
+        pos, w = pos[keep], w[keep]
+    m = w.size
+    if not (least > 0.0 and 2.0**-900 <= top <= 2.0**1000 / (m + kk)):
+        return None
+    u = 2.0**-53
+    gk, gm = kk * u / (1 - kk * u), m * u / (1 - m * u)
+    eta = 2 * ((4 * kk * gk + 4 * kk * u + 2 * gk) * kk + 2 * m * (3 * gm + 4 * u)) * top
+    mu = t + 2 * eta if bracketed else 0.0
+    if eta > top or mu >= top:
+        return None
+    # Supporting lines as (price, picks, weight): one above k picks, and
+    # one below, first the empty support at the heaviest weight.
+    above, below = None, (top, 0, 0.0)
+    met = False
+    for _ in range(_STEPS):
+        idx = _unrestricted_2spike(pos, w - mu, delta)[1]
+        c = idx.size
+        if c == k or (c < k and mu == 0.0):
+            inside = np.zeros(m, dtype=bool)
+            inside[idx] = True
+            perturbed = (w - mu) + np.where(inside, -eta, eta)
+            if np.array_equal(_unrestricted_2spike(pos, perturbed, delta)[1], idx):
+                return tuple(pos[idx].tolist())
+            return None
+        if (above is None and c < k) or (met and c in (above[1], below[1])):
+            return None
+        line = (mu, c, float(w[idx].sum()))
+        if c > k:
+            above = line
+        else:
+            below = line
+        mu = (above[2] - below[2]) / (above[1] - below[1])
+        met = above[0] < mu < below[0]
+        if not met:
+            mu = (above[0] + below[0]) / 2
+    return None
+
+
+def certified_solver(p: int) -> Callable[..., tuple[int, ...] | None] | None:
+    """The certified search for spike count ``p``, or ``None`` where slices
+    build their tables: :func:`_certified_2spike` for ``p = 2``.  It takes
+    a slice's sorted kept positions, their nonzero weights, a budget of at
+    least 1 and ``delta``, and returns the support the slice's tables
+    would read back, or ``None`` for the tables to be built."""
+    return _certified_2spike if check_count(p, "p") == 2 else None

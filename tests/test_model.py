@@ -938,10 +938,18 @@ def test_package_has_no_assert_statements():
 
 
 def test_only_dp_picks_an_exact_solver():
-    # dp.table_builder is the one place that maps p to its DP; any other
-    # module that uses a builder or solver by name picks a DP on its own.
+    # dp.table_builder and dp.certified_solver are the places that map p to
+    # its DP and its search; any other module that uses a builder or solver
+    # by name picks a DP on its own.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
-    solvers = {"build_table_1spike", "build_table_2spike", "dp_solve", "dp_solve_2spike"}
+    solvers = {
+        "build_table_1spike",
+        "build_table_2spike",
+        "dp_solve",
+        "dp_solve_2spike",
+        "_unrestricted_2spike",
+        "_certified_2spike",
+    }
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.rglob("*.py"))
