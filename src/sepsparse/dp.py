@@ -1,6 +1,6 @@
 """Exact dynamic-programming solvers for separated-sparsity projection.
 
-Four solvers and one search live here:
+Three solvers and one search live here:
 
 * :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n);
   on a vector at most half nonzero, such as a spike train, O(k nnz) plus
@@ -8,11 +8,10 @@ Four solvers and one search live here:
   prefixes that cannot raise a level's running maximum.
 * :func:`build_table_2spike` -- the budgeted 2-spike recurrence,
   O(k delta n).
-* :func:`dp_solve_unrestricted` -- the budget-free 1-spike solver, O(n)
-  vector work plus a Python loop over the nonzero weights.
-* :func:`_unrestricted_2spike` -- the budget-free 2-spike solver, a
-  Python loop over sorted candidate positions and the candidates within
-  ``delta`` before each.
+* :func:`_unrestricted` -- the budget-free solver for ``p`` 1 or 2, a
+  Python loop over sorted candidate positions and, for ``p = 2``, the
+  candidates within ``delta`` before each.  :func:`dp_solve_unrestricted`
+  is its checked 1-spike entry, on sorted positions and their weights.
 * :func:`_certified_2spike` -- the budget-``k`` 2-spike optimum of a
   slice by a Lagrangian search over the budget-free 2-spike solver,
   returned only with a certificate that it is the support the slice's
@@ -35,10 +34,10 @@ value and support.  A table is the sequence of the levels it ran, and
 the requested one, so no caller caps a budget.  :func:`table_cells` prices
 a table by the levels it runs, an upper bound on the cells it fills; no
 other module works out a table's size.
-The budget-free solvers keep each nonzero's or candidate's state and
-predecessor in Python lists and walk those back themselves.  Ties in every
-max are broken toward *not* taking the current index, so reconstructed
-supports are deterministic and stable across runs.
+The budget-free solver keeps each candidate's state and predecessor in
+Python lists and walks those back itself.  Ties in every max are broken
+toward *not* taking the current index, so reconstructed supports are
+deterministic and stable across runs.
 
 The forward passes keep each level's row in a buffer with up to ``delta``
 leading zeros (at most ``n``), so the shifted term ``prev[i - delta]``, 0
@@ -63,7 +62,7 @@ A zero weight never takes and never moves a 1-spike row, so a vector with
 at most half its weights nonzero runs each level over its nonzero weights
 only, the nonzero pass: each reads the level below at its predecessor,
 the last nonzero at least ``delta`` before it, the rule
-:func:`dp_solve_unrestricted` steps by too.  The take flags are scattered
+:func:`_unrestricted` steps by too.  The take flags are scattered
 into the same staging and packed whole, so the table and its walk-backs
 are the ones the full pass gives, bit for bit (see
 :func:`build_table_1spike`).  Denser vectors and every batch run the full
@@ -123,7 +122,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .model import as_weights, check_count, check_delta, max_support_size
+from .model import as_positions, as_weights, check_count, check_delta, max_support_size
 
 __all__ = [
     "DpTable1",
@@ -845,38 +844,25 @@ def dp_solve(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...
     return _solved(build_table_1spike(x, k, delta))
 
 
-def dp_solve_unrestricted(x, delta: int) -> tuple[float, tuple[int, ...]]:
-    """Budget-free 1-spike solver; equivalent to any budget >= ceil(n/delta).
+def dp_solve_unrestricted(pos, y, delta: int) -> tuple[float, tuple[int, ...]]:
+    """Budget-free 1-spike solver over the sorted 1-based positions ``pos``
+    and their weights ``y``; equivalent to any budget past the packing
+    limit.  Returns the optimum and a support attaining it, as positions.
 
-    O(n) vector work plus a Python loop over the nonzero weights only: a
-    zero is never taken and leaves the prefix optimum unchanged, so the
-    recurrence steps from nonzero to nonzero.  Each one reads the optimum
-    at its predecessor, the last nonzero at or before ``i - delta``.  The
-    support is read back from the same lists: from the last nonzero, a
-    take is picked and the walk jumps to its predecessor, a skip steps to
-    the nonzero before it.
+    ``pos`` goes through :func:`model.as_positions`, ``y`` through
+    :func:`model.as_weights` and must hold one weight per position, and a
+    ``delta`` past the last position cuts nothing, so it is clamped there.
+    A whole vector ``x`` is ``pos = 1..n`` with ``y = x``; its zero weights
+    may be left out, as none is picked.  The recurrence is
+    :func:`_unrestricted`'s with no pair state.
     """
-    x = as_weights(x)
-    delta = check_delta(delta, x.size)
-    pos = np.flatnonzero(x) + 1
-    # best[j] is the prefix optimum through the j-th nonzero (1-based), and
-    # pred names each nonzero's predecessor by that j, 0 (best 0.0) for none.
-    pred = _predecessors(pos, delta).tolist()
-    best = [0.0]
-    took = []
-    for w, j in zip(x[pos - 1].tolist(), pred):
-        cand = w + best[j]
-        took.append(cand > best[-1])
-        best.append(cand if took[-1] else best[-1])
-    sol = []
-    j = len(took)
-    while j:
-        if took[j - 1]:
-            sol.append(int(pos[j - 1]))
-            j = pred[j - 1]
-        else:
-            j -= 1
-    return best[-1], tuple(reversed(sol))
+    pos = as_positions(pos, name="pos")
+    y = as_weights(y)
+    if y.size != pos.size:
+        raise ValueError(f"y must hold one weight per position: {y.size} weights for {pos.size} positions")
+    delta = check_delta(delta, int(pos[-1]) if pos.size else 0)
+    value, idx = _unrestricted(pos, y, delta, 1)
+    return value, tuple(pos[idx].tolist())
 
 
 def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[int, ...]]]:
@@ -884,26 +870,29 @@ def dp_solve_2spike(x, k: int, delta: int) -> tuple[np.ndarray, Sequence[tuple[i
     return _solved(build_table_2spike(x, k, delta))
 
 
-def _unrestricted_2spike(pos: np.ndarray, y: np.ndarray, delta: int) -> tuple[float, np.ndarray]:
-    """Budget-free 2-spike solver over sorted candidate positions and their
-    weights; equivalent to any budget past the packing limit.
+def _unrestricted(pos: np.ndarray, y: np.ndarray, delta: int, p: int) -> tuple[float, np.ndarray]:
+    """Budget-free ``p``-spike solver, ``p`` 1 or 2, over sorted candidate
+    positions and their weights; equivalent to any budget past the packing
+    limit.
 
     ``pos`` is a strictly increasing integer array of 1-based positions and
     ``y`` the float weights there, which may be negative; a weight of at
-    most 0 is never picked.  Returns the optimum, the largest ascending
-    floating sum of the weights of a support on which every ``delta``
-    consecutive positions hold at most two picks, and the indices into
-    ``pos`` of a support attaining it.
+    most 0 is never picked, and a position left out of ``pos`` counts as a
+    zero weight.  Returns the optimum, the largest ascending floating sum
+    of the weights of a support on which every ``delta`` consecutive
+    positions hold at most ``p`` picks, and the indices into ``pos`` of a
+    support attaining it.
 
-    Pick ``t + 2`` must lie ``delta`` or more after pick ``t``.  So once
-    the pick before the last lies ``delta`` or more back, no later pick can
-    come within ``delta`` of it, and the state is the last pick alone, a
-    single; otherwise it is the last two picks, a pair less than ``delta``
-    apart.  A single at candidate ``j`` adds its weight to the optimum over
-    the candidates at least ``delta`` before it.  A pair of ``i`` then
-    ``j`` adds it to the best state at ``i`` whose earlier pick is at least
-    ``delta`` before ``j``: the single at ``i``, or a pair ``(i, h)`` with
-    ``h`` in a prefix of ``i``'s pairs, read from their running maximum.
+    For ``p = 2``, pick ``t + 2`` must lie ``delta`` or more after pick
+    ``t``.  So once the pick before the last lies ``delta`` or more back,
+    no later pick can come within ``delta`` of it, and the state is the
+    last pick alone, a single; otherwise it is the last two picks, a pair
+    less than ``delta`` apart.  A single at candidate ``j`` adds its
+    weight to the optimum over the candidates at least ``delta`` before
+    it.  A pair of ``i`` then ``j`` adds it to the best state at ``i``
+    whose earlier pick is at least ``delta`` before ``j``: the single at
+    ``i``, or a pair ``(i, h)`` with ``h`` in a prefix of ``i``'s pairs,
+    read from their running maximum.
     The work is the number of candidates times the few candidates within
     ``delta`` before each, not ``n * delta`` cells.  Every value is a
     weight added to an earlier value from 0.0, and rounded addition is
@@ -912,6 +901,24 @@ def _unrestricted_2spike(pos: np.ndarray, y: np.ndarray, delta: int) -> tuple[fl
     are broken toward not taking a candidate, then toward the single and
     the earliest ``i``.  The support is walked back over each state's own
     predecessor.
+
+    For ``p = 1`` every pick must lie ``delta`` or more after the one
+    before, so no pair is feasible: the pair loop runs over no candidate
+    and only singles exist.  The optimum over the first ``j`` candidates
+    is then the larger of the optimum over the first ``j - 1`` and
+    candidate ``j``'s single, its weight plus the optimum at its
+    predecessor, the last candidate at or before its position minus
+    ``delta``, and the single wins only when strictly greater.  That is
+    the 1-spike recurrence of the budgeted table past the packing limit,
+    with its tie rule toward not taking, stepped from candidate to
+    candidate: at any other position the weight is at most 0, so its
+    candidate is at most the optimum at the position before and it
+    neither takes nor moves the optimum.  With singles only, the state
+    attaining the optimum over the first ``j`` candidates is the last take
+    among them, and the walk-back picks it and resumes at its predecessor,
+    the budgeted walk-back's nearest take ``delta`` before its last pick.
+    So for ``p = 1`` the values and the support are the 1-spike
+    recurrence's, bit for bit.
     """
     ids = np.flatnonzero(y > 0.0)
     lo = _predecessors(pos[ids], delta).tolist()
@@ -927,7 +934,7 @@ def _unrestricted_2spike(pos: np.ndarray, y: np.ndarray, delta: int) -> tuple[fl
         s = w + best[a]
         run, came = [], []
         pv, pi = s, -1
-        for i in range(a, j):
+        for i in range(a, j) if p == 2 else ():
             # Pick i may follow a pick at least delta before it, or a pick
             # h less than delta before it that is at least delta before j.
             u, h = single[i], -1
@@ -970,8 +977,8 @@ def _certified_2spike(pos: np.ndarray, w: np.ndarray, k: int, delta: int) -> tup
     support that the slice's tables read back.
 
     *Search.*  For a price ``mu >= 0`` let ``U2(mu)`` be the budget-free
-    optimum on the weights ``x - mu`` (:func:`_unrestricted_2spike`).  For any
-    feasible ``S`` of at most ``k`` picks, ``x(S) <= U2(mu) + mu * k``, and
+    2-spike optimum on the weights ``x - mu`` (:func:`_unrestricted`).  For
+    any feasible ``S`` of at most ``k`` picks, ``x(S) <= U2(mu) + mu * k``, and
     a ``U2(mu)`` optimum of exactly ``k`` picks meets the bound, so it is
     optimal.  The window rows and the cardinality row are intervals, so
     the constraint matrix is totally unimodular and some price reaches
@@ -995,7 +1002,7 @@ def _certified_2spike(pos: np.ndarray, w: np.ndarray, k: int, delta: int) -> tup
     every feasible ``S != S*`` of at most ``k`` picks (using ``mu >= 0``,
     and ``|S*| = k`` or ``mu = 0``) ``x(S*) - x(S) >= eta |S ^ S*| - tau
     >= eta - tau``.  The weights left out have ``a_i <= t - mu + eta <=
-    0`` and can be dropped.  The search runs :func:`_unrestricted_2spike` on
+    0`` and can be dropped.  The search runs :func:`_unrestricted` on
     the rounded ``a`` and accepts only if it returns ``S*``.  With ``m``
     candidates, ``u = 2**-53``, ``gamma_j = j u / (1 - j u)`` and ``X`` the
     heaviest weight, every ``|a_i|`` and its rounding error is at most
@@ -1049,13 +1056,13 @@ def _certified_2spike(pos: np.ndarray, w: np.ndarray, k: int, delta: int) -> tup
     above, below = None, (top, 0, 0.0)
     met = False
     for _ in range(_STEPS):
-        idx = _unrestricted_2spike(pos, w - mu, delta)[1]
+        idx = _unrestricted(pos, w - mu, delta, 2)[1]
         c = idx.size
         if c == k or (c < k and mu == 0.0):
             inside = np.zeros(m, dtype=bool)
             inside[idx] = True
             perturbed = (w - mu) + np.where(inside, -eta, eta)
-            if np.array_equal(_unrestricted_2spike(pos, perturbed, delta)[1], idx):
+            if np.array_equal(_unrestricted(pos, perturbed, delta, 2)[1], idx):
                 return tuple(pos[idx].tolist())
             return None
         if (above is None and c < k) or (met and c in (above[1], below[1])):

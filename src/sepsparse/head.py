@@ -4,10 +4,11 @@ The projector removes a periodic run of ``delta`` positions from the ground
 set (one of ``lam + 1`` phase-shifted choices), which caps every remaining
 block at ``lam * delta`` positions.  Every position set the window loop
 takes or hands on is a strictly increasing integer array of 1-based
-positions.  The loop checks the weights once, compares them with 0 once to
-find their nonzero positions and reads each one's drop phase, which
-repeats with period ``(lam + 1) * delta``; positions forced into every
-keep-set are found among the nonzero ones by one search.  A keep-set's
+positions, checked by :func:`model.as_positions`.  The loop checks the
+weights once, compares them with 0 once to find their nonzero positions
+and reads each one's drop phase, which repeats with period ``(lam + 1) *
+delta``; positions forced into every keep-set are found among the
+nonzero ones by one search.  A keep-set's
 slice gets the sorted positions it keeps, an O(nnz) filter, and cuts them
 into blocks where consecutive positions are ``delta`` or more apart, held
 as arrays with each block's range in the kept positions.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .model import _ascending_sum, as_signal, as_weights, check_count, check_delta, check_real
+from .model import _ascending_sum, as_positions, as_signal, as_weights, check_count, check_delta, check_real
 
 # perfbench/tracing.py patches this name here; keep it importable.
 from .model import objective  # noqa: F401
@@ -108,31 +109,20 @@ class BlockDecomposition:
     ranges: np.ndarray
 
 
-def _positions(values, n: float = math.inf, name: str = "kept") -> np.ndarray:
-    """``values`` as an array, checked to hold strictly increasing integer
-    positions in ``[1, n]``; the message names them ``name``.  A compare,
-    not a difference, finds a step down: an unsigned or narrow difference
-    would wrap."""
-    values = np.asarray(values)
-    ok = values.dtype.kind in "iu" and values.ndim == 1 and not (values[1:] <= values[:-1]).any()
-    if not ok or (values.size and not 1 <= values[0] <= values[-1] <= n):
-        raise ValueError(f"{name} must be a strictly increasing integer array in [1, {n}]")
-    return values
-
-
 def block_decompose(kept, delta: int, p: int = 1) -> BlockDecomposition:
     """Split sorted 1-based positions into blocks.
 
-    ``kept`` is a strictly increasing integer array of positions from 1;
-    any other ``kept`` raises ``ValueError``.  A block is a chain of them
-    in which consecutive members are less than ``delta`` apart, so
+    ``kept`` is a strictly increasing integer array of positions from 1
+    (:func:`model.as_positions`); any other ``kept`` raises
+    ``ValueError``.  A block is a chain of them in which consecutive
+    members are less than ``delta`` apart, so
     distinct blocks are at least ``delta`` apart and can be solved
     independently.  :func:`slice_solve` passes only positions of nonzero
     weight, so a zero weight joins no block.  A ``delta`` past the last
     position cuts nothing, so it is clamped there.  Each block's range in
     ``kept`` comes with it, so no caller searches ``kept`` for it again.
     """
-    kept = _positions(kept)
+    kept = as_positions(kept)
     delta = check_delta(delta, int(kept[-1]) if kept.size else 0)
     p = check_count(p, "p")
     if not kept.size:
@@ -181,7 +171,7 @@ def slice_solve(kept, x, k: int, delta: int, p: int = 1) -> tuple[int, ...]:
     solve = dp.table_builder(p)
     delta = check_delta(delta, x.size)
     k = check_count(k, "k", None)
-    kept = _positions(kept, x.size)
+    kept = as_positions(kept, x.size)
     search = dp.certified_solver(p)
     # The window loop passes nonzero weights only, so this filter is rare.
     # The search reads the kept weights anyway; otherwise a vector of
@@ -281,7 +271,7 @@ def best_over_windows(
     if forced is not None:
         # The search below runs in the positions' own type: a wider one
         # would cast all of them.
-        forced = _positions(forced, n, "forced").astype(positions.dtype)
+        forced = as_positions(forced, n, "forced").astype(positions.dtype)
     if k <= 0 or not positions.size:
         return ()
     # The narrowest signed type that holds -1 to lam.

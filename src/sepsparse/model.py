@@ -18,7 +18,8 @@ Conventions used throughout the package:
   a tolerance, a gap), :func:`as_signal` checks every vector and
   :func:`is_numeric` every array's dtype, :func:`check_finite` finds NaN
   and inf in any of them, :func:`as_weights` checks every weight vector,
-  and :func:`is_feasible` is the one feasibility test, which every other
+  :func:`as_positions` every array of sorted 1-based positions, and
+  :func:`is_feasible` is the one feasibility test, which every other
   module calls.
 """
 
@@ -33,6 +34,7 @@ import numpy as np
 __all__ = [
     "MAX_BRUTE_FORCE_N",
     "InfeasibleParameters",
+    "as_positions",
     "as_signal",
     "as_support",
     "as_weights",
@@ -67,6 +69,25 @@ def as_weights(x) -> np.ndarray:
     if check_finite(arr, "weight vectors") < 0.0:
         raise ValueError("weight vectors must be entrywise non-negative; square a signed signal first")
     return arr
+
+
+def as_positions(values, n: float = math.inf, name: str = "kept") -> np.ndarray:
+    """``values`` as an int32 or int64 array, checked to hold strictly
+    increasing integer positions in ``[1, n]``; the message names them
+    ``name``.  An int32 or int64 array is returned as it is and every other
+    integer dtype is widened to ``np.intp`` first, so callers may compute
+    ``pos - delta`` without wrapping.  An unsigned value past the
+    ``np.intp`` range wraps to a negative, which the order or the range
+    test then finds.  A compare, not a difference, finds a step down: a
+    difference could wrap.
+    """
+    values = np.asarray(values)
+    ok = values.dtype.kind in "iu" and values.ndim == 1
+    if ok and not (values.dtype.kind == "i" and values.itemsize >= 4):
+        values = values.astype(np.intp)
+    if not ok or (values[1:] <= values[:-1]).any() or (values.size and not 1 <= values[0] <= values[-1] <= n):
+        raise ValueError(f"{name} must be a strictly increasing integer array in [1, {n}]")
+    return values
 
 
 def as_signal(v) -> np.ndarray:

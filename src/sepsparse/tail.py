@@ -102,16 +102,14 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     """Best feasible subset of the k heaviest entries; leftover <= 2x optimal.
 
     Entry ties at the selection threshold are resolved toward lower
-    indices.  Since the candidate set has at most k elements, the
-    budget-free solver already respects the sparsity budget.  Its Python
-    loop visits only nonzero weights, so it runs at most k steps on a
-    length-n vector after O(n) vector work.
-
-    The solver never takes a zero weight, so only the nonzero weights are
-    ranked: with at most ``k`` of them every one is kept and ``x`` goes to
-    the solver as it is; otherwise the threshold is the ``k``-th largest
-    nonzero weight, found by partitioning the nonzero weights alone (all
-    of ``x`` when none is zero).
+    indices.  The solver never takes a zero weight, so only the nonzero
+    weights are ranked: with at most ``k`` of them every one is kept;
+    otherwise the threshold is the ``k``-th largest nonzero weight, found
+    by partitioning the nonzero weights alone (all of ``x`` when none is
+    zero).  The at most ``k`` kept positions and their weights go to the
+    budget-free solver :func:`dp.dp_solve_unrestricted`, which therefore
+    respects the sparsity budget and runs at most ``k`` steps; only this
+    function checks all of ``x``.
     """
     x = as_weights(x)
     n = x.size
@@ -119,15 +117,15 @@ def topk_tail_project(x, k: int, delta: int) -> tuple[int, ...]:
     k = check_count(k, "k", None)
     if k <= 0 or n == 0:
         return ()
-    nonzero = x != 0.0
-    count = np.count_nonzero(nonzero)
+    keep = x != 0.0
+    count = np.count_nonzero(keep)
     if count > k:
-        weights = x if count == n else x[nonzero]
+        weights = x if count == n else x[keep]
         threshold = np.partition(weights, count - k)[count - k]
         keep = x > threshold
         keep[np.flatnonzero(x == threshold)[: k - np.count_nonzero(keep)]] = True
-        x = np.where(keep, x, 0.0)
-    _, sol = dp.dp_solve_unrestricted(x, delta)
+    pos = np.flatnonzero(keep) + 1
+    _, sol = dp.dp_solve_unrestricted(pos, x[pos - 1], delta)
     return sol
 
 

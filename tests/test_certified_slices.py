@@ -1,8 +1,8 @@
-"""The budget-free 2-spike solver and the certified p = 2 slice search.
+"""The budget-free solver and the certified p = 2 slice search.
 
-``dp._unrestricted_2spike`` is checked against the brute-force
-oracle past the packing limit and against the 2-spike table's value at
-that limit, bit for bit.  The certified search, which ``slice_solve``
+``dp._unrestricted`` is checked for p = 1 and p = 2 against the
+brute-force oracle past the packing limit and against the table's value
+at that limit, bit for bit.  The certified search, which ``slice_solve``
 tries before building any 2-spike table, must return exactly the support
 the tables read back, or nothing: on the tie-rule cases, the golden and
 differential head cases, and continuous hostile slices.  A counting
@@ -59,18 +59,19 @@ def hostile_free_cases(seed: int, count: int):
         yield x, delta
 
 
-def test_budget_free_2spike_matches_the_oracle_and_the_table():
+@pytest.mark.parametrize("p", [1, 2])
+def test_budget_free_solver_matches_the_oracle_and_the_table(p):
     cases = 0
     for x, delta in hostile_free_cases(3401, 1200):
         n = x.size
-        limit = max_support_size(n, delta, 2)
-        _, want = brute_force_solve(x, limit + 1, delta, 2)
-        table = dp.build_table_2spike(x, limit, delta).values[-1]
+        limit = max_support_size(n, delta, p)
+        _, want = brute_force_solve(x, limit + 1, delta, p)
+        table = dp.table_builder(p)(x, limit, delta).values[-1]
         for pos in (np.flatnonzero(x) + 1, np.arange(1, n + 1)):
-            value, idx = dp._unrestricted_2spike(pos, x[pos - 1], delta)
+            value, idx = dp._unrestricted(pos, x[pos - 1], delta, p)
             sol = tuple(pos[idx].tolist())
             assert value == want == table, (x.tolist(), delta)
-            assert is_feasible(sol, n, n, delta, 2)
+            assert is_feasible(sol, n, n, delta, p)
             assert objective(x, sol) == value
             assert all(x[i - 1] > 0.0 for i in sol)
         cases += 1

@@ -96,9 +96,23 @@ class TestDpSolve:
 
 class TestDpUnrestricted:
     def test_spec_examples(self):
-        assert dp_solve_unrestricted([1.0, 1, 1], 2) == (2.0, (1, 3))
-        assert dp_solve_unrestricted([7.0], 5) == (7.0, (1,))
-        assert dp_solve_unrestricted([1.0, 2, 3, 4], 1) == (10.0, (1, 2, 3, 4))
+        assert dp_solve_unrestricted([1, 2, 3], [1.0, 1, 1], 2) == (2.0, (1, 3))
+        assert dp_solve_unrestricted([1], [7.0], 5) == (7.0, (1,))
+        assert dp_solve_unrestricted([1, 2, 3, 4], [1.0, 2, 3, 4], 1) == (10.0, (1, 2, 3, 4))
+        # Positions left out weigh nothing, and none may start the list.
+        assert dp_solve_unrestricted([2, 5, 6], [1.0, 3, 2], 2) == (4.0, (2, 5))
+        assert dp_solve_unrestricted(np.zeros(0, dtype=int), [], 3) == (0.0, ())
+
+    def test_checks_positions_and_weights(self):
+        message = r"pos must be a strictly increasing integer array in \[1, inf\]"
+        # An empty list is a float array, as for kept.
+        for pos in ([2, 1], [0, 1], [1.0, 2.0], [[1, 2]], []):
+            with pytest.raises(ValueError, match=message):
+                dp_solve_unrestricted(pos, [1.0, 1.0], 1)
+        with pytest.raises(ValueError, match="one weight per position: 1 weights for 2 positions"):
+            dp_solve_unrestricted([1, 2], [1.0], 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            dp_solve_unrestricted([1, 2], [1.0, -1.0], 1)
 
     def test_agrees_with_budgeted_at_capacity(self):
         rng = make_rng(37)
@@ -107,20 +121,21 @@ class TestDpUnrestricted:
             delta = int(rng.integers(1, 6))
             x = rng.random(n)
             k = -(-n // delta)
-            value, sol = dp_solve_unrestricted(x, delta)
+            value, sol = dp_solve_unrestricted(np.arange(1, n + 1), x, delta)
             values, _ = dp_solve(x, k, delta)
             assert value == pytest.approx(values[-1], abs=1e-9)
             assert objective(x, sol) == value
             assert is_feasible(sol, n, k, delta, 1)
 
     def test_matches_per_position_reference(self):
-        # 3,008 cases: the nonzero-only loop replays the per-position
-        # recurrence's additions and strict comparisons exactly.
+        # 3,008 cases: the loop over the positions given, every position or
+        # the nonzero ones, replays the per-position recurrence's additions
+        # and strict comparisons exactly.
         for x, _k, delta in unrestricted_cases(43, 3000):
-            value, sol = dp_solve_unrestricted(x, delta)
-            want_value, want_sol = unrestricted_reference(x, delta)
-            assert value == want_value
-            assert sol == want_sol
+            want = unrestricted_reference(x, delta)
+            nonzero = np.flatnonzero(x) + 1
+            assert dp_solve_unrestricted(np.arange(1, x.size + 1), x, delta) == want
+            assert dp_solve_unrestricted(nonzero, x[nonzero - 1], delta) == want
 
 
 class TestDp2Spike:

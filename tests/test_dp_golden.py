@@ -4,7 +4,7 @@ The oracle tests check that every support is optimal; they do not pin which
 optimal support wins a tie, or the exact floating-point value.  The cases in
 ``data/dp_golden.json`` do: for each seeded instance they hold the values
 and every-level supports of ``dp_solve`` and ``dp_solve_2spike``, the
-output of ``dp_solve_unrestricted``, and the supports of ``head_project``
+output of ``dp_solve_unrestricted`` on every position, and the supports of ``head_project``
 (p = 1 and 2) and ``tail_project``.
 
 Running this file as a script (``PYTHONPATH=src python tests/test_dp_golden.py``)
@@ -46,7 +46,7 @@ def every_level(values: np.ndarray, table, k: int) -> list:
 
 
 def outputs(x: np.ndarray, k: int, delta: int) -> dict:
-    value_u, sol_u = dp_solve_unrestricted(x, delta)
+    value_u, sol_u = dp_solve_unrestricted(np.arange(1, x.size + 1), x, delta)
     return {
         "dp": every_level(*dp_solve(x, k, delta), k),
         "dp2": every_level(*dp_solve_2spike(x, k, delta), k),

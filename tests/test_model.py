@@ -277,7 +277,7 @@ DELTA_TAKERS = {
     "build_table_1spike": lambda x, k, d: build_table_1spike(x, k, d),
     "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
     "batch_rows": lambda x, k, d: batch_rows(np.ones(x.size, dtype=int), d, 1),
-    "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(x, d),
+    "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(np.arange(1, x.size + 1), x, d),
     "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
     "is_feasible": lambda x, k, d: is_feasible(range(1, x.size + 1), x.size, k, d, 1),
     "am_iht": lambda x, k, d: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, d, 1, 0.5, 0.5),
@@ -668,6 +668,41 @@ class TestSupportIndices:
         assert all(type(i) is int for i in as_support(np.array([4, 1], dtype=np.uint8)))
 
 
+# Every taker of a sorted position array, called with the positions, a
+# weight vector x they index, a budget and a delta.
+POSITION_TAKERS = {
+    "slice_solve p=1": lambda pos, x, k, d: slice_solve(pos, x, k, d, 1),
+    "slice_solve p=2": lambda pos, x, k, d: slice_solve(pos, x, k, d, 2),
+    "dp_solve_unrestricted": lambda pos, x, k, d: dp_solve_unrestricted(pos, x[pos - 1], d),
+    "best_over_windows forced": lambda pos, x, k, d: best_over_windows(x, k, d, 1, 2, pos),
+}
+
+
+def test_every_position_taker_computes_any_integer_type_as_int64():
+    # model.as_positions widens every integer type but int32 and int64, so
+    # no taker computes pos - delta in a narrow or unsigned type: uint8
+    # positions once wrapped into an IndexError in a p = 2 slice, and int8
+    # ones raised OverflowError at a delta past 127.
+    rng = make_rng(3501)
+    wrong = []
+    for _ in range(150):
+        n = int(rng.integers(1, 300))
+        x = rng.random(n) * (rng.random(n) < 0.8)
+        pos = np.flatnonzero(rng.random(min(n, 127)) < rng.uniform(0.2, 1.0)) + 1
+        k = int(rng.integers(1, 12))
+        delta = (int(rng.integers(1, 6)), int(rng.integers(6, 40)), n + int(rng.integers(0, 4)))[int(rng.integers(0, 3))]
+        for name, call in POSITION_TAKERS.items():
+            want = call(pos.astype(np.int64), x, k, delta)
+            for kind in (np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16):
+                try:
+                    got = call(pos.astype(kind), x, k, delta)
+                except Exception as err:
+                    got = repr(err)
+                if repr(got) != repr(want):
+                    wrong.append((name, kind.__name__, n, k, delta, got, want))
+    assert wrong == []
+
+
 class TestCheckDelta:
     def test_clamps_to_n(self):
         assert check_delta(2, 5) == 2
@@ -736,9 +771,10 @@ def test_each_parameter_rule_has_one_home():
     # model.check_count is the one integer rule: it checks every budget,
     # spike count, window count, other count, seed and support index, and
     # check_delta checks delta through it before clamping.  model.check_real
-    # is the one real-scalar rule, and model.is_numeric the one dtype rule
-    # of weights, signals and the sensing model.  A second copy of a
-    # message is a second copy of its rule.  recovery only compares head's
+    # is the one real-scalar rule, model.is_numeric the one dtype rule of
+    # weights, signals and the sensing model, and model.as_positions the
+    # one rule of sorted position arrays.  A second copy of a message is a
+    # second copy of its rule.  recovery only compares head's
     # window count and cap.
     package = Path(__file__).resolve().parents[1] / "src" / "sepsparse"
     homes = {
@@ -747,6 +783,7 @@ def test_each_parameter_rule_has_one_home():
         " must be a ": [],
         "finite real": [],
         "iuf": [],
+        " must be a strictly increasing integer array in [1, ": [],
     }
     # The real-scalar messages each taker once wrote for itself.
     retired = ["must be finite and positive", "must be finite and >= 0", "must be None or a real", "must be >= 1"]
@@ -769,12 +806,14 @@ def test_each_parameter_rule_has_one_home():
         " must be a ": ["model.py:check_real"],
         "finite real": ["model.py:check_real"],
         "iuf": ["model.py:is_numeric"],
+        " must be a strictly increasing integer array in [1, ": ["model.py:as_positions"],
     }
     assert copies == []
     assert importers == {"operator": ["model.py"], "numbers": ["model.py"]}
     for name in ("check_budget", "check_p", "check_lam", "_as_int"):
         assert not hasattr(model, name)
     assert not hasattr(recovery, "_reaches_cap")
+    assert not hasattr(head, "_positions")
     tree = ast.parse((package / "recovery.py").read_text())
     am_iht = next(node for node in tree.body if getattr(node, "name", None) == "am_iht")
     arithmetic = [
@@ -863,7 +902,8 @@ def test_head_and_tail_check_the_input_vector_once_per_pass(monkeypatch, lam):
     # At n = 4e5 every block is at most lam * delta long, so an as_weights
     # call on n weights is a pass over the whole input: a head projection
     # makes one, in the window loop, and a tail projection two, in the
-    # neighbourhood pass and the window loop, whatever lam is.
+    # neighbourhood pass and the window loop, whatever lam is.  Top-k makes
+    # one and hands the budget-free solver its at most k kept weights.
     n, k, delta = 400_000, 316, 316
     x = gen_uniform(n, 1733)
     passes = []
@@ -880,6 +920,9 @@ def test_head_and_tail_check_the_input_vector_once_per_pass(monkeypatch, lam):
     passes.clear()
     tail_project(x, k, delta, 2.0 / lam)
     assert len(passes) == 2
+    passes.clear()
+    topk_tail_project(x, k, delta)
+    assert len(passes) == 1
 
 
 def test_the_cli_and_recovery_keep_no_copy_of_a_library_rule():
@@ -947,7 +990,7 @@ def test_only_dp_picks_an_exact_solver():
         "build_table_2spike",
         "dp_solve",
         "dp_solve_2spike",
-        "_unrestricted_2spike",
+        "_unrestricted",
         "_certified_2spike",
     }
     found = [

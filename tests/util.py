@@ -150,7 +150,8 @@ def unrestricted_reference(x, delta: int) -> tuple[float, tuple[int, ...]]:
     """The budget-free 1-spike recurrence with one Python step per position.
 
     This is ``dp_solve_unrestricted``'s former loop over all of ``[n]``; the
-    solver's loop over the nonzeros alone must match it bit for bit.  The
+    budget-free solver's loop over the positions it is given, all of them
+    or the nonzero ones, must match it bit for bit.  The
     support is read back by scanning the take flags down from ``n``.
     """
     x = np.asarray(x, dtype=float)
