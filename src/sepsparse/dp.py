@@ -1,6 +1,6 @@
 """Exact dynamic-programming solvers for separated-sparsity projection.
 
-Three solvers and one search live here:
+Three solvers, one search and one exact entry live here:
 
 * :func:`build_table_1spike` -- the budgeted 1-spike recurrence, O(k n);
   on a vector at most half nonzero, such as a spike train, O(k nnz) plus
@@ -16,6 +16,10 @@ Three solvers and one search live here:
   slice by a Lagrangian search over the budget-free 2-spike solver,
   returned only with a certificate that it is the support the slice's
   tables read back; :func:`certified_solver` maps ``p`` to it.
+* :func:`exact_support` -- the checked exact support of a whole vector
+  for spike count ``p``: the certified search over its nonzero weights,
+  the table when there is no search for ``p`` or it declines.
+  ``am_iht``'s exact steps call it.
 
 :func:`dp_solve` and :func:`dp_solve_2spike` return a builder's table with
 its top support built.  :func:`table_builder` is the one place that maps a
@@ -54,9 +58,9 @@ row buffer: the candidates are added into the row, whose running maximum
 is taken in place, and a prefix takes where the row rises (see
 :func:`build_table_1spike`).  A dense level of a vector or a batch runs
 one kernel, :func:`_straight`, along the last axis.  The 2-spike pass
-runs every level on every prefix: skipping measured slower there on the
-short tables of recovery's exact head and of the ``head(p=2)`` slices
-the certified search declines.
+runs every level on every prefix: skipping measured slower there on
+short tables, such as recovery's exact head and the ``head(p=2)``
+slices, built now only where the certified search declines.
 
 A zero weight never takes and never moves a 1-spike row, so a vector with
 at most half its weights nonzero runs each level over its nonzero weights
@@ -134,6 +138,7 @@ __all__ = [
     "dp_solve",
     "dp_solve_2spike",
     "dp_solve_unrestricted",
+    "exact_support",
     "table_builder",
     "table_cells",
 ]
@@ -1080,9 +1085,41 @@ def _certified_2spike(pos: np.ndarray, w: np.ndarray, k: int, delta: int) -> tup
 
 
 def certified_solver(p: int) -> Callable[..., tuple[int, ...] | None] | None:
-    """The certified search for spike count ``p``, or ``None`` where slices
-    build their tables: :func:`_certified_2spike` for ``p = 2``.  It takes
-    a slice's sorted kept positions, their nonzero weights, a budget of at
-    least 1 and ``delta``, and returns the support the slice's tables
-    would read back, or ``None`` for the tables to be built."""
+    """The certified search for spike count ``p``, or ``None`` where the
+    tables are built: :func:`_certified_2spike` for ``p = 2``.  It takes
+    sorted positions, their nonzero weights, a budget of at least 1 and
+    ``delta``, and returns the support the tables would read back, or
+    ``None`` for the tables to be built.  ``head.slice_solve`` runs it on
+    a slice's kept positions and :func:`exact_support` on a whole
+    vector's nonzero ones."""
     return _certified_2spike if check_count(p, "p") == 2 else None
+
+
+def exact_support(x, k: int, delta: int, p: int) -> tuple[int, ...]:
+    """The optimal budget-``k`` support of the vector ``x`` for spike count
+    ``p``: ``table_builder(p)(x, k, delta).support(k)``, bit for bit.
+
+    ``p``, ``x``, ``k`` and ``delta`` are checked as the builders check
+    them, ``delta`` clamped by :func:`model.check_delta`.  With ``k <= 0``
+    or no positive weight the support is empty, and neither the search nor
+    a table runs.  Otherwise the certified search for ``p``
+    (:func:`certified_solver`) runs on the positions of the nonzero weights
+    and their weights, and the table is built only when there is no search
+    for ``p`` or it declines.  A whole vector is the slice that keeps every
+    nonzero weight in one block, with no choice of budgets across blocks,
+    so :func:`_certified_2spike`'s proof makes an accepted support the
+    table's.
+    """
+    build = table_builder(p)
+    x = as_weights(x)
+    delta = check_delta(delta, x.size)
+    k = check_count(k, "k", 0)
+    pos = np.flatnonzero(x) + 1
+    if k <= 0 or not pos.size:
+        return ()
+    search = certified_solver(p)
+    if search is not None:
+        sol = search(pos, x[pos - 1], k, delta)
+        if sol is not None:
+            return sol
+    return build(x, k, delta).support(k)

@@ -9,8 +9,11 @@ updated iterate (original budget, one spike).
 
 ``head.py`` owns each projection's window count and its cap; at the cap the
 last keep-set is the whole ground set, so the loop ends in an exact solve
-anyway.  A step whose count reaches the cap therefore calls the exact DP
-once instead, and every other step runs the windowed projector.
+anyway.  A step whose count reaches the cap therefore calls
+:func:`dp.exact_support` once instead, and every other step runs the
+windowed projector.  The exact head runs the certified 2-spike search
+there, the 2-spike table only when the search declines; the exact tail
+builds its 1-spike table.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class RecoveryTrace:
     """Per-iterate supports and error norms, including the zero start.
 
     ``head_path`` and ``tail_path`` name how every head and every tail
-    step was projected: ``"exact"`` (one exact DP call) or ``"windowed"``
-    (the best-over-windows loop).
+    step was projected: ``"exact"`` (one :func:`dp.exact_support` call:
+    the certified search, or the table when there is none or it declines)
+    or ``"windowed"`` (the best-over-windows loop).
     """
 
     supports: list[tuple[int, ...]] = field(default_factory=list)
@@ -155,11 +159,13 @@ def am_iht(
     goes through :func:`model.check_real` as a real >= 0, inf included,
     before the first iteration.
 
-    The head step runs the exact 2-spike DP when ``head.window_count(n,
-    delta, eps_head)`` equals ``head.window_cap(n, delta)``, and the tail
-    step the exact 1-spike DP when ``window_count(n, delta, eps_tail, 2.0)``
-    does: the windowed loop would end in that same exact solve.  An exact
-    support meets both the head and the tail guarantee.  Otherwise the step
+    The head step solves exactly, :func:`dp.exact_support` with ``p = 2``,
+    when ``head.window_count(n, delta, eps_head)`` equals
+    ``head.window_cap(n, delta)``, and the tail step, with ``p = 1``, when
+    ``window_count(n, delta, eps_tail, 2.0)`` does: the windowed loop would
+    end in that same exact solve.  The entry's support is the exact table's
+    bit for bit, whether the certified search or the table answers.  An
+    exact support meets both the head and the tail guarantee.  Otherwise the step
     calls :func:`head_project` or :func:`tail_project`.  The trace's
     ``head_path`` and ``tail_path`` say which ran.  The counts check
     ``delta`` and the epsilons up front, whichever path runs.
@@ -194,7 +200,7 @@ def am_iht(
         g = A.T @ res
         w = squared_weights(g)
         if head_exact:
-            h_support = dp.table_builder(HEAD_SPIKES)(w, budget, delta).support(budget)
+            h_support = dp.exact_support(w, budget, delta, HEAD_SPIKES)
         else:
             h_support = head_project(w, budget, delta, HEAD_SPIKES, eps_head)
         if not is_feasible(h_support, n, budget, delta, HEAD_SPIKES):
@@ -202,7 +208,7 @@ def am_iht(
         merged = xj + restrict(g, h_support)
         w = squared_weights(merged)
         if tail_exact:
-            t_support = dp.table_builder(1)(w, k, delta).support(k)
+            t_support = dp.exact_support(w, k, delta, 1)
         else:
             t_support = tail_project(w, k, delta, eps_tail)
         if not is_feasible(t_support, n, k, delta, 1):

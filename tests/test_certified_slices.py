@@ -6,7 +6,11 @@ at that limit, bit for bit.  The certified search, which ``slice_solve``
 tries before building any 2-spike table, must return exactly the support
 the tables read back, or nothing: on the tie-rule cases, the golden and
 differential head cases, and continuous hostile slices.  A counting
-wrapper on ``dp.build_table_2spike`` shows which slices fall back.
+wrapper on ``dp.build_table_2spike`` shows which slices fall back.  The
+exact entry ``dp.exact_support``, which runs the search over a whole
+vector, must read the table's support for p = 1 and p = 2 on the same
+kinds of case, build no table without a positive weight, and build the
+table wherever the optimum is tied.
 """
 
 import json
@@ -211,3 +215,69 @@ def test_search_gives_up_past_the_packing_capacity():
     assert dp.certified_solver(1) is None
     with pytest.raises(ValueError, match="no exact solver"):
         head.slice_solve(pos, x[:60], 3, 2, 3)
+
+
+def test_exact_support_skips_the_search_and_the_table_without_a_positive_weight(monkeypatch):
+    # An empty vector, an all-zero one and a budget of at most 0 have the
+    # empty support, which every table reads back; the entry returns it
+    # before the search, whose least-weight scan raises on no weight.
+    for p in (1, 2):
+        for n in (0, 1, 7, 50):
+            assert dp.table_builder(p)(np.zeros(n), 3, 2).support(3) == ()
+
+    def ran(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(dp, "certified_solver", ran)
+    monkeypatch.setattr(dp, "build_table_1spike", ran)
+    monkeypatch.setattr(dp, "build_table_2spike", ran)
+    for p in (1, 2):
+        for n in (0, 1, 7, 50):
+            for zeros in (np.zeros(n), np.full(n, -0.0)):
+                for k in (0, 1, 3, 10**23):
+                    assert dp.exact_support(zeros, k, 2, p) == ()
+        assert dp.exact_support(np.ones(9), 0, 2, p) == ()
+    with pytest.raises(ValueError, match="no exact solver"):
+        dp.exact_support(np.ones(9), 2, 2, 3)
+
+
+def entry_cases():
+    """``(x, k, delta)`` cases for the exact entry: the golden instances
+    at their budget and twice it, the tie-rule cases at every budget, the
+    differential test's hostile instances and continuous slices' vectors."""
+    for case in json.loads(GOLDEN.read_text()):
+        for k in (case["k"], 2 * case["k"]):
+            yield dense(case), k, case["delta"]
+    for x, delta in tie_cases(3601, 200):
+        for k in range(1, x.size + 2):
+            yield x, k, delta
+    rng = make_rng(3603)
+    for _ in range(300):
+        yield hostile_instance(rng)
+    for x, _kept, k, delta in continuous_slices(3605, 300):
+        yield x, k, delta
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_exact_support_reads_the_tables_support(monkeypatch, p):
+    # The entry's support is the table's, bit for bit, whether the search
+    # answers or declines; where the optimum is tied the search cannot
+    # certify it, so the entry builds the 2-spike table.
+    calls = count_tables(monkeypatch)
+    wrong = []
+    cases = accepted = tied = 0
+    for x, k, delta in entry_cases():
+        before = len(calls)
+        got = dp.exact_support(x, k, delta, p)
+        built = len(calls) > before
+        if got != dp.table_builder(p)(x, k, delta).support(k):
+            wrong.append((x.tolist(), k, delta))
+        cases += 1
+        accepted += x.any() and not built
+        if p == 2 and x.size <= 12 and x.any() and np.array_equal(x, np.round(x)) and optimum_count(x, delta, k) > 1:
+            tied += 1
+            assert built, (x.tolist(), k, delta)
+    assert wrong == []
+    assert cases > 2000
+    if p == 2:
+        assert tied > 500 and accepted > 1000

@@ -21,6 +21,7 @@ from sepsparse.dp import (
     dp_solve,
     dp_solve_2spike,
     dp_solve_unrestricted,
+    exact_support,
     table_cells,
 )
 from sepsparse.generators import gen_poisson, gen_uniform
@@ -278,6 +279,8 @@ DELTA_TAKERS = {
     "build_table_2spike": lambda x, k, d: build_table_2spike(x, k, d),
     "batch_rows": lambda x, k, d: batch_rows(np.ones(x.size, dtype=int), d, 1),
     "dp_solve_unrestricted": lambda x, k, d: dp_solve_unrestricted(np.arange(1, x.size + 1), x, d),
+    "exact_support p=1": lambda x, k, d: exact_support(x, k, d, 1),
+    "exact_support p=2": lambda x, k, d: exact_support(x, k, d, 2),
     "max_support_size": lambda x, k, d: max_support_size(x.size, d, 1),
     "is_feasible": lambda x, k, d: is_feasible(range(1, x.size + 1), x.size, k, d, 1),
     "am_iht": lambda x, k, d: recovery.am_iht(np.zeros(3), np.ones((3, x.size)), k, d, 1, 0.5, 0.5),
@@ -296,6 +299,8 @@ BUDGET_TAKERS = {
     "build_table_2spike": lambda x, k: build_table_2spike(x, k, 2),
     "dp_solve": lambda x, k: dp_solve(x, k, 2),
     "dp_solve_2spike": lambda x, k: dp_solve_2spike(x, k, 2),
+    "exact_support p=1": lambda x, k: exact_support(x, k, 2, 1),
+    "exact_support p=2": lambda x, k: exact_support(x, k, 2, 2),
     "table.support": lambda x, k: build_table_1spike(x, 3, 2).support(k),
     # An object array is how a batch takes budgets past int64.
     "batch table.support": lambda x, k: build_table_1spike(np.stack((x, x)), 3, 2).support(
@@ -563,6 +568,7 @@ ARRAY_TAKERS = {
     "topk_tail_project": lambda v: topk_tail_project(v, 1, 1),
     "build_table_1spike": lambda v: build_table_1spike(v, 1, 1).support(1),
     "build_table_2spike": lambda v: build_table_2spike(v, 1, 1).support(1),
+    "exact_support": lambda v: exact_support(v, 1, 1, 2),
     "objective": lambda v: objective(v, [1]),
     "restrict": lambda v: restrict(v, [1]),
     "squared_weights": lambda v: squared_weights(v),

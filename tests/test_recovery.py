@@ -19,6 +19,8 @@ from sepsparse.recovery import (
 from sepsparse.seeding import make_rng
 from sepsparse.tail import tail_project
 
+from test_certified_slices import count_tables
+
 
 def planted_signal(n, k, delta, seed):
     support = random_feasible_support(n, k, delta, 1, make_rng(seed, 1))
@@ -266,6 +268,17 @@ def refuse(*args):
     raise AssertionError("the windowed projector ran on the exact path")
 
 
+def refuse_solvers(monkeypatch):
+    """Make the certified search and both tables raise if they run: an
+    exact step with no positive weight or a budget of 0 needs neither."""
+
+    def ran(*args):
+        raise AssertionError("a solver ran on an empty support")
+
+    for name in ("certified_solver", "build_table_1spike", "build_table_2spike"):
+        monkeypatch.setattr(dp, name, ran)
+
+
 class TestProjectionPath:
     def test_ac9_parameters_take_the_exact_path(self, monkeypatch):
         # lam is 100 for head and 200 for tail; both reach ceil(200/20) = 10.
@@ -329,16 +342,34 @@ class TestProjectionPath:
                 (2, 2 * k, head_project(w, 2 * k, delta, 2, eps_head)),
                 (1, k, tail_project(w, k, delta, eps_tail)),
             ):
-                exact = dp.table_builder(p)(w, budget, delta).support(budget)
+                exact = dp.exact_support(w, budget, delta, p)
                 assert is_feasible(exact, n, budget, delta, p)
                 assert objective(w, exact) >= objective(w, windowed) - slack
             cases += 1
         assert cases >= 200
 
-    def test_zero_width_model_returns_empty_supports(self):
+    def test_zero_width_model_returns_empty_supports(self, monkeypatch):
+        refuse_solvers(monkeypatch)
         x_hat, trace = am_iht(np.zeros(3), np.zeros((3, 0)), 2, 3, 2, 0.5, 0.5)
         assert x_hat.size == 0
         assert trace.supports == [()] * 3
+        assert (trace.head_path, trace.tail_path) == ("exact", "exact")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.005], ids=["noiseless", "noisy"])
+    def test_the_certified_search_leaves_the_recovery_unchanged(self, monkeypatch, seed, sigma):
+        # The exact head's certified search returns the 2-spike table's
+        # support, so the iterates and the whole trace are those of the
+        # tables alone; on these instances it answers every head step.
+        y, A, x = ac9_instance(seed, sigma)
+        with monkeypatch.context() as m:
+            m.setattr(dp, "certified_solver", lambda p: None)
+            want = am_iht(y, A, 5, 20, 30, 0.01, 0.01, x_true=x)
+        tables = count_tables(monkeypatch)
+        x_hat, trace = am_iht(y, A, 5, 20, 30, 0.01, 0.01, x_true=x)
+        assert np.array_equal(x_hat, want[0])
+        assert trace == want[1]
+        assert tables == []
 
 
 @pytest.mark.parametrize("other_eps", [0.01, 0.5], ids=["exact", "windowed"])
@@ -416,7 +447,8 @@ class TestAmIhtInputErrors:
         # An infinite tolerance stops after the first iteration.
         assert trace.iterations == (1 if tol == math.inf else 3)
 
-    def test_k_zero_keeps_the_zero_iterate(self, other_eps):
+    def test_k_zero_keeps_the_zero_iterate(self, monkeypatch, other_eps):
+        refuse_solvers(monkeypatch)
         y, A, _ = ac9_instance(0)
         x_hat, trace = am_iht(y, A, 0, 20, 3, other_eps, other_eps)
         assert np.array_equal(x_hat, np.zeros(200))
